@@ -19,8 +19,8 @@ from .blowup import (BlowupReport, NondegeneracyMap, RateFit, alpha_lower_bound,
                      blowup_set, check_lower_bound, classify, fit_rate,
                      nondegeneracy_map)
 from .scaling import rescale_state, scaling_invariance_test
-from .harness import (ManufacturedSolution, RunConfig,
-                      default_manufactured_pair, load_config, mms_sources,
-                      regenerate_summary, run_scenario)
+from .manufactured import (ManufacturedSolution, default_manufactured_pair,
+                           mms_sources)
+from .harness import RunConfig, load_config, regenerate_summary, run_scenario
 
 __all__ = [name for name in dir() if not name.startswith("_")]

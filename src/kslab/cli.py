@@ -38,12 +38,7 @@ def _cmd_run(args) -> int:
     if args.max_steps is not None:
         overrides.append(f"run.max_steps={args.max_steps}")
     try:
-        cfg = load_config(args.config, overrides=overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        code, summary = run_scenario(cfg)
+        code, summary = run_scenario(load_config(args.config, overrides=overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -75,14 +70,14 @@ def _read_series(path) -> list[tuple[float, float]]:
 def _cmd_fit(args) -> int:
     try:
         series = _read_series(args.series)
+        fit = fit_rate(series, window_fraction=args.window_fraction)
+        alpha, c_tilde, delta0, kappa3 = alpha_lower_bound(args.c0_sup, args.c3)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    fit = fit_rate(series, window_fraction=args.window_fraction)
-    alpha, c_tilde, delta0, kappa3 = alpha_lower_bound(args.c0_sup, args.c3)
     payload = {
         "status": fit.status,
         "t_star": fit.t_star,
@@ -121,7 +116,7 @@ def _cmd_report(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except (OSError, ValueError, LookupError) as exc:  # missing or malformed artifact
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     _print_monitors(summary)

@@ -1,11 +1,10 @@
-"""Run configuration, scenario presets, convergence drivers and artifacts.
+"""Run configuration, scenario registry, convergence drivers and artifacts.
 
-Config files are flat INI text (sections of key = value); every key has a
-default and a minimal file only needs [run] scenario = <name>.  Values not
-set by the user are echoed to the summary with the provenance label
-"config-default (no canonical value; supply your own)" for the inequality
-constants, which are existence-type numbers nothing can derive for a
-concrete domain.
+``_SCHEMA`` holds every config key with its default and parser,
+``SCENARIOS`` every scenario's presets, grid requirement, initial data or
+runner and monitors, and ``_summarize`` builds every summary.json.  A
+minimal config file only needs [run] scenario = <name>; unset inequality
+constants are echoed with a "config-default" provenance label.
 
 Artifacts written per run directory:
     config_echo.ini   effective configuration (defaults applied)
@@ -16,8 +15,9 @@ Artifacts written per run directory:
     mms_errors.csv / scaling_errors.csv      for the convergence scenarios
     summary.json      monitors, pass/fail flags, config echo, version stamp
 
-Summary pass/fail flags are recomputable offline from those artifacts via
-regenerate_summary() (the CLI "report" command).
+A summary is a function of those artifacts (and, for a time-stepped run,
+of the step statistics it records), so regenerate_summary() (the CLI
+"report" command) recomputes it offline for every scenario.
 """
 
 from __future__ import annotations
@@ -25,26 +25,26 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, make_dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .blowup import (NO_BLOWUP, BlowupReport, alpha_lower_bound,
+from .blowup import (NO_BLOWUP, BlowupReport, RateFit, alpha_lower_bound,
                      check_lower_bound, classify, fit_rate, nondegeneracy_map)
 from .diagnostics import (CriterionAccumulator, DiagnosticsRecord,
                           DiagnosticsWriter, energy_inequality_residual,
                           evaluate, read_diagnostics_csv, update_accumulators)
-from .errors import ConfigError, PositivityError
+from .errors import ConfigError
 from .grid import (Field, GridSpec, fill, lp_norm, make_grid, read_snapshot,
                    write_snapshot)
-from .scaling import scaling_invariance_test, write_scaling_csv
-from .solver import RunResult, SolverConfig, State, StopRule, run
-
-SCENARIOS = ("constant_decay", "heat_mode", "mms", "equilibrium_2d",
-             "stress_3d", "scaling_test", "custom")
+from .manufactured import default_manufactured_pair, mms_sources
+from .scaling import (_ERROR_KEYS, _orders, read_scaling_csv,
+                      scaling_invariance_test, write_scaling_csv)
+from .solver import SolverConfig, State, StopRule, run
 
 EXIT_OK = 0
 EXIT_MONITOR_FAILURE = 1
@@ -52,182 +52,142 @@ EXIT_DIVERGENCE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 
-_DEFAULT_PROVENANCE = "config-default (no canonical value; supply your own)"
-_PROVENANCE_KEYS = (
-    "diagnostics.kappa1", "diagnostics.kappa2", "diagnostics.kappa3",
-    "diagnostics.c_monitor", "blowup.c3", "blowup.epsilon",
-    "blowup.residual_threshold",
-)
+# provenance of a defaulted inequality constant, an existence-type number
+_GUESS = "config-default (no canonical value; supply your own)"
 
-_DEFAULTS: dict[str, dict[str, str]] = {
+# --- config schema ------------------------------------------------------------
+# A parser maps the value text to its typed value or raises ValueError with
+# a message that follows the dotted key name.  Non-finite values are errors,
+# except inf as a Lebesgue exponent (criterion pairs, ls_exponent) and as
+# run.t_end when run.max_steps bounds the run.
+
+
+def _number(kind=float, ok: Optional[Callable] = None, need: str = "",
+            inf: bool = False) -> Callable:
+    """Parser of one int or float; nan, and inf unless allowed, are errors."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if math.isnan(value):
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"not {noun}: {text!r}")
+        if math.isinf(value) and not inf:
+            raise ValueError(f"must be finite, got {text!r}")
+        if ok is not None and not ok(value):
+            raise ValueError(f"must be {need}, got {text!r}")
+        return value
+    return parse
+
+
+def _bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+def _words(parse: Callable) -> Callable:
+    return lambda text: tuple(parse(tok) for tok in text.split())
+
+
+def _optional(parse: Callable) -> Callable:
+    return lambda text: parse(text) if text.strip() else None
+
+
+_int, _real, _exponent = _number(int), _number(), _number(inf=True)
+_nonnegative = _number(ok=lambda v: v >= 0, need="nonnegative")
+_count = _number(int, lambda v: v >= 0, "nonnegative")
+_at_least_1 = _number(int, lambda v: v >= 1, "at least 1")
+
+
+def _pairs(text: str) -> list[tuple[float, float]]:
+    """Criterion pairs s/r with s > 3/2 and r >= 1; either may be inf."""
+    pairs = []
+    for token in text.split():
+        s, sep, r = token.partition("/")
+        if not sep:
+            raise ValueError(f"token {token!r} is not of the form s/r")
+        s, r = _exponent(s), _exponent(r)
+        if not s > 1.5:
+            raise ValueError(f"s must exceed 3/2, got {token!r}")
+        if not r >= 1.0:
+            raise ValueError(f"r must be at least 1, got {token!r}")
+        pairs.append((s, r))
+    if not pairs:
+        raise ValueError("need at least one pair")
+    return pairs
+
+
+# section -> key -> (default text, parser[, provenance when defaulted]);
+# GridSpec, SolverConfig and RunConfig take the parsed sections as keyword
+# arguments
+_SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
-        "scenario": "",
-        "t_end": "1.0",
-        "sample_every": "100",
-        "snapshot_every": "0",
-        "out_dir": "out",
-        "seed": "1234",
-        "max_steps": "",
-        "n0_snapshot": "",
-        "c0_snapshot": "",
+        "scenario": ("", str.strip),
+        "t_end": ("1.0", _number(ok=lambda v: v >= 0, need="nonnegative",
+                                 inf=True)),
+        "sample_every": ("100", _at_least_1),
+        "snapshot_every": ("0", _count),
+        "out_dir": ("out", str.strip),
+        "seed": ("1234", _int),
+        "max_steps": ("", _optional(_count)),
+        "n0_snapshot": ("", str.strip),
+        "c0_snapshot": ("", str.strip),
     },
     "grid": {
-        "dim": "2",
-        "cells": "16 16",
-        "extent": "1.0 1.0",
-        "topology": "periodic_torus",
+        "dim": ("2", _int),
+        "cells": ("16 16", _words(_int)),
+        "extent": ("1.0 1.0", _words(_real)),
+        "topology": ("periodic_torus", str.strip),
     },
     "solver": {
-        "chi": "1.0",
-        "scheme": "explicit_euler",
-        "cfl_safety": "0.4",
-        "dt_min": "1e-12",
-        "dt_max": "0.1",
-        "positivity_floor": "0.0",
-        "upwind": "true",
-        "blowup_sup_threshold": "1e6",
-        "dt_blowup_factor": "0.1",
+        "chi": ("1.0", _real),
+        "scheme": ("explicit_euler", str.strip),
+        "cfl_safety": ("0.4", _real),
+        "dt_min": ("1e-12", _real),
+        "dt_max": ("0.1", _real),
+        "positivity_floor": ("0.0", _real),
+        "upwind": ("true", _bool),
+        "blowup_sup_threshold": ("1e6", _real),
+        "dt_blowup_factor": ("0.1", _real),
     },
     "diagnostics": {
-        "kappa1": "10.0",
-        "kappa2": "0.01",
-        "kappa3": "1.0",
-        "c_monitor": "100.0",
-        "criterion_pairs": "2/4 1.6/inf",
-        "ls_exponent": "",
+        "kappa1": ("10.0", _nonnegative, _GUESS),
+        "kappa2": ("0.01", _nonnegative, _GUESS),
+        "kappa3": ("1.0", _nonnegative, _GUESS),
+        "c_monitor": ("100.0", _real, _GUESS),
+        "criterion_pairs": ("2/4 1.6/inf", _pairs),
+        "ls_exponent": ("", _optional(_number(ok=lambda v: v > 1.5,
+                                              need="greater than 3/2", inf=True))),
     },
     "blowup": {
-        "c3": "1.0",
-        "epsilon": "0.01",
-        "window_fraction": "0.25",
-        "fit": "false",
-        "residual_threshold": "0.25",
+        "c3": ("1.0", _number(ok=lambda v: v > 0, need="positive"), _GUESS),
+        "epsilon": ("0.01", _real, _GUESS),
+        "window_fraction": ("0.25", _number(ok=lambda v: 0 < v <= 1,
+                                            need="in (0, 1]")),
+        "fit": ("false", _bool),
+        "residual_threshold": ("0.25", _real, _GUESS),
     },
     "scaling": {
-        "lam": "2",
-        "refinements": "3",
+        "lam": ("2", _at_least_1),
+        "refinements": ("3", _at_least_1),
     },
 }
 
-_SCENARIO_DEFAULTS: dict[str, dict[str, dict[str, str]]] = {
-    "constant_decay": {
-        "run": {"t_end": "1.0", "sample_every": "100"},
-        "solver": {"dt_max": "1e-4"},
-    },
-    "heat_mode": {
-        "run": {"t_end": "0.1", "sample_every": "200"},
-        "grid": {"dim": "1", "cells": "64", "extent": "1.0",
-                 "topology": "neumann_box"},
-        "solver": {"cfl_safety": "0.8", "dt_max": "0.05"},
-    },
-    "mms": {
-        "run": {"t_end": "0.05"},
-        "grid": {"dim": "2", "cells": "32 32", "extent": "1.0 1.0",
-                 "topology": "periodic_torus"},
-        "solver": {"cfl_safety": "0.4", "upwind": "false"},
-    },
-    "equilibrium_2d": {
-        "run": {"t_end": "50.0", "sample_every": "500"},
-        "grid": {"dim": "2", "cells": "16 16", "extent": "1.0 1.0",
-                 "topology": "periodic_torus"},
-        "solver": {"cfl_safety": "0.9", "dt_max": "0.05"},
-    },
-    "stress_3d": {
-        "run": {"t_end": "0.5", "sample_every": "20"},
-        "grid": {"dim": "3", "cells": "8 8 8", "extent": "1.0 1.0 1.0",
-                 "topology": "neumann_box"},
-        "solver": {"chi": "10.0", "cfl_safety": "0.3",
-                   "blowup_sup_threshold": "200.0"},
-        "blowup": {"fit": "true"},
-    },
-    "scaling_test": {
-        "run": {"t_end": "0.04"},
-        "grid": {"dim": "2", "cells": "16 16", "extent": "1.0 1.0",
-                 "topology": "periodic_torus"},
-        "solver": {"upwind": "false"},
-    },
-    "custom": {},
-}
 
-
-@dataclass
-class RunConfig:
-    scenario: str
-    grid: GridSpec
-    solver: SolverConfig
-    kappas: tuple[float, float, float]
-    c_monitor: float
-    c3: float
-    criterion_pairs: list[tuple[float, float]]
-    t_end: float
-    sample_every: int
-    snapshot_every: int
-    out_dir: str
-    seed: int
-    max_steps: Optional[int]
-    ls_exponent: float
-    epsilon: float
-    window_fraction: float
-    fit: bool
-    residual_threshold: float
-    lam: int
-    refinements: int
-    n0_snapshot: str
-    c0_snapshot: str
-    echo: dict[str, dict[str, str]] = field(default_factory=dict)
-    defaulted: list[str] = field(default_factory=list)
-
-
-def _parse_float(value: str, where: str, errors: list[str],
-                 fallback: float = 0.0) -> float:
-    try:
-        v = value.strip().lower()
-        if v in ("inf", "+inf", "infinity"):
-            return math.inf
-        return float(value)
-    except ValueError:
-        errors.append(f"{where}: not a number: {value!r}")
-        return fallback
-
-
-def _parse_int(value: str, where: str, errors: list[str], fallback: int = 0) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        errors.append(f"{where}: not an integer: {value!r}")
-        return fallback
-
-
-def _parse_bool(value: str, where: str, errors: list[str]) -> bool:
-    v = value.strip().lower()
-    if v in ("true", "yes", "on", "1"):
-        return True
-    if v in ("false", "no", "off", "0"):
-        return False
-    errors.append(f"{where}: not a boolean: {value!r}")
-    return False
-
-
-def _parse_pairs(value: str, errors: list[str]) -> list[tuple[float, float]]:
-    pairs = []
-    for token in value.split():
-        if "/" not in token:
-            errors.append(f"diagnostics.criterion_pairs: token {token!r} "
-                          "is not of the form s/r")
-            continue
-        s_str, r_str = token.split("/", 1)
-        s = _parse_float(s_str, "diagnostics.criterion_pairs (s)", errors, 2.0)
-        r = _parse_float(r_str, "diagnostics.criterion_pairs (r)", errors, 2.0)
-        if not s > 1.5:
-            errors.append(f"diagnostics.criterion_pairs: s must exceed 3/2, "
-                          f"got {token!r}")
-            continue
-        if r < 1.0:
-            errors.append(f"diagnostics.criterion_pairs: r must be at least 1, "
-                          f"got {token!r}")
-            continue
-        pairs.append((s, r))
-    return pairs
+# A validated configuration: one attribute per key of [run], [diagnostics],
+# [blowup] and [scaling], plus the GridSpec and SolverConfig built from
+# [grid] and [solver], the effective config text and the defaulted keys.
+RunConfig = make_dataclass("RunConfig", [
+    *((key, object) for sec in ("run", "diagnostics", "blowup", "scaling")
+      for key in _SCHEMA[sec]),
+    ("grid", GridSpec), ("solver", SolverConfig),
+    ("echo", dict, field(default_factory=dict)),
+    ("defaulted", list, field(default_factory=list)),
+], namespace={"kappas": property(
+    lambda self: (self.kappa1, self.kappa2, self.kappa3))})
 
 
 def load_config(path, overrides: Optional[Sequence[str]] = None) -> RunConfig:
@@ -241,390 +201,104 @@ def load_config(path, overrides: Optional[Sequence[str]] = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}")
 
-    user: dict[str, dict[str, str]] = {
-        section: dict(parser.items(section)) for section in parser.sections()
-    }
-    for section in user:
-        if section not in _DEFAULTS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in user[section]:
-            if key not in _DEFAULTS[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
+    given = []  # (section, key, value) from the file, then from the overrides
+    for sec in parser.sections():
+        if sec not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{sec}]")
+        for key, value in parser.items(sec):
+            if key not in _SCHEMA[sec]:
+                raise ConfigError(f"unknown key {sec}.{key}")
+            given.append((sec, key, value))
+    for item in overrides or ():
+        dotted, sep, value = item.partition("=")
+        sec, dot, key = dotted.strip().partition(".")
+        if not sep or not dot:
+            raise ConfigError(f"override {item!r} is not section.key=value")
+        if key not in _SCHEMA.get(sec, {}):
+            raise ConfigError(f"override targets unknown key {dotted!r}")
+        given.append((sec, key, value.strip()))
 
-    scenario = user.get("run", {}).get("scenario", "").strip()
-    if overrides:
-        for item in overrides:
-            if "=" in item and item.split("=", 1)[0].strip() == "run.scenario":
-                scenario = item.split("=", 1)[1].strip()
+    scenario = next((value.strip() for sec, key, value in reversed(given)
+                     if (sec, key) == ("run", "scenario")), "")
+    presets = SCENARIOS[scenario].presets if scenario in SCENARIOS else {}
+    effective = {sec: {key: entry[0] for key, entry in keys.items()}
+                 for sec, keys in _SCHEMA.items()}
+    for sec, key, value in [(*k.split("."), v) for k, v in presets.items()] + given:
+        effective[sec][key] = value
+    explicit = {f"{sec}.{key}" for sec, key, _ in given}
+    defaulted = sorted(f"{sec}.{key}" for sec in _SCHEMA for key in _SCHEMA[sec]
+                       if f"{sec}.{key}" not in explicit)
 
-    effective = {sec: dict(keys) for sec, keys in _DEFAULTS.items()}
-    for sec, keys in _SCENARIO_DEFAULTS.get(scenario, {}).items():
-        effective[sec].update(keys)
-    defaulted = []
-    for sec, keys in effective.items():
-        for key in keys:
-            if key not in user.get(sec, {}):
-                defaulted.append(f"{sec}.{key}")
-    for sec, keys in user.items():
-        effective[sec].update(keys)
-
-    if overrides:
-        for item in overrides:
-            if "=" not in item:
-                raise ConfigError(f"override {item!r} is not section.key=value")
-            dotted, value = item.split("=", 1)
-            if "." not in dotted:
-                raise ConfigError(f"override {item!r} is not section.key=value")
-            sec, key = dotted.strip().split(".", 1)
-            if sec not in effective or key not in effective[sec]:
-                raise ConfigError(f"override targets unknown key {dotted!r}")
-            effective[sec][key] = value.strip()
-            if f"{sec}.{key}" in defaulted:
-                defaulted.remove(f"{sec}.{key}")
-
-    return _build_config(effective, defaulted)
-
-
-def _build_config(effective: dict[str, dict[str, str]],
-                  defaulted: list[str]) -> RunConfig:
     errors: list[str] = []
-    run_sec = effective["run"]
-    scenario = run_sec["scenario"].strip()
-    if scenario not in SCENARIOS:
-        errors.append(f"run.scenario: unknown or missing scenario "
-                      f"{scenario!r}; choose from {', '.join(SCENARIOS)}")
+    values: dict[str, dict] = {}
+    for sec, keys in _SCHEMA.items():
+        values[sec] = {}
+        for key, (default, parse, *_) in keys.items():
+            try:
+                values[sec][key] = parse(effective[sec][key])
+            except ValueError as exc:
+                errors.append(f"{sec}.{key}: {exc}")
+                # carry on with the default so later checks still report
+                values[sec][key] = parse(default)
 
-    grid_sec = effective["grid"]
-    dim = _parse_int(grid_sec["dim"], "grid.dim", errors, 2)
-    cells = tuple(_parse_int(tok, "grid.cells", errors, 4)
-                  for tok in grid_sec["cells"].split())
-    extent = tuple(_parse_float(tok, "grid.extent", errors, 1.0)
-                   for tok in grid_sec["extent"].split())
-    grid_spec = None
-    try:
-        grid_spec = GridSpec(dim=dim, cells=cells, extent=extent,
-                             topology=grid_sec["topology"].strip())
-    except ValueError as exc:
-        errors.append(f"grid: {exc}")
+    def construct(cls, section):
+        try:
+            return cls(**values[section])
+        except ValueError as exc:
+            errors.append(f"{section}: {exc}")
+            return None
 
-    sol = effective["solver"]
-    solver_cfg = None
-    try:
-        solver_cfg = SolverConfig(
-            chi=_parse_float(sol["chi"], "solver.chi", errors, 1.0),
-            scheme=sol["scheme"].strip(),
-            cfl_safety=_parse_float(sol["cfl_safety"], "solver.cfl_safety",
-                                    errors, 0.4),
-            dt_min=_parse_float(sol["dt_min"], "solver.dt_min", errors, 1e-12),
-            dt_max=_parse_float(sol["dt_max"], "solver.dt_max", errors, 0.1),
-            positivity_floor=_parse_float(sol["positivity_floor"],
-                                          "solver.positivity_floor", errors, 0.0),
-            upwind=_parse_bool(sol["upwind"], "solver.upwind", errors),
-            blowup_sup_threshold=_parse_float(
-                sol["blowup_sup_threshold"], "solver.blowup_sup_threshold",
-                errors, 1e6),
-            dt_blowup_factor=_parse_float(
-                sol["dt_blowup_factor"], "solver.dt_blowup_factor", errors, 0.1),
-        )
-    except ValueError as exc:
-        errors.append(f"solver: {exc}")
+    grid_spec = construct(GridSpec, "grid")
+    solver_cfg = construct(SolverConfig, "solver")
+    run_sec, diag = values["run"], values["diagnostics"]
+    if diag["ls_exponent"] is None:
+        diag["ls_exponent"] = diag["criterion_pairs"][0][0]
+    if math.isinf(run_sec["t_end"]) and run_sec["max_steps"] is None:
+        errors.append("run.t_end: inf needs run.max_steps")
 
-    diag = effective["diagnostics"]
-    kappas = tuple(_parse_float(diag[k], f"diagnostics.{k}", errors, 1.0)
-                   for k in ("kappa1", "kappa2", "kappa3"))
-    if any(k < 0 for k in kappas):
-        errors.append("diagnostics: kappa weights must be nonnegative")
-    c_monitor = _parse_float(diag["c_monitor"], "diagnostics.c_monitor",
-                             errors, 100.0)
-    pairs = _parse_pairs(diag["criterion_pairs"], errors)
-    if not pairs:
-        errors.append("diagnostics.criterion_pairs: need at least one pair")
-    ls_raw = diag["ls_exponent"].strip()
-    if ls_raw:
-        ls_exponent = _parse_float(ls_raw, "diagnostics.ls_exponent", errors, 2.0)
-        if not ls_exponent > 1.5:
-            errors.append("diagnostics.ls_exponent must exceed 3/2")
+    name = run_sec["scenario"]
+    scenario = SCENARIOS.get(name)
+    if scenario is None:
+        errors.append(f"run.scenario: unknown or missing scenario {name!r}; "
+                      f"choose from {', '.join(SCENARIOS)}")
     else:
-        ls_exponent = pairs[0][0] if pairs else 2.0
-
-    blw = effective["blowup"]
-    c3 = _parse_float(blw["c3"], "blowup.c3", errors, 1.0)
-    if c3 <= 0:
-        errors.append("blowup.c3 must be positive")
-    epsilon = _parse_float(blw["epsilon"], "blowup.epsilon", errors, 0.01)
-    window_fraction = _parse_float(blw["window_fraction"],
-                                   "blowup.window_fraction", errors, 0.25)
-    if not (0.0 < window_fraction <= 1.0):
-        errors.append("blowup.window_fraction must lie in (0, 1]")
-    fit_flag = _parse_bool(blw["fit"], "blowup.fit", errors)
-    residual_threshold = _parse_float(blw["residual_threshold"],
-                                      "blowup.residual_threshold", errors, 0.25)
-
-    scl = effective["scaling"]
-    lam = _parse_int(scl["lam"], "scaling.lam", errors, 2)
-    if lam < 1:
-        errors.append("scaling.lam must be a positive integer")
-    refinements = _parse_int(scl["refinements"], "scaling.refinements", errors, 3)
-    if refinements < 1:
-        errors.append("scaling.refinements must be at least 1")
-
-    t_end = _parse_float(run_sec["t_end"], "run.t_end", errors, 1.0)
-    if t_end < 0:
-        errors.append("run.t_end must be nonnegative")
-    sample_every = _parse_int(run_sec["sample_every"], "run.sample_every",
-                              errors, 100)
-    if sample_every < 1:
-        errors.append("run.sample_every must be at least 1")
-    snapshot_every = _parse_int(run_sec["snapshot_every"], "run.snapshot_every",
-                                errors, 0)
-    seed = _parse_int(run_sec["seed"], "run.seed", errors, 0)
-    max_steps_raw = run_sec["max_steps"].strip()
-    max_steps = _parse_int(max_steps_raw, "run.max_steps", errors) \
-        if max_steps_raw else None
-
-    if grid_spec is not None and scenario:
-        _validate_scenario_grid(scenario, grid_spec, effective, errors)
+        if grid_spec is not None and scenario.grid is not None:
+            dim, topology = scenario.grid
+            if grid_spec.topology != topology or dim not in (None, grid_spec.dim):
+                errors.append(f"{name} needs a {f'{dim}D ' if dim else ''}"
+                              f"{topology} grid")
+        for key in scenario.requires:
+            if not run_sec[key]:
+                errors.append(f"{name} scenario requires run.{key}")
 
     if errors:
         raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(errors))
-
-    return RunConfig(
-        scenario=scenario, grid=grid_spec, solver=solver_cfg,
-        kappas=kappas, c_monitor=c_monitor, c3=c3, criterion_pairs=pairs,
-        t_end=t_end, sample_every=sample_every, snapshot_every=snapshot_every,
-        out_dir=run_sec["out_dir"].strip(), seed=seed, max_steps=max_steps,
-        ls_exponent=ls_exponent, epsilon=epsilon,
-        window_fraction=window_fraction, fit=fit_flag,
-        residual_threshold=residual_threshold, lam=lam, refinements=refinements,
-        n0_snapshot=run_sec["n0_snapshot"].strip(),
-        c0_snapshot=run_sec["c0_snapshot"].strip(),
-        echo=effective, defaulted=sorted(defaulted),
-    )
+    return RunConfig(**run_sec, grid=grid_spec, solver=solver_cfg, **diag,
+                     **values["blowup"], **values["scaling"],
+                     echo=effective, defaulted=defaulted)
 
 
-def _validate_scenario_grid(scenario: str, grid_spec: GridSpec,
-                            effective: dict, errors: list[str]) -> None:
-    if scenario == "heat_mode":
-        if grid_spec.dim != 1 or grid_spec.topology != "neumann_box":
-            errors.append("heat_mode needs a 1D neumann_box grid")
-    elif scenario in ("mms", "equilibrium_2d", "scaling_test"):
-        if grid_spec.dim != 2 or grid_spec.topology != "periodic_torus":
-            errors.append(f"{scenario} needs a 2D periodic_torus grid")
-    elif scenario == "constant_decay":
-        if grid_spec.topology != "periodic_torus":
-            errors.append("constant_decay needs a periodic_torus grid")
-    elif scenario == "custom":
-        for key in ("n0_snapshot", "c0_snapshot"):
-            if not effective["run"][key].strip():
-                errors.append(f"custom scenario requires run.{key}")
+# --- time-stepped runs --------------------------------------------------------
 
 
-# --- manufactured solutions -------------------------------------------------
+def _run_fields(cfg: RunConfig, out: Path) -> dict:
+    """Step the scenario's initial state, writing the field artifacts.
 
-
-@dataclass(frozen=True)
-class ManufacturedSolution:
-    """A closed-form pair with the analytic derivatives the sources need.
-
-    Every callable takes (t, *coords) with vectorized coordinates.
+    Returns the step statistics, the one part of the summary that no
+    artifact other than summary.json records.
     """
-
-    n: Callable
-    c: Callable
-    dn_dt: Callable
-    dc_dt: Callable
-    grad_n: tuple[Callable, ...]
-    grad_c: tuple[Callable, ...]
-    lap_n: Callable
-    lap_c: Callable
-
-
-def default_manufactured_pair() -> ManufacturedSolution:
-    """2D torus pair: n = 2 + e^-t cos(2 pi x) cos(2 pi y),
-    c = 1 + 0.5 e^-t cos(2 pi x)."""
-    w = 2.0 * math.pi
-
-    def n(t, x, y):
-        return 2.0 + np.exp(-t) * np.cos(w * x) * np.cos(w * y)
-
-    def c(t, x, y):
-        return 1.0 + 0.5 * np.exp(-t) * np.cos(w * x)
-
-    def dn_dt(t, x, y):
-        return -np.exp(-t) * np.cos(w * x) * np.cos(w * y)
-
-    def dc_dt(t, x, y):
-        return -0.5 * np.exp(-t) * np.cos(w * x)
-
-    def dn_dx(t, x, y):
-        return -w * np.exp(-t) * np.sin(w * x) * np.cos(w * y)
-
-    def dn_dy(t, x, y):
-        return -w * np.exp(-t) * np.cos(w * x) * np.sin(w * y)
-
-    def dc_dx(t, x, y):
-        return -0.5 * w * np.exp(-t) * np.sin(w * x)
-
-    def dc_dy(t, x, y):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def lap_n(t, x, y):
-        return -2.0 * w * w * np.exp(-t) * np.cos(w * x) * np.cos(w * y)
-
-    def lap_c(t, x, y):
-        return -0.5 * w * w * np.exp(-t) * np.cos(w * x)
-
-    return ManufacturedSolution(n=n, c=c, dn_dt=dn_dt, dc_dt=dc_dt,
-                                grad_n=(dn_dx, dn_dy), grad_c=(dc_dx, dc_dy),
-                                lap_n=lap_n, lap_c=lap_c)
-
-
-def mms_sources(solution: ManufacturedSolution, chi: float
-                ) -> tuple[Callable, Callable]:
-    """Source hooks that make the manufactured pair an exact solution.
-
-    source_n = dn/dt - lap n + chi * div(n grad c)
-             = dn/dt - lap n + chi * (grad n . grad c + n lap c)
-    source_c = dc/dt - lap c + n c
-    """
-    if chi < 0.0:
-        raise ValueError("chi must be nonnegative")
-
-    def source_n(t, *coords):
-        nst = np.asarray(solution.n(t, *coords), dtype=float)
-        if np.min(nst) <= 0.0:
-            raise PositivityError("manufactured n must stay positive")
-        adv = nst * solution.lap_c(t, *coords)
-        for gn, gc in zip(solution.grad_n, solution.grad_c):
-            adv = adv + np.asarray(gn(t, *coords)) * np.asarray(gc(t, *coords))
-        return (np.asarray(solution.dn_dt(t, *coords))
-                - np.asarray(solution.lap_n(t, *coords)) + chi * adv)
-
-    def source_c(t, *coords):
-        nst = np.asarray(solution.n(t, *coords), dtype=float)
-        if np.min(nst) <= 0.0:
-            raise PositivityError("manufactured n must stay positive")
-        return (np.asarray(solution.dc_dt(t, *coords))
-                - np.asarray(solution.lap_c(t, *coords))
-                + nst * np.asarray(solution.c(t, *coords)))
-
-    return source_n, source_c
-
-
-# --- scenario initial data ---------------------------------------------------
-
-
-def _initial_state(cfg: RunConfig) -> tuple[State, Optional[Callable], Optional[Callable]]:
-    grid = make_grid(cfg.grid)
-    scenario = cfg.scenario
-    if scenario == "constant_decay":
-        n0 = fill(grid, lambda *xs: np.ones_like(xs[0]))
-        c0 = fill(grid, lambda *xs: np.ones_like(xs[0]))
-        return State(n0, c0, 0.0), None, None
-    if scenario == "heat_mode":
-        n0 = fill(grid, lambda x: np.zeros_like(x))
-        c0 = fill(grid, lambda x: np.cos(math.pi * x))
-        return State(n0, c0, 0.0), None, None
-    if scenario == "equilibrium_2d":
-        w = 2.0 * math.pi
-        n0 = fill(grid, lambda x, y: 1.0 + 0.3 * np.cos(w * x) * np.cos(w * y))
-        c0 = fill(grid, lambda x, y: 0.5 + 0.2 * np.cos(w * x))
-        return State(n0, c0, 0.0), None, None
-    if scenario == "stress_3d":
-        center = tuple(e / 2.0 for e in cfg.grid.extent)
-
-        def bump(x, y, z):
-            r2 = (x - center[0])**2 + (y - center[1])**2 + (z - center[2])**2
-            return 1.0 + 9.0 * np.exp(-r2 / 0.02)
-
-        n0 = fill(grid, bump)
-        c0 = fill(grid, lambda x, y, z: 5.0 * np.ones_like(x))
-        return State(n0, c0, 0.0), None, None
-    if scenario == "custom":
-        n0, t0 = read_snapshot(cfg.n0_snapshot)
-        c0, _ = read_snapshot(cfg.c0_snapshot)
-        if n0.grid.spec != c0.grid.spec:
-            raise ConfigError("custom snapshots live on different grids")
-        return State(n0, c0, t0), None, None
-    raise ConfigError(f"scenario {scenario!r} has no direct initial state")
-
-
-# --- orchestration ------------------------------------------------------------
-
-
-def _write_config_echo(cfg: RunConfig, out: Path) -> None:
-    parser = configparser.ConfigParser()
-    for sec, keys in cfg.echo.items():
-        parser[sec] = {k: str(v) for k, v in keys.items()}
-    with open(out / "config_echo.ini", "w", encoding="utf-8") as fh:
-        fh.write("# effective configuration (defaults applied)\n")
-        for name in cfg.defaulted:
-            fh.write(f"# defaulted: {name}\n")
-        parser.write(fh)
-
-
-def _provenance(cfg: RunConfig) -> dict[str, str]:
-    return {name: _DEFAULT_PROVENANCE
-            for name in _PROVENANCE_KEYS if name in cfg.defaulted}
-
-
-def _criteria_header(cfg: RunConfig) -> str:
-    cols = ["t", "gradc_inf"]
-    for s, r in cfg.criterion_pairs:
-        cols.append(f"ns[s={s:g},r={r:g}]")
-    return ",".join(cols)
-
-
-def _accumulate_criteria(cfg: RunConfig, times: list[float],
-                         gradc: list[float],
-                         ns_cols: list[list[float]]) -> list[dict]:
-    out = []
-    for idx, (s, r) in enumerate(cfg.criterion_pairs):
-        acc = CriterionAccumulator(s=s, r=r)
-        for k in range(1, len(times)):
-            prev = _MiniRecord(times[k - 1], ns_cols[idx][k - 1], gradc[k - 1])
-            nxt = _MiniRecord(times[k], ns_cols[idx][k], gradc[k])
-            acc = update_accumulators(acc, prev, nxt)
-        out.append({"s": s, "r": r, "admissible": acc.admissible,
-                    "value_ns": acc.value_ns, "value_gc": acc.value_gc})
-    return out
-
-
-class _MiniRecord:
-    """Just enough of a DiagnosticsRecord for update_accumulators."""
-
-    def __init__(self, t: float, n_ls_norm: float, gradc_inf: float):
-        self.t = t
-        self.n_ls_norm = n_ls_norm
-        self.gradc_inf = gradc_inf
-
-
-def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
-    """Execute a scenario, write artifacts, return (exit_code, summary)."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_config_echo(cfg, out)
-
-    if cfg.scenario == "mms":
-        return _run_mms(cfg, out)
-    if cfg.scenario == "scaling_test":
-        return _run_scaling_test(cfg, out)
-
-    state0, source_n, source_c = _initial_state(cfg)
-    grid = state0.grid
+    state0 = SCENARIOS[cfg.scenario].initial(cfg)
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
 
     records: list[DiagnosticsRecord] = []
-    crit_times: list[float] = []
-    crit_gradc: list[float] = []
-    crit_ns: list[list[float]] = [[] for _ in cfg.criterion_pairs]
     fit_snaps: list[tuple[float, Field]] = []
     floor_engaged = 0
 
     writer = DiagnosticsWriter(out / "diagnostics.csv")
     crit_fh = open(out / "criteria.csv", "w", encoding="utf-8")
-    crit_fh.write(_criteria_header(cfg) + "\n")
+    crit_fh.write(",".join(["t", "gradc_inf"] + [
+        f"ns[s={s:g},r={r:g}]" for s, r in cfg.criterion_pairs]) + "\n")
 
     def on_sample(state: State, step_idx: int) -> None:
         nonlocal floor_engaged
@@ -632,12 +306,9 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
                        floor=cfg.solver.positivity_floor)
         records.append(rec)
         writer.write(rec)
-        crit_times.append(rec.t)
-        crit_gradc.append(rec.gradc_inf)
         row = [f"{rec.t:.17g}", f"{rec.gradc_inf:.17g}"]
-        for idx, (s, _r) in enumerate(cfg.criterion_pairs):
+        for s, _r in cfg.criterion_pairs:
             ns = rec.n_ls_norm if s == cfg.ls_exponent else lp_norm(state.n, s)
-            crit_ns[idx].append(ns)
             row.append(f"{ns:.17g}")
         crit_fh.write(",".join(row) + "\n")
         floor_c = max(cfg.solver.positivity_floor, 1e-12 * rec.c_sup)
@@ -650,45 +321,28 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
         write_snapshot(state.n, state.t, snap_dir / f"n_{step_idx:08d}.ksf")
         write_snapshot(state.c, state.t, snap_dir / f"c_{step_idx:08d}.ksf")
 
-    try:
+    with writer, crit_fh:
         result = run(state0, cfg.solver,
                      StopRule(t_end=cfg.t_end, max_steps=cfg.max_steps),
                      on_sample=on_sample, sample_every=cfg.sample_every,
                      on_snapshot=on_snapshot if cfg.snapshot_every > 0 else None,
-                     snapshot_every=cfg.snapshot_every,
-                     source_n=source_n, source_c=source_c)
-    finally:
-        writer.close()
-        crit_fh.close()
+                     snapshot_every=cfg.snapshot_every)
 
     write_snapshot(result.state.n, result.state.t, out / "n_final.ksf")
     write_snapshot(result.state.c, result.state.t, out / "c_final.ksf")
-
-    report_dict = None
     if cfg.fit and len(records) >= 2:
-        report_dict = _fit_blowup(cfg, records, fit_snaps, out)
+        _fit_blowup(cfg, records, fit_snaps, out)
 
-    run_info = {
-        "stop_reason": result.stop_reason,
-        "status": result.status,
-        "steps": result.steps,
-        "t_final": result.state.t,
-        "dt_last": result.dt_last,
-        "dt_smallest": result.dt_smallest,
-        "dt_largest": result.dt_largest,
-        "dt_clamp_events": result.dt_clamp_events,
-    }
-    criteria = _accumulate_criteria(cfg, crit_times, crit_gradc, crit_ns)
-    summary = _summarize(cfg, records, run_info, criteria, out,
-                         floor_engaged=floor_engaged, blowup=report_dict)
-    _write_summary(summary, out)
-    return _exit_code(summary), summary
+    run_info = {"stop_reason": result.stop_reason, "status": result.status,
+                "steps": result.steps, "t_final": result.state.t,
+                "dt_last": result.dt_last, "dt_smallest": result.dt_smallest,
+                "dt_largest": result.dt_largest,
+                "dt_clamp_events": result.dt_clamp_events}
+    return {"run": run_info, "c_floor_engaged_samples": floor_engaged}
 
 
 def _fit_blowup(cfg: RunConfig, records: list[DiagnosticsRecord],
-                fit_snaps: list[tuple[float, Field]], out: Path) -> dict:
-    from .blowup import RateFit
-
+                fit_snaps: list[tuple[float, Field]], out: Path) -> None:
     series = [(r.t, r.n_sup) for r in records]
     note = None
     if int(round(cfg.window_fraction * len(series))) < 8:
@@ -699,25 +353,21 @@ def _fit_blowup(cfg: RunConfig, records: list[DiagnosticsRecord],
                        residual_threshold=cfg.residual_threshold)
     c0_sup = records[0].c_sup
     alpha, c_tilde, delta0, kappa3 = alpha_lower_bound(max(c0_sup, 1e-300), cfg.c3)
-    if fit.status == NO_BLOWUP:
-        report = BlowupReport(
-            t_star=math.nan, gamma=math.nan, amplitude=math.nan,
-            fit_residual=math.nan, classification=NO_BLOWUP, alpha=alpha,
-            limsup_estimate=0.0, lower_bound_satisfied=False)
-    else:
+    classification, limsup_estimate, satisfied = NO_BLOWUP, 0.0, False
+    if fit.status != NO_BLOWUP:
+        classification = classify(fit.gamma)
         limsup_estimate, satisfied = check_lower_bound(
             series, fit.t_star, alpha, window_fraction=cfg.window_fraction)
-        report = BlowupReport(
-            t_star=fit.t_star, gamma=fit.gamma, amplitude=fit.amplitude,
-            fit_residual=fit.residual, classification=classify(fit.gamma),
-            alpha=alpha, limsup_estimate=limsup_estimate,
-            lower_bound_satisfied=satisfied)
         if fit_snaps:
             usable = [(t, f) for t, f in fit_snaps if t < fit.t_star]
             if usable:
                 ndmap = nondegeneracy_map(usable, fit.t_star, cfg.epsilon)
                 write_snapshot(ndmap.values, fit.t_star, out / "nondegeneracy.ksf")
-    payload = report.as_dict()
+    payload = BlowupReport(
+        t_star=fit.t_star, gamma=fit.gamma, amplitude=fit.amplitude,
+        fit_residual=fit.residual, classification=classification, alpha=alpha,
+        limsup_estimate=limsup_estimate, lower_bound_satisfied=satisfied,
+    ).as_dict()
     if note:
         payload["note"] = note
     payload["constants"] = {"C_tilde": c_tilde, "delta0": delta0,
@@ -726,17 +376,34 @@ def _fit_blowup(cfg: RunConfig, records: list[DiagnosticsRecord],
     payload["config"] = cfg.echo
     with open(out / "blowup_report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
-    return payload
+
+
+def _criteria(cfg: RunConfig, path: Path) -> list[dict]:
+    """The criterion accumulators, integrated over the rows of criteria.csv."""
+    n_pairs = len(cfg.criterion_pairs)
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        rows = [[float(v) for v in parts] for parts in
+                (line.strip().split(",") for line in fh)
+                if len(parts) >= 2 + n_pairs]
+    out = []
+    for idx, (s, r) in enumerate(cfg.criterion_pairs):
+        acc = CriterionAccumulator(s=s, r=r)
+        samples = [SimpleNamespace(t=row[0], gradc_inf=row[1],
+                                   n_ls_norm=row[2 + idx]) for row in rows]
+        for prev, nxt in zip(samples, samples[1:]):
+            acc = update_accumulators(acc, prev, nxt)
+        out.append({"s": s, "r": r, "admissible": acc.admissible,
+                    "value_ns": acc.value_ns, "value_gc": acc.value_gc})
+    return out
 
 
 # --- monitors -----------------------------------------------------------------
 
 
-def _monotone_dmp_slack(records: Sequence[DiagnosticsRecord]) -> float:
-    worst = 0.0
-    for prev, nxt in zip(records, records[1:]):
-        worst = max(worst, nxt.c_sup - prev.c_sup)
-    return worst
+def _monitor(value: float, threshold: float, kind: str = "max") -> dict:
+    ok = value <= threshold if kind == "max" else value >= threshold
+    return {"value": value, "threshold": threshold, "kind": kind, "pass": bool(ok)}
 
 
 def _relative_drift(values: Sequence[float]) -> float:
@@ -745,111 +412,42 @@ def _relative_drift(values: Sequence[float]) -> float:
     return max(abs(v - ref) for v in values) / scale
 
 
-def _monitor(value: float, threshold: float, kind: str = "max") -> dict:
-    ok = value <= threshold if kind == "max" else value >= threshold
-    return {"value": value, "threshold": threshold, "kind": kind, "pass": bool(ok)}
+def _conservation(records: Sequence[DiagnosticsRecord], tol: float) -> dict:
+    """Relative mass drift and growth of sup c, both within tol."""
+    growth = [nxt.c_sup - prev.c_sup for prev, nxt in zip(records, records[1:])]
+    return {"mass_drift": _monitor(_relative_drift([r.mass for r in records]), tol),
+            "dmp_slack": _monitor(max([0.0] + growth),
+                                  tol * max(records[0].c_sup, 1.0))}
 
 
-def _summarize(cfg: RunConfig, records: list[DiagnosticsRecord],
-               run_info: dict, criteria: list[dict], out: Path,
-               floor_engaged: int = 0, blowup: Optional[dict] = None) -> dict:
-    monitors: dict[str, dict] = {}
-    scenario = cfg.scenario
-
-    if records:
-        if scenario == "constant_decay":
-            t_final = records[-1].t
-            monitors["decay_error"] = _monitor(
-                abs(records[-1].c_sup - math.exp(-t_final)), 1e-3)
-            monitors["mass_drift"] = _monitor(
-                _relative_drift([r.mass for r in records]), 1e-12)
-            monitors["n_sup_drift"] = _monitor(
-                _relative_drift([r.n_sup for r in records]), 1e-12)
-            monitors["dmp_slack"] = _monitor(
-                _monotone_dmp_slack(records), 1e-12 * max(records[0].c_sup, 1.0))
-        elif scenario == "heat_mode":
-            monitors["heat_linf_error"] = _monitor(
-                _heat_mode_error(cfg, out), 10.0 * _grid_h_sq(cfg))
-        elif scenario == "equilibrium_2d":
-            monitors["n_deviation"] = _monitor(_equilibrium_deviation(cfg, out,
-                                                                      records), 1e-6)
-            monitors["c_sup_final"] = _monitor(records[-1].c_sup, 1e-8)
-            monitors["c_decay_rate"] = _monitor(_fitted_decay_rate(records), 0.01,
-                                                kind="min")
-            monitors["mass_drift"] = _monitor(
-                _relative_drift([r.mass for r in records]), 1e-12)
-            monitors["dmp_slack"] = _monitor(
-                _monotone_dmp_slack(records), 1e-12 * max(records[0].c_sup, 1.0))
-        elif scenario == "stress_3d":
-            monitors["v_growth"] = _monitor(
-                records[-1].V / max(records[0].V, 1e-300), 0.0, kind="min")
-            monitors["mass_drift"] = _monitor(
-                _relative_drift([r.mass for r in records]), 1e-9)
-            monitors["dmp_slack"] = _monitor(
-                _monotone_dmp_slack(records), 1e-9 * max(records[0].c_sup, 1.0))
-        elif scenario == "custom":
-            monitors["mass_drift"] = _monitor(
-                _relative_drift([r.mass for r in records]), 1e-9)
-            monitors["dmp_slack"] = _monitor(
-                _monotone_dmp_slack(records), 1e-9 * max(records[0].c_sup, 1.0))
-
-        # the entropy/Dirichlet inequality presumes positive c; heat_mode
-        # deliberately runs signed verification data, so skip it there
-        if scenario != "heat_mode":
-            residuals = _energy_residuals(cfg, records)
-            if residuals:
-                monitors["energy_residual_max"] = _monitor(max(residuals), 0.0)
-
-    summary = {
-        "package": "kslab",
-        "version": __version__,
-        "scenario": scenario,
-        "seed": cfg.seed,
-        "config": cfg.echo,
-        "defaulted": cfg.defaulted,
-        "provenance": _provenance(cfg),
-        "run": run_info,
-        "monitors": monitors,
-        "criteria": criteria,
-        "metadata": {"c_floor_engaged_samples": floor_engaged,
-                     "samples": len(records)},
+def _constant_decay_monitors(cfg, records, out) -> dict:
+    conservation = _conservation(records, 1e-12)
+    return {
+        "decay_error": _monitor(abs(records[-1].c_sup - math.exp(-records[-1].t)),
+                                1e-3),
+        "mass_drift": conservation["mass_drift"],
+        "n_sup_drift": _monitor(_relative_drift([r.n_sup for r in records]), 1e-12),
+        "dmp_slack": conservation["dmp_slack"],
     }
-    if blowup is not None:
-        summary["blowup"] = blowup
-    summary["pass"] = (all(m["pass"] for m in monitors.values())
-                       and run_info.get("status", "ok") == "ok"
-                       and run_info.get("stop_reason") in ("finished", "max_steps"))
-    return summary
 
 
-def _energy_residuals(cfg: RunConfig, records: Sequence[DiagnosticsRecord]
-                      ) -> list[float]:
-    out = []
-    for prev, nxt in zip(records, records[1:]):
-        if nxt.t > prev.t:
-            out.append(energy_inequality_residual([prev, nxt], cfg.c_monitor,
-                                                  cfg.solver.chi))
-    return out
-
-
-def _grid_h_sq(cfg: RunConfig) -> float:
-    h = max(e / c for e, c in zip(cfg.grid.extent, cfg.grid.cells))
-    return h * h
-
-
-def _heat_mode_error(cfg: RunConfig, out: Path) -> float:
+def _heat_mode_monitors(cfg, records, out) -> dict:
     c_field, t = read_snapshot(out / "c_final.ksf")
-    x = c_field.grid.centers(0)
-    exact = math.exp(-math.pi**2 * t) * np.cos(math.pi * x)
-    return float(np.max(np.abs(c_field.values - exact)))
+    exact = math.exp(-math.pi**2 * t) * np.cos(math.pi * c_field.grid.centers(0))
+    h = max(e / c for e, c in zip(cfg.grid.extent, cfg.grid.cells))
+    return {"heat_linf_error": _monitor(
+        float(np.max(np.abs(c_field.values - exact))), 10.0 * h * h)}
 
 
-def _equilibrium_deviation(cfg: RunConfig, out: Path,
-                           records: Sequence[DiagnosticsRecord]) -> float:
+def _equilibrium_monitors(cfg, records, out) -> dict:
     n_field, _t = read_snapshot(out / "n_final.ksf")
-    volume = float(np.prod(cfg.grid.extent))
-    mean0 = records[0].mass / volume
-    return float(np.max(np.abs(n_field.values - mean0)))
+    mean0 = records[0].mass / float(np.prod(cfg.grid.extent))
+    return {
+        "n_deviation": _monitor(float(np.max(np.abs(n_field.values - mean0))), 1e-6),
+        "c_sup_final": _monitor(records[-1].c_sup, 1e-8),
+        "c_decay_rate": _monitor(_fitted_decay_rate(records), 0.01, kind="min"),
+        **_conservation(records, 1e-12),
+    }
 
 
 def _fitted_decay_rate(records: Sequence[DiagnosticsRecord]) -> float:
@@ -864,32 +462,20 @@ def _fitted_decay_rate(records: Sequence[DiagnosticsRecord]) -> float:
     return float(-slope)
 
 
-def _exit_code(summary: dict) -> int:
-    reason = summary["run"].get("stop_reason")
-    if reason in ("corrupted", "blowup_threshold", "positivity"):
-        return EXIT_DIVERGENCE
-    if not summary["pass"]:
-        return EXIT_MONITOR_FAILURE
-    return EXIT_OK
+def _stress_3d_monitors(cfg, records, out) -> dict:
+    return {"v_growth": _monitor(records[-1].V / max(records[0].V, 1e-300), 0.0,
+                                 kind="min"),
+            **_conservation(records, 1e-9)}
 
 
-def _write_summary(summary: dict, out: Path) -> None:
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, default=float)
-        fh.write("\n")
-
-
-# --- convergence scenarios ------------------------------------------------
-
+# --- convergence ladders ------------------------------------------------------
 
 def _solve_mms(cfg: RunConfig, cells: int, t_end: float,
                dt_force: Optional[float] = None) -> tuple[State, State]:
     """Solve the forced system; returns (numerical final, manufactured final)."""
     ms = default_manufactured_pair()
     src_n, src_c = mms_sources(ms, cfg.solver.chi)
-    spec = GridSpec(dim=2, cells=(cells, cells),
-                    extent=cfg.grid.extent, topology="periodic_torus")
-    grid = make_grid(spec)
+    grid = make_grid(replace(cfg.grid, cells=(cells, cells)))  # a 2D torus
     n0 = fill(grid, lambda x, y: ms.n(0.0, x, y))
     c0 = fill(grid, lambda x, y: ms.c(0.0, x, y))
     solver_cfg = cfg.solver
@@ -905,124 +491,196 @@ def _solve_mms(cfg: RunConfig, cells: int, t_end: float,
     return result.state, State(n_exact, c_exact, t)
 
 
-def _field_errors(a: Field, b: Field) -> tuple[float, float]:
-    diff = Field(a.grid, a.values - b.values)
-    return lp_norm(diff, 2.0), lp_norm(diff, math.inf)
+def _errors(a: State, b: State) -> tuple[float, float, float, float]:
+    """(l2_n, linf_n, l2_c, linf_c) of a - b."""
+    out = []
+    for fa, fb in ((a.n, b.n), (a.c, b.c)):
+        diff = Field(fa.grid, fa.values - fb.values)
+        out += [lp_norm(diff, 2.0), lp_norm(diff, math.inf)]
+    return tuple(out)
 
 
-def _run_mms(cfg: RunConfig, out: Path) -> tuple[int, dict]:
-    base = cfg.grid.cells[0]
-    levels = cfg.refinements
-    rows = []
-    for level in range(levels):
-        cells = base * (2**level)
-        num, exact = _solve_mms(cfg, cells, cfg.t_end)
-        l2_n, linf_n = _field_errors(num.n, exact.n)
-        l2_c, linf_c = _field_errors(num.c, exact.c)
-        rows.append({"level": level, "cells": cells, "l2_n": l2_n,
-                     "linf_n": linf_n, "l2_c": l2_c, "linf_c": linf_c})
-
-    def orders(key):
-        return [math.log2(rows[i][key] / rows[i + 1][key])
-                for i in range(len(rows) - 1)]
-
-    spatial_orders = {key: orders(key) for key in ("l2_n", "linf_n", "l2_c", "linf_c")}
-
-    # temporal self-convergence on the base grid with forced dt halving
-    h = cfg.grid.extent[0] / base
+def _mms_dts(cfg: RunConfig) -> list[float]:
+    """Forced steps of the temporal self-convergence runs on the base grid."""
+    h = cfg.grid.extent[0] / cfg.grid.cells[0]
     dt0 = 0.5 * h * h / 4.0
-    t_temp = min(cfg.t_end, 0.03)
-    finals = []
-    dts = [dt0 / (2**k) for k in range(3)]
-    for dt in dts:
-        num, _ = _solve_mms(cfg, base, t_temp, dt_force=dt)
-        finals.append(num)
-    e01_n = _field_errors(finals[0].n, finals[1].n)[1]
-    e12_n = _field_errors(finals[1].n, finals[2].n)[1]
-    e01_c = _field_errors(finals[0].c, finals[1].c)[1]
-    e12_c = _field_errors(finals[1].c, finals[2].c)[1]
-    temporal_orders = {
-        "n": math.log2(e01_n / e12_n) if e12_n > 0 else math.inf,
-        "c": math.log2(e01_c / e12_c) if e12_c > 0 else math.inf,
-    }
+    return [dt0 / (2**k) for k in range(3)]
 
+
+def _run_mms(cfg: RunConfig, out: Path) -> None:
+    base = cfg.grid.cells[0]
+    spatial = []
+    for level in range(cfg.refinements):
+        cells = base * (2**level)
+        spatial.append((level, cells, *_errors(*_solve_mms(cfg, cells, cfg.t_end))))
+    dts = _mms_dts(cfg)
+    finals = [_solve_mms(cfg, base, min(cfg.t_end, 0.03), dt_force=dt)[0]
+              for dt in dts]
     with open(out / "mms_errors.csv", "w", encoding="utf-8") as fh:
         fh.write("kind,level,cells_or_dt,l2_n,linf_n,l2_c,linf_c\n")
-        for row in rows:
-            fh.write(f"spatial,{row['level']},{row['cells']},{row['l2_n']:.17g},"
-                     f"{row['linf_n']:.17g},{row['l2_c']:.17g},{row['linf_c']:.17g}\n")
-        fh.write(f"temporal_diff,0,{dts[0]:.17g},,{e01_n:.17g},,{e01_c:.17g}\n")
-        fh.write(f"temporal_diff,1,{dts[1]:.17g},,{e12_n:.17g},,{e12_c:.17g}\n")
+        for level, cells, *errs in spatial:
+            fh.write(f"spatial,{level},{cells},"
+                     + ",".join(f"{e:.17g}" for e in errs) + "\n")
+        for k in range(2):
+            _, e_n, _, e_c = _errors(finals[k], finals[k + 1])
+            fh.write(f"temporal_diff,{k},{dts[k]:.17g},,{e_n:.17g},,{e_c:.17g}\n")
 
-    min_spatial = min(min(v) for v in spatial_orders.values())
-    min_temporal = min(temporal_orders.values())
+
+def _mms_monitors(cfg: RunConfig, out: Path) -> tuple[dict, dict, dict]:
+    with open(out / "mms_errors.csv", "r", encoding="utf-8") as fh:
+        lines = [line.rstrip("\n").split(",") for line in fh][1:]
+    rows = [{"level": int(r[1]), "cells": int(r[2]),
+             **dict(zip(_ERROR_KEYS, map(float, r[3:])))}
+            for r in lines if r[0] == "spatial"]
+    temporal = [r for r in lines if r[0] == "temporal_diff"]
+    spatial_orders = {key: _orders([row[key] for row in rows]) for key in _ERROR_KEYS}
+    temporal_orders = {"n": _orders([float(r[4]) for r in temporal])[0],
+                       "c": _orders([float(r[6]) for r in temporal])[0]}
+    min_spatial = min(min(v, default=math.nan) for v in spatial_orders.values())
     monitors = {
         "spatial_order": _monitor(min_spatial, 1.9, kind="min"),
-        "temporal_order": _monitor(min_temporal, 0.9, kind="min"),
+        "temporal_order": _monitor(min(temporal_orders.values()), 0.9, kind="min"),
     }
-    summary = {
-        "package": "kslab", "version": __version__, "scenario": "mms",
-        "seed": cfg.seed, "config": cfg.echo, "defaulted": cfg.defaulted,
-        "provenance": _provenance(cfg),
-        "run": {"stop_reason": "finished", "status": "ok",
-                "levels": [r["cells"] for r in rows]},
-        "monitors": monitors,
-        "criteria": [],
-        "metadata": {"spatial_errors": rows, "spatial_orders": spatial_orders,
-                     "temporal_orders": temporal_orders,
-                     "temporal_dts": dts},
-    }
-    summary["pass"] = all(m["pass"] for m in monitors.values())
-    _write_summary(summary, out)
-    return _exit_code(summary), summary
+    metadata = {"spatial_errors": rows, "spatial_orders": spatial_orders,
+                "temporal_orders": temporal_orders, "temporal_dts": _mms_dts(cfg)}
+    return {"levels": [row["cells"] for row in rows]}, monitors, metadata
 
 
-def _run_scaling_test(cfg: RunConfig, out: Path) -> tuple[int, dict]:
-    w = 2.0 * math.pi
-
-    def n0_fn(x, y):
-        return 1.0 + 0.4 * np.cos(w * x) * np.cos(w * y)
-
-    def c0_fn(x, y):
-        return 0.8 + 0.3 * np.cos(w * x)
-
-    table = scaling_invariance_test(
-        n0_fn, c0_fn, base_cells=cfg.grid.cells[0], dim=2, lam=cfg.lam,
-        T=cfg.t_end, config=cfg.solver, refinements=cfg.refinements,
+def _run_scaling_test(cfg: RunConfig, out: Path) -> None:
+    """The lam ladder, then the lam = 1 identity run that must be exact."""
+    tables = [scaling_invariance_test(
+        lambda x, y: 1.0 + 0.4 * np.cos(_W * x) * np.cos(_W * y),
+        lambda x, y: 0.8 + 0.3 * np.cos(_W * x),
+        base_cells=cfg.grid.cells[0], dim=2, lam=lam,
+        T=cfg.t_end, config=cfg.solver, refinements=levels,
         extent=cfg.grid.extent[0])
-    write_scaling_csv(table, out / "scaling_errors.csv")
+        for lam, levels in ((cfg.lam, cfg.refinements), (1, 1))]
+    write_scaling_csv(tables, out / "scaling_errors.csv")
 
-    identity = scaling_invariance_test(
-        n0_fn, c0_fn, base_cells=cfg.grid.cells[0], dim=2, lam=1,
-        T=cfg.t_end, config=cfg.solver, refinements=1,
-        extent=cfg.grid.extent[0])
-    lambda1_error = max(identity.rows[0].l2_n, identity.rows[0].linf_n,
-                        identity.rows[0].l2_c, identity.rows[0].linf_c)
 
+def _scaling_monitors(cfg: RunConfig, out: Path) -> tuple[dict, dict, dict]:
+    table, identity = read_scaling_csv(out / "scaling_errors.csv")
+    lambda1_error = max(getattr(identity.rows[0], key) for key in _ERROR_KEYS)
     monitors = {
         "scaling_order": _monitor(table.min_order, 1.5, kind="min"),
         "lambda1_error": _monitor(lambda1_error, 0.0),
     }
-    summary = {
-        "package": "kslab", "version": __version__, "scenario": "scaling_test",
-        "seed": cfg.seed, "config": cfg.echo, "defaulted": cfg.defaulted,
-        "provenance": _provenance(cfg),
-        "run": {"stop_reason": "finished", "status": "ok",
-                "lam": cfg.lam, "levels": [r.cells for r in table.rows]},
-        "monitors": monitors,
-        "criteria": [],
-        "metadata": {
-            "errors": [vars(r) for r in table.rows],
-            "orders": {"l2_n": table.orders_l2_n, "linf_n": table.orders_linf_n,
-                       "l2_c": table.orders_l2_c, "linf_c": table.orders_linf_c},
-        },
+    metadata = {
+        "errors": [vars(r) for r in table.rows],
+        "orders": {key: getattr(table, f"orders_{key}") for key in _ERROR_KEYS},
     }
-    summary["pass"] = all(m["pass"] for m in monitors.values())
-    _write_summary(summary, out)
-    return _exit_code(summary), summary
+    return ({"lam": table.lam, "levels": [r.cells for r in table.rows]},
+            monitors, metadata)
 
 
-# --- offline regeneration ------------------------------------------------
+# --- scenario registry --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything the harness knows about one scenario.
+
+    A time-stepped scenario has ``initial`` (cfg -> State), which the
+    default runner steps, and ``monitors`` (cfg, samples, run dir ->
+    monitors).  A convergence ladder has its own ``runner`` (cfg, run dir),
+    which writes an error table, and ``monitors`` (cfg, run dir -> run
+    info, monitors, metadata), which read that table back.
+    """
+
+    presets: dict[str, str]  # section.key -> value text over the defaults
+    monitors: Callable
+    initial: Optional[Callable] = None
+    runner: Callable = _run_fields
+    grid: Optional[tuple[Optional[int], str]] = None  # (dim or None, topology)
+    requires: tuple[str, ...] = ()  # [run] keys that must be set
+    # the entropy/Dirichlet inequality presumes positive c
+    energy: bool = True
+
+
+def _sampled(n0: Callable, c0: Callable) -> Callable:
+    """Initial data at t = 0 from two position functions."""
+    def initial(cfg: RunConfig) -> State:
+        grid = make_grid(cfg.grid)
+        return State(fill(grid, n0), fill(grid, c0), 0.0)
+    return initial
+
+
+def _stress_3d_initial(cfg: RunConfig) -> State:
+    center = tuple(e / 2.0 for e in cfg.grid.extent)
+
+    def bump(x, y, z):
+        r2 = (x - center[0])**2 + (y - center[1])**2 + (z - center[2])**2
+        return 1.0 + 9.0 * np.exp(-r2 / 0.02)
+
+    return _sampled(bump, lambda x, y, z: 5.0 * np.ones_like(x))(cfg)
+
+
+def _custom_initial(cfg: RunConfig) -> State:
+    n0, t0 = read_snapshot(cfg.n0_snapshot)
+    c0, _ = read_snapshot(cfg.c0_snapshot)
+    if n0.grid.spec != c0.grid.spec:
+        raise ConfigError("custom snapshots live on different grids")
+    return State(n0, c0, t0)
+
+
+_W = 2.0 * math.pi
+_TORUS_2D = (2, "periodic_torus")
+
+SCENARIOS: dict[str, Scenario] = {
+    "constant_decay": Scenario(
+        presets={"solver.dt_max": "1e-4"},
+        grid=(None, "periodic_torus"),
+        initial=_sampled(lambda *xs: np.ones_like(xs[0]),
+                         lambda *xs: np.ones_like(xs[0])),
+        monitors=_constant_decay_monitors),
+    "heat_mode": Scenario(
+        # signed verification data: no energy monitor
+        presets={"run.t_end": "0.1", "run.sample_every": "200", "grid.dim": "1",
+                 "grid.cells": "64", "grid.extent": "1.0",
+                 "grid.topology": "neumann_box", "solver.cfl_safety": "0.8",
+                 "solver.dt_max": "0.05"},
+        grid=(1, "neumann_box"),
+        initial=_sampled(lambda x: np.zeros_like(x),
+                         lambda x: np.cos(math.pi * x)),
+        monitors=_heat_mode_monitors, energy=False),
+    "mms": Scenario(
+        presets={"run.t_end": "0.05", "grid.cells": "32 32",
+                 "solver.upwind": "false"},
+        grid=_TORUS_2D, runner=_run_mms, monitors=_mms_monitors),
+    "equilibrium_2d": Scenario(
+        presets={"run.t_end": "50.0", "run.sample_every": "500",
+                 "solver.cfl_safety": "0.9", "solver.dt_max": "0.05"},
+        grid=_TORUS_2D,
+        initial=_sampled(
+            lambda x, y: 1.0 + 0.3 * np.cos(_W * x) * np.cos(_W * y),
+            lambda x, y: 0.5 + 0.2 * np.cos(_W * x)),
+        monitors=_equilibrium_monitors),
+    "stress_3d": Scenario(
+        presets={"run.t_end": "0.5", "run.sample_every": "20", "grid.dim": "3",
+                 "grid.cells": "8 8 8", "grid.extent": "1.0 1.0 1.0",
+                 "grid.topology": "neumann_box", "solver.chi": "10.0",
+                 "solver.cfl_safety": "0.3",
+                 "solver.blowup_sup_threshold": "200.0", "blowup.fit": "true"},
+        initial=_stress_3d_initial, monitors=_stress_3d_monitors),
+    "scaling_test": Scenario(
+        presets={"run.t_end": "0.04", "solver.upwind": "false"},
+        grid=_TORUS_2D, runner=_run_scaling_test, monitors=_scaling_monitors),
+    "custom": Scenario(
+        presets={}, requires=("n0_snapshot", "c0_snapshot"),
+        initial=_custom_initial,
+        monitors=lambda cfg, records, out: _conservation(records, 1e-9)),
+}
+
+
+# --- orchestration and summaries ----------------------------------------------
+
+
+def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
+    """Execute a scenario, write artifacts, return (exit_code, summary)."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_config_echo(cfg, out)
+    return _finish(cfg, out, SCENARIOS[cfg.scenario].runner(cfg, out))
 
 
 def regenerate_summary(run_dir) -> tuple[int, dict]:
@@ -1035,39 +693,76 @@ def regenerate_summary(run_dir) -> tuple[int, dict]:
             for line in fh if line.startswith("# defaulted:"))
     with open(run_dir / "summary.json", "r", encoding="utf-8") as fh:
         old = json.load(fh)
-    if cfg.scenario in ("mms", "scaling_test"):
-        # convergence summaries are already pure functions of their CSVs;
-        # keep them as recorded
-        return _exit_code(old), old
-    records = read_diagnostics_csv(run_dir / "diagnostics.csv")
-    times, gradc, ns_cols = _read_criteria_csv(run_dir / "criteria.csv",
-                                               len(cfg.criterion_pairs))
-    criteria = _accumulate_criteria(cfg, times, gradc, ns_cols)
+    stats = {"run": old.get("run", {}), "c_floor_engaged_samples": old.get(
+        "metadata", {}).get("c_floor_engaged_samples", 0)}
+    return _finish(cfg, run_dir, stats)
+
+
+def _write_config_echo(cfg: RunConfig, out: Path) -> None:
+    parser = configparser.ConfigParser()
+    parser.read_dict(cfg.echo)
+    with open(out / "config_echo.ini", "w", encoding="utf-8") as fh:
+        fh.write("# effective configuration (defaults applied)\n")
+        for name in cfg.defaulted:
+            fh.write(f"# defaulted: {name}\n")
+        parser.write(fh)
+
+
+def _finish(cfg: RunConfig, out: Path, stats: Optional[dict]) -> tuple[int, dict]:
+    summary = _summarize(cfg, out, stats)
+    with open(out / "summary.json", "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2, default=float)
+        fh.write("\n")
+    if summary["run"].get("stop_reason") in ("corrupted", "blowup_threshold",
+                                             "positivity"):
+        return EXIT_DIVERGENCE, summary
+    return (EXIT_OK if summary["pass"] else EXIT_MONITOR_FAILURE), summary
+
+
+def _summarize(cfg: RunConfig, out: Path, stats: Optional[dict]) -> dict:
+    """The summary of the run in out; stats are a time-stepped run's step
+    statistics (see _run_fields), unused by the convergence ladders."""
+    scenario = SCENARIOS[cfg.scenario]
+    criteria: list[dict] = []
     blowup = None
-    report_path = run_dir / "blowup_report.json"
-    if report_path.exists():
-        with open(report_path, "r", encoding="utf-8") as fh:
-            blowup = json.load(fh)
-    summary = _summarize(cfg, records, old.get("run", {}), criteria, run_dir,
-                         floor_engaged=old.get("metadata", {}).get(
-                             "c_floor_engaged_samples", 0),
-                         blowup=blowup)
-    _write_summary(summary, run_dir)
-    return _exit_code(summary), summary
+    if scenario.initial is None:
+        info, monitors, metadata = scenario.monitors(cfg, out)
+        run_info = {"stop_reason": "finished", "status": "ok", **info}
+    else:
+        records = read_diagnostics_csv(out / "diagnostics.csv")
+        monitors = scenario.monitors(cfg, records, out) if records else {}
+        residuals = [energy_inequality_residual([prev, nxt], cfg.c_monitor,
+                                                cfg.solver.chi)
+                     for prev, nxt in zip(records, records[1:])
+                     if scenario.energy and nxt.t > prev.t]
+        if residuals:
+            monitors["energy_residual_max"] = _monitor(max(residuals), 0.0)
+        criteria = _criteria(cfg, out / "criteria.csv")
+        if cfg.fit and len(records) >= 2:
+            with open(out / "blowup_report.json", "r", encoding="utf-8") as fh:
+                blowup = json.load(fh)
+        run_info = stats["run"]
+        metadata = {"c_floor_engaged_samples": stats["c_floor_engaged_samples"],
+                    "samples": len(records)}
 
-
-def _read_criteria_csv(path, n_pairs: int):
-    times: list[float] = []
-    gradc: list[float] = []
-    ns_cols: list[list[float]] = [[] for _ in range(n_pairs)]
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) < 2 + n_pairs:
-                continue
-            times.append(float(parts[0]))
-            gradc.append(float(parts[1]))
-            for idx in range(n_pairs):
-                ns_cols[idx].append(float(parts[2 + idx]))
-    return times, gradc, ns_cols
+    summary = {
+        "package": "kslab",
+        "version": __version__,
+        "scenario": cfg.scenario,
+        "seed": cfg.seed,
+        "config": cfg.echo,
+        "defaulted": cfg.defaulted,
+        "provenance": {f"{sec}.{key}": entry[2] for sec, keys in _SCHEMA.items()
+                       for key, entry in keys.items()
+                       if entry[2:] and f"{sec}.{key}" in cfg.defaulted},
+        "run": run_info,
+        "monitors": monitors,
+        "criteria": criteria,
+        "metadata": metadata,
+    }
+    if blowup is not None:
+        summary["blowup"] = blowup
+    summary["pass"] = (all(m["pass"] for m in monitors.values())
+                       and run_info.get("status", "ok") == "ok"
+                       and run_info.get("stop_reason") in ("finished", "max_steps"))
+    return summary

@@ -59,6 +59,9 @@ def rescale_state(state: State, lam: int) -> State:
     return State(Field(grid, n_vals), Field(grid, c_vals), state.t / (lam * lam))
 
 
+_ERROR_KEYS = ("l2_n", "linf_n", "l2_c", "linf_c")
+
+
 @dataclass
 class ScalingErrorRow:
     level: int
@@ -78,6 +81,13 @@ class ScalingErrorTable:
     orders_l2_c: list[float]
     orders_linf_c: list[float]
 
+    @classmethod
+    def from_rows(cls, lam: int, rows: list[ScalingErrorRow]) -> "ScalingErrorTable":
+        """The table of rows, with observed orders between successive levels."""
+        return cls(lam=lam, rows=rows, **{
+            f"orders_{key}": _orders([getattr(r, key) for r in rows])
+            for key in _ERROR_KEYS})
+
     @property
     def min_order(self) -> float:
         pooled = (self.orders_l2_n + self.orders_linf_n
@@ -92,13 +102,18 @@ def _solve_to(state: State, t_end: float, config: SolverConfig) -> State:
     return result.state
 
 
-def _orders(errors: list[float]) -> list[float]:
+def _orders(errors: Sequence[float]) -> list[float]:
+    """Observed orders log2(e_k / e_{k+1}) of an error ladder.
+
+    An exact finer level (e_{k+1} = 0) gives inf; an error that grows from
+    exactly 0 gives -inf, so a minimum-order monitor fails on it.
+    """
     out = []
     for a, b in zip(errors, errors[1:]):
-        if a == 0.0 and b == 0.0:
+        if b == 0.0:
             out.append(math.inf)
-        elif b == 0.0:
-            out.append(math.inf)
+        elif a == 0.0:
+            out.append(-math.inf)
         else:
             out.append(math.log2(a / b))
     return out
@@ -135,27 +150,38 @@ def scaling_invariance_test(n0_fn: Callable, c0_fn: Callable, base_cells: int,
             l2_n=lp_norm(dn, 2.0), linf_n=lp_norm(dn, math.inf),
             l2_c=lp_norm(dc, 2.0), linf_c=lp_norm(dc, math.inf),
         ))
-    return ScalingErrorTable(
-        lam=lam, rows=rows,
-        orders_l2_n=_orders([r.l2_n for r in rows]),
-        orders_linf_n=_orders([r.linf_n for r in rows]),
-        orders_l2_c=_orders([r.l2_c for r in rows]),
-        orders_linf_c=_orders([r.linf_c for r in rows]),
-    )
+    return ScalingErrorTable.from_rows(lam, rows)
 
 
-def write_scaling_csv(table: ScalingErrorTable, path) -> None:
-    """level, cells, per-component L2/Linf errors, observed order columns."""
+def write_scaling_csv(tables: Sequence[ScalingErrorTable], path) -> None:
+    """lam, level, cells, per-component L2/Linf errors, observed order columns.
+
+    Each table's rows follow one another; a table starts at its level 0.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("level,cells,l2_n,linf_n,l2_c,linf_c,"
+        fh.write("lam,level,cells,l2_n,linf_n,l2_c,linf_c,"
                  "order_l2_n,order_linf_n,order_l2_c,order_linf_c\n")
-        for i, row in enumerate(table.rows):
-            if i == 0:
-                orders = ["", "", "", ""]
-            else:
-                orders = [f"{table.orders_l2_n[i-1]:.6g}",
-                          f"{table.orders_linf_n[i-1]:.6g}",
-                          f"{table.orders_l2_c[i-1]:.6g}",
-                          f"{table.orders_linf_c[i-1]:.6g}"]
-            fh.write(f"{row.level},{row.cells},{row.l2_n:.17g},{row.linf_n:.17g},"
-                     f"{row.l2_c:.17g},{row.linf_c:.17g}," + ",".join(orders) + "\n")
+        for table in tables:
+            for i, row in enumerate(table.rows):
+                errors = [f"{getattr(row, key):.17g}" for key in _ERROR_KEYS]
+                orders = [""] * 4 if i == 0 else [
+                    f"{getattr(table, f'orders_{key}')[i - 1]:.6g}"
+                    for key in _ERROR_KEYS]
+                fh.write(",".join([str(table.lam), str(row.level), str(row.cells),
+                                   *errors, *orders]) + "\n")
+
+
+def read_scaling_csv(path) -> list[ScalingErrorTable]:
+    """The tables written by write_scaling_csv; orders are recomputed from
+    the errors, which the file holds to 17 significant digits."""
+    tables: list[tuple[int, list[ScalingErrorRow]]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for line in fh:
+            lam, level, cells, l2_n, linf_n, l2_c, linf_c = line.split(",")[:7]
+            row = ScalingErrorRow(int(level), int(cells), float(l2_n),
+                                  float(linf_n), float(l2_c), float(linf_c))
+            if row.level == 0:
+                tables.append((int(lam), []))
+            tables[-1][1].append(row)
+    return [ScalingErrorTable.from_rows(lam, rows) for lam, rows in tables]

@@ -72,7 +72,7 @@ class SolverConfig:
     dt_blowup_factor: float = 0.1
 
     def __post_init__(self):
-        if self.chi <= 0.0:
+        if not self.chi > 0.0:
             raise ValueError("chi must be positive")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError("cfl_safety must lie in (0, 1]")

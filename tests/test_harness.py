@@ -1,15 +1,16 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from kslab import (ConfigError, GridSpec, default_manufactured_pair, fill,
-                   load_config, make_grid, mms_sources, read_snapshot,
-                   regenerate_summary, run_scenario, write_snapshot,
-                   constant_field)
+from kslab import (ConfigError, GridSpec, ManufacturedSolution,
+                   default_manufactured_pair, fill, load_config, make_grid,
+                   mms_sources, read_snapshot, regenerate_summary, run_scenario,
+                   write_snapshot, constant_field)
 from kslab.cli import main as cli_main
-from kslab.harness import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, ManufacturedSolution
+from kslab.harness import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK
 
 
 def _write(tmp_path, text, name="cfg.ini"):
@@ -95,6 +96,26 @@ def test_config_inf_values(tmp_path):
     cfg = load_config(path)
     assert cfg.criterion_pairs[0][0] == math.inf
     assert cfg.criterion_pairs[1][1] == math.inf
+    cfg = load_config(path, overrides=["run.t_end=inf", "run.max_steps=5"])
+    assert cfg.t_end == math.inf and cfg.max_steps == 5
+
+
+@pytest.mark.parametrize("override, key", [
+    ("solver.chi=nan", "solver.chi"),
+    ("run.t_end=nan", "run.t_end"),
+    ("solver.dt_max=nan", "solver.dt_max"),
+    ("blowup.epsilon=nan", "blowup.epsilon"),
+    ("run.snapshot_every=-5", "run.snapshot_every"),
+    ("run.max_steps=-1", "run.max_steps"),
+    ("run.t_end=inf", "run.t_end"),  # no max_steps: the run would never end
+    ("solver.blowup_sup_threshold=inf", "solver.blowup_sup_threshold"),
+    ("grid.extent=1 inf", "grid.extent"),
+    ("diagnostics.criterion_pairs=2/nan", "diagnostics.criterion_pairs"),
+])
+def test_config_rejects_nonfinite_and_out_of_range(tmp_path, override, key):
+    path = _write(tmp_path, "[run]\nscenario = constant_decay\n")
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(path, overrides=[override])
 
 
 # --- manufactured sources -----------------------------------------------------
@@ -233,21 +254,74 @@ def test_run_scenario_custom_snapshots(tmp_path):
     np.testing.assert_allclose(n_final.values, 1.0, rtol=1e-12)
 
 
+# cheap overrides per scenario; _cheap_run also writes custom's two snapshots
+_CHEAP = {
+    "constant_decay": ["run.t_end=0.05", "grid.cells=8 8"],
+    "heat_mode": ["run.t_end=0.01", "grid.cells=16"],
+    "mms": ["run.t_end=0.005", "grid.cells=16 16", "scaling.refinements=2"],
+    "equilibrium_2d": ["run.t_end=0.1", "grid.cells=8 8", "run.sample_every=20"],
+    "stress_3d": ["run.t_end=0.02", "run.sample_every=1",
+                  "blowup.window_fraction=1", "run.snapshot_every=10"],
+    "scaling_test": ["run.t_end=0.01", "grid.cells=8 8", "scaling.refinements=2"],
+    "custom": ["run.t_end=0.02", "grid.cells=8 8", "run.sample_every=5"],
+}
+
+
+def _cheap_run(tmp_path, scenario):
+    out = tmp_path / scenario
+    text = f"[run]\nscenario = {scenario}\n"
+    if scenario == "custom":
+        g = make_grid(GridSpec(2, (8, 8), (1.0, 1.0), "periodic_torus"))
+        for name, value in (("n0", 1.5), ("c0", 0.5)):
+            write_snapshot(constant_field(g, value), 0.0, tmp_path / f"{name}.ksf")
+            text += f"{name}_snapshot = {tmp_path / f'{name}.ksf'}\n"
+    cfg = load_config(_write(tmp_path, text, name=f"{scenario}.ini"),
+                      overrides=[f"run.out_dir={out}"] + _CHEAP[scenario])
+    code, _ = run_scenario(cfg)
+    return out, code
+
+
 def test_regenerate_summary_is_idempotent(tmp_path):
-    out = tmp_path / "run"
-    cfg = load_config(
-        _write(tmp_path, "[run]\nscenario = constant_decay\n"),
-        overrides=[f"run.out_dir={out}", "run.t_end=0.1", "grid.cells=8 8"])
-    code, summary = run_scenario(cfg)
-    code2, summary2 = regenerate_summary(out)
-    assert code2 == code
-    assert summary2["monitors"].keys() == summary["monitors"].keys()
-    for name in summary["monitors"]:
-        assert summary2["monitors"][name]["pass"] == summary["monitors"][name]["pass"]
-        assert summary2["monitors"][name]["value"] == pytest.approx(
-            summary["monitors"][name]["value"], rel=1e-12, abs=1e-300)
-    assert summary2["criteria"] == summary["criteria"]
-    assert summary2["defaulted"] == summary["defaulted"]
+    for scenario in _CHEAP:
+        out, code = _cheap_run(tmp_path, scenario)
+        recorded = (out / "summary.json").read_bytes()
+        # keep only what the report may not recompute: the step statistics
+        old = json.loads(recorded)
+        (out / "summary.json").write_text(json.dumps(
+            {"run": old["run"], "metadata": old["metadata"]}))
+        code2, _ = regenerate_summary(out)
+        assert code2 == code, scenario
+        assert (out / "summary.json").read_bytes() == recorded, scenario
+
+
+@pytest.mark.parametrize("scenario, csv, edit, monitor", [
+    # an error that grows from exactly 0 gives order -inf
+    ("mms", "mms_errors.csv", ("temporal_diff,0,", 4, "0"), "temporal_order"),
+    ("mms", "mms_errors.csv", ("spatial,1,", 3, "1"), "spatial_order"),
+    ("scaling_test", "scaling_errors.csv", ("1,0,", 3, "1e-3"), "lambda1_error"),
+    ("equilibrium_2d", "diagnostics.csv", ("0.", 3, "5"), "dmp_slack"),
+])
+def test_report_recomputes_from_edited_csv(tmp_path, scenario, csv, edit, monitor):
+    out, code = _cheap_run(tmp_path, scenario)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["monitors"][monitor]["pass"]
+    prefix, column, value = edit
+    lines = (out / csv).read_text().splitlines()
+    idx = max(i for i, line in enumerate(lines) if line.startswith(prefix))
+    parts = lines[idx].split(",")
+    parts[column] = value
+    lines[idx] = ",".join(parts)
+    (out / csv).write_text("\n".join(lines) + "\n")
+    assert cli_main(["report", "--run", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert not summary["monitors"][monitor]["pass"]
+    assert not summary["pass"]
+
+
+def test_cli_report_malformed_artifact_exit_code(tmp_path):
+    out, _ = _cheap_run(tmp_path, "scaling_test")
+    (out / "scaling_errors.csv").write_text("lam,level\nnot,a,table\n")
+    assert cli_main(["report", "--run", str(out)]) == EXIT_IO
 
 
 def test_criteria_accumulators_reported(tmp_path):
@@ -310,6 +384,21 @@ def test_cli_fit_on_synthetic_series(tmp_path):
     assert payload["gamma"] == pytest.approx(1.0, rel=1e-3)
     assert payload["classification"] == "type_I"
     assert payload["lower_bound_satisfied"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ["--window-fraction", "0.1"],  # 6 of 60 points, fewer than 8
+    ["--c0-sup", "0"],
+    ["--c3", "0"],
+])
+def test_cli_fit_bad_input_exit_code(tmp_path, capsys, args):
+    series_path = tmp_path / "series.csv"
+    with open(series_path, "w") as fh:
+        fh.write("t,n_sup\n")
+        for t in np.linspace(0.5, 0.99, 60):
+            fh.write(f"{t},{1.0 / (1.0 - t)}\n")
+    assert cli_main(["fit", "--series", str(series_path)] + args) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_run_scenario_stress_3d_artifacts(tmp_path):

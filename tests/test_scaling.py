@@ -5,6 +5,7 @@ import pytest
 
 from kslab import (Field, GridSpec, SolverConfig, State, constant_field, fill,
                    integrate, make_grid, rescale_state, scaling_invariance_test)
+from kslab.scaling import _orders
 
 
 def _torus(cells, dim=1):
@@ -121,3 +122,11 @@ def test_invariance_pure_heat_second_order():
         base_cells=16, dim=2, lam=2, T=0.04, config=cfg, refinements=3)
     orders = table.orders_l2_c + table.orders_linf_c
     assert min(orders) >= 1.9
+
+
+def test_orders_at_zero_error():
+    assert _orders([4.0, 1.0, 0.25]) == [2.0, 2.0]
+    assert _orders([1.0, 0.0]) == [math.inf]
+    assert _orders([0.0, 0.0]) == [math.inf]
+    # growth from an exact level must fail a minimum-order monitor
+    assert _orders([0.0, 1.0]) == [-math.inf]

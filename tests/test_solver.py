@@ -294,3 +294,9 @@ def test_temporal_first_order_self_convergence():
     e12 = np.max(np.abs(finals[1].c.values - finals[2].c.values))
     order = math.log2(e01 / e12)
     assert order >= 0.9
+
+
+@pytest.mark.parametrize("chi", [0.0, -1.0, math.nan])
+def test_solver_config_rejects_nonpositive_chi(chi):
+    with pytest.raises(ValueError, match="chi"):
+        SolverConfig(chi=chi)
