@@ -20,7 +20,7 @@ existence-type constant with no computable value; it is a config input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,16 +56,7 @@ class BlowupReport:
     lower_bound_satisfied: bool
 
     def as_dict(self) -> dict:
-        return {
-            "t_star": self.t_star,
-            "gamma": self.gamma,
-            "amplitude": self.amplitude,
-            "fit_residual": self.fit_residual,
-            "classification": self.classification,
-            "alpha": self.alpha,
-            "limsup_estimate": self.limsup_estimate,
-            "lower_bound_satisfied": self.lower_bound_satisfied,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -17,9 +17,9 @@ import math
 import sys
 
 from .blowup import NO_BLOWUP, alpha_lower_bound, check_lower_bound, classify, fit_rate
-from .errors import ConfigError
-from .harness import (EXIT_CONFIG, EXIT_IO, EXIT_OK, load_config,
-                      regenerate_summary, run_scenario)
+from .errors import ConfigError, StoppedEarlyError
+from .harness import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK,
+                      load_config, regenerate_summary, run_scenario)
 
 
 def _print_monitors(summary: dict) -> None:
@@ -45,6 +45,9 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except StoppedEarlyError as exc:  # a convergence ladder's solve stopped
+        print(f"stopped early: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
     _print_monitors(summary)
     return code
 

@@ -34,9 +34,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PositivityError
-from .grid import Field, Grid, VectorField, lp_norm
-from .operators import (_face_average, _face_divergence, _face_gradient,
-                        _hessian_parts, _sl)
+from .grid import Field, Grid, VectorField, _check_nonnegative, lp_norm
+from .operators import (_closed, _cuts, _div, _face_gradient, _face_grads,
+                        _face_pair, _hessian_parts, _upper_face)
 
 WINKLER_CONSTANT = (2.0 + math.sqrt(3.0)) ** 2  # 13.9282...
 
@@ -101,48 +101,31 @@ class CriterionAccumulator:
         return three_over_s + two_over_r <= 2.0
 
 
-def _cell_gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Cell-centered gradient components: two adjacent faces averaged."""
-    faces = _face_gradient(values, grid)
-    nd = grid.dim
-    out = []
-    for axis in range(nd):
-        lo = faces[axis][_sl(nd, axis, slice(None, -1))]
-        hi = faces[axis][_sl(nd, axis, slice(1, None))]
-        out.append(0.5 * (lo + hi))
-    return out
-
-
-def _cell_grad_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
-    comps = _cell_gradient(values, grid)
-    out = comps[0] * comps[0]
-    for comp in comps[1:]:
-        out = out + comp * comp
+def _cell_sq(faces: Sequence[np.ndarray]) -> np.ndarray:
+    """|v|^2 at cell centers from kernel-form faces: each component is the
+    average of a cell's two faces."""
+    out = None
+    for axis, comp in enumerate(faces):
+        cell = 0.5 * (comp + _upper_face(comp, axis))
+        out = cell * cell if out is None else out + cell * cell
     return out
 
 
 def _face_quadrature(weight_values: np.ndarray, comps: Sequence[np.ndarray],
                      grid: Grid) -> float:
     """Sum over physical faces of weight_face * comp^2 * cell_volume."""
-    nd = grid.dim
     total = 0.0
-    for axis in range(nd):
-        wf = _face_average(weight_values, grid, axis)
-        contrib = wf * comps[axis] * comps[axis]
+    for axis in range(grid.dim):
+        lo, hi = _face_pair(weight_values, grid, axis)
+        contrib = 0.5 * (lo + hi) * comps[axis] * comps[axis]
+        tail, head, first, last = _cuts(axis)
         if grid.periodic:
-            total += float(np.sum(contrib[_sl(nd, axis, slice(None, -1))]))
+            total += float(np.sum(contrib[head]))
         else:
-            total += float(np.sum(contrib[_sl(nd, axis, slice(1, -1))]))
-            total += 0.5 * float(np.sum(contrib[_sl(nd, axis, slice(0, 1))]))
-            total += 0.5 * float(np.sum(contrib[_sl(nd, axis, slice(-1, None))]))
+            total += float(np.sum(contrib[tail][head]))
+            total += 0.5 * float(np.sum(contrib[first]))
+            total += 0.5 * float(np.sum(contrib[last]))
     return total * grid.cell_volume
-
-
-def _check_nonnegative(values: np.ndarray, what: str) -> float:
-    sup = float(np.max(np.abs(values))) if values.size else 0.0
-    if float(np.min(values)) < -1e-12 * max(sup, 1.0):
-        raise PositivityError(f"{what} has negative cells")
-    return sup
 
 
 def effective_velocity(n: Field, c: Field, chi: float,
@@ -203,7 +186,7 @@ def winkler_ratio(n: Field, floor: Optional[float] = None) -> Optional[float]:
         n_reg = np.maximum(nv, max(floor, _TINY_FLOOR))
     grid = n.grid
     vol = grid.cell_volume
-    gn_sq = _cell_grad_sq(n_reg, grid)
+    gn_sq = _cell_sq(_face_grads(n_reg, grid))
     num = float(np.sum(gn_sq * gn_sq / (n_reg**3))) * vol
     _, hess_log = _hessian_parts(np.log(n_reg), grid)
     den = float(np.sum(n_reg * hess_log)) * vol
@@ -239,12 +222,15 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
     def integ(arr) -> float:
         return float(np.sum(arr)) * vol
 
-    gn_sq = _cell_grad_sq(nv, grid)
-    gc_sq = _cell_grad_sq(cv, grid)
-    gsqrtc_sq = _cell_grad_sq(np.sqrt(c_pos), grid)
-    glogn_sq = _cell_grad_sq(log_n, grid)
+    # each face gradient is built once
+    gc_faces = _face_grads(cv, grid)
+    glogn_faces = _face_grads(log_n, grid)
+    gn_sq = _cell_sq(_face_grads(nv, grid))
+    gc_sq = _cell_sq(gc_faces)
+    gsqrtc_sq = _cell_sq(_face_grads(np.sqrt(c_pos), grid))
+    glogn_sq = _cell_sq(glogn_faces)
 
-    lap_c = _face_divergence(_face_gradient(cv, grid), grid)
+    lap_c = _div(gc_faces, grid)
     c_t = lap_c - nv * cv
 
     mass = integ(nv)
@@ -260,9 +246,8 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
     cn3 = integ(cv * nv * nv * nv)
     c_gradn_sq = integ(cv * gn_sq)
 
-    gc_faces = _face_gradient(cv, grid)
-    glogn_faces = _face_gradient(log_n, grid)
-    w_comps = [chi * gc_faces[a] - glogn_faces[a] for a in range(grid.dim)]
+    w_comps = [_closed(chi * gc_faces[a] - glogn_faces[a], a)
+               for a in range(grid.dim)]
     kinetic = 0.5 * _face_quadrature(nv, w_comps, grid)
 
     V = (0.5 * n_gradlog_sq
@@ -273,9 +258,9 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
          + k3 * gradc_l4_4)
 
     gradn_l2_sq = integ(gn_sq)
-    grad_ct_sq = integ(_cell_grad_sq(c_t, grid))
-    grad_lapc_sq = integ(_cell_grad_sq(lap_c, grid))
-    grad_gcsq_sq = integ(_cell_grad_sq(gc_sq, grid))
+    grad_ct_sq = integ(_cell_sq(_face_grads(c_t, grid)))
+    grad_lapc_sq = integ(_cell_sq(_face_grads(lap_c, grid)))
+    grad_gcsq_sq = integ(_cell_sq(_face_grads(gc_sq, grid)))
     _, hess_c = _hessian_parts(cv, grid)
     hessc_gradc = integ(hess_c * gc_sq)
     n_lapc_sq = integ(nv * lap_c * lap_c)

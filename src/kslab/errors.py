@@ -13,5 +13,9 @@ class StaggeringError(ValueError):
     """A vector field has the wrong centering for the requested operation."""
 
 
+class StoppedEarlyError(RuntimeError):
+    """A solve that has to reach its end time stopped early (CLI exit 2)."""
+
+
 class ConfigError(ValueError):
     """Invalid run configuration; the message lists every violation found."""

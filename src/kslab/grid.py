@@ -11,13 +11,15 @@ Conventions used throughout the package:
   - Face-centered vector components along axis a carry cells_a + 1 entries
     on that axis (faces at 0, h, ..., extent).  On the torus, face 0 and
     face cells_a are the same physical face and must store equal values;
-    quadrature and divergence count each physical face once.
+    quadrature and divergence count each physical face once.  The step
+    kernel keeps cells_a faces, face i the lower face of cell i (operators).
   - integrate() is the midpoint rule: sum(values) * cell_volume.  Sums are
     numpy pairwise reductions over C-contiguous arrays, so results are
     bit-identical across runs and independent of BLAS thread counts.
   - Fields are immutable once constructed (values exposed read-only) and
     validated finite at construction; NaN/Inf raises CorruptionError
-    instead of propagating silently.
+    instead of propagating silently; solver.step validates its new arrays
+    itself, once, and wraps them with _trusted.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CorruptionError, StaggeringError
+from .errors import CorruptionError, PositivityError, StaggeringError
 
 NEUMANN_BOX = "neumann_box"
 PERIODIC_TORUS = "periodic_torus"
@@ -118,6 +120,22 @@ def _readonly(values: np.ndarray) -> np.ndarray:
     view = values.view()
     view.setflags(write=False)
     return view
+
+
+def _check_nonnegative(values: np.ndarray, what: str) -> float:
+    """sup |values|; a cell below -1e-12 * max(sup, 1) is a PositivityError."""
+    sup = float(np.max(np.abs(values)))
+    if float(np.min(values)) < -1e-12 * max(sup, 1.0):
+        raise PositivityError(f"{what} has negative cells")
+    return sup
+
+
+def _trusted(cls, **attrs):
+    """A frozen dataclass built without its checks, from checked values."""
+    obj = object.__new__(cls)
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -234,12 +252,9 @@ def constant_field(grid: Grid, value: float) -> Field:
 
 def write_snapshot(field: Field, time: float, path) -> None:
     spec = field.grid.spec
-    header = SNAPSHOT_MAGIC
-    header += struct.pack("<I", spec.dim)
-    header += struct.pack(f"<{spec.dim}I", *spec.cells)
-    header += struct.pack(f"<{spec.dim}d", *spec.extent)
-    header += struct.pack("<d", float(time))
-    header += struct.pack("<B", _TOPOLOGY_BYTE[spec.topology])
+    header = SNAPSHOT_MAGIC + struct.pack(
+        f"<I{spec.dim}I{spec.dim}ddB", spec.dim, *spec.cells, *spec.extent,
+        float(time), _TOPOLOGY_BYTE[spec.topology])
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
@@ -250,17 +265,11 @@ def read_snapshot(path) -> tuple[Field, float]:
         raw = fh.read()
     if raw[:4] != SNAPSHOT_MAGIC:
         raise ValueError(f"{path}: not a KSF1 snapshot")
-    off = 4
-    (dim,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    cells = struct.unpack_from(f"<{dim}I", raw, off)
-    off += 4 * dim
-    extent = struct.unpack_from(f"<{dim}d", raw, off)
-    off += 8 * dim
-    (time,) = struct.unpack_from("<d", raw, off)
-    off += 8
-    (topo_byte,) = struct.unpack_from("<B", raw, off)
-    off += 1
+    (dim,) = struct.unpack_from("<I", raw, 4)
+    layout = f"<{dim}I{dim}ddB"  # cells, extent, time, topology
+    *sizes, time, topo_byte = struct.unpack_from(layout, raw, 8)
+    cells, extent = tuple(sizes[:dim]), tuple(sizes[dim:])
+    off = 8 + struct.calcsize(layout)
     spec = GridSpec(dim=dim, cells=cells, extent=extent, topology=_BYTE_TOPOLOGY[topo_byte])
     grid = make_grid(spec)
     n = int(np.prod(cells))

@@ -38,7 +38,7 @@ from .blowup import (NO_BLOWUP, BlowupReport, RateFit, alpha_lower_bound,
 from .diagnostics import (CriterionAccumulator, DiagnosticsRecord,
                           DiagnosticsWriter, energy_inequality_residual,
                           evaluate, read_diagnostics_csv, update_accumulators)
-from .errors import ConfigError
+from .errors import ConfigError, StoppedEarlyError
 from .grid import (Field, GridSpec, fill, lp_norm, make_grid, read_snapshot,
                    write_snapshot)
 from .manufactured import default_manufactured_pair, mms_sources
@@ -484,7 +484,7 @@ def _solve_mms(cfg: RunConfig, cells: int, t_end: float,
     result = run(State(n0, c0, 0.0), solver_cfg, StopRule(t_end=t_end),
                  source_n=src_n, source_c=src_c)
     if result.stop_reason != "finished":
-        raise RuntimeError(f"manufactured run aborted: {result.stop_reason}")
+        raise StoppedEarlyError(f"manufactured run stopped: {result.stop_reason}")
     t = result.state.t
     n_exact = fill(grid, lambda x, y: ms.n(t, x, y))
     c_exact = fill(grid, lambda x, y: ms.c(t, x, y))

@@ -29,22 +29,37 @@ class ManufacturedSolution:
     lap_c: Callable
 
 
+def _cached_trig(w: float) -> list[Callable]:
+    """cos(w x), sin(w x), cos(w y), sin(w y) as functions of (x, y), each
+    evaluated once per mesh: a solve passes its grid's cached meshes."""
+    last: list = [None, None, None]
+
+    def trig(x, y):
+        if x is not last[0] or y is not last[1]:
+            last[:] = x, y, (np.cos(w * x), np.sin(w * x), np.cos(w * y),
+                             np.sin(w * y))
+        return last[2]
+
+    return [lambda x, y, k=k: trig(x, y)[k] for k in range(4)]
+
+
 def default_manufactured_pair() -> ManufacturedSolution:
     """2D torus pair: n = 2 + e^-t cos(2 pi x) cos(2 pi y),
     c = 1 + 0.5 e^-t cos(2 pi x)."""
     w = 2.0 * math.pi
+    cx, sx, cy, sy = _cached_trig(w)
     return ManufacturedSolution(
-        n=lambda t, x, y: 2.0 + np.exp(-t) * np.cos(w * x) * np.cos(w * y),
-        c=lambda t, x, y: 1.0 + 0.5 * np.exp(-t) * np.cos(w * x),
-        dn_dt=lambda t, x, y: -np.exp(-t) * np.cos(w * x) * np.cos(w * y),
-        dc_dt=lambda t, x, y: -0.5 * np.exp(-t) * np.cos(w * x),
-        grad_n=(lambda t, x, y: -w * np.exp(-t) * np.sin(w * x) * np.cos(w * y),
-                lambda t, x, y: -w * np.exp(-t) * np.cos(w * x) * np.sin(w * y)),
-        grad_c=(lambda t, x, y: -0.5 * w * np.exp(-t) * np.sin(w * x),
+        n=lambda t, x, y: 2.0 + np.exp(-t) * cx(x, y) * cy(x, y),
+        c=lambda t, x, y: 1.0 + 0.5 * np.exp(-t) * cx(x, y),
+        dn_dt=lambda t, x, y: -np.exp(-t) * cx(x, y) * cy(x, y),
+        dc_dt=lambda t, x, y: -0.5 * np.exp(-t) * cx(x, y),
+        grad_n=(lambda t, x, y: -w * np.exp(-t) * sx(x, y) * cy(x, y),
+                lambda t, x, y: -w * np.exp(-t) * cx(x, y) * sy(x, y)),
+        grad_c=(lambda t, x, y: -0.5 * w * np.exp(-t) * sx(x, y),
                 lambda t, x, y: np.zeros_like(np.asarray(x, dtype=float))),
-        lap_n=lambda t, x, y: (-2.0 * w * w * np.exp(-t) * np.cos(w * x)
-                               * np.cos(w * y)),
-        lap_c=lambda t, x, y: -0.5 * w * w * np.exp(-t) * np.cos(w * x))
+        lap_n=lambda t, x, y: (-2.0 * w * w * np.exp(-t) * cx(x, y)
+                               * cy(x, y)),
+        lap_c=lambda t, x, y: -0.5 * w * w * np.exp(-t) * cx(x, y))
 
 
 def mms_sources(solution: ManufacturedSolution, chi: float

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import StoppedEarlyError
 from .grid import Field, Grid, GridSpec, fill, lp_norm, make_grid
 from .solver import RunResult, SolverConfig, State, StopRule, run
 
@@ -98,7 +99,7 @@ class ScalingErrorTable:
 def _solve_to(state: State, t_end: float, config: SolverConfig) -> State:
     result: RunResult = run(state, config, StopRule(t_end=t_end))
     if result.stop_reason != "finished":
-        raise RuntimeError(f"solve aborted: {result.stop_reason}")
+        raise StoppedEarlyError(f"scaling solve stopped: {result.stop_reason}")
     return result.state
 
 

@@ -13,6 +13,11 @@ Euler solved matrix-free by plain conjugate gradients to a 1e-10 relative
 residual.  States are never mutated in place; every step builds fresh
 arrays (double buffering).
 
+step is one kernel on the operators module's kernel faces (N per axis,
+face i the lower face of cell i); c's face gradient is built once per state
+and shared with the dt choice.  A state is validated once, by its
+constructor or, when stepped, by step itself.
+
 Source hooks (used by manufactured-solution verification only) are
 callables f(t, *coords) -> per-cell array added to the right-hand side.
 """
@@ -20,14 +25,17 @@ callables f(t, *coords) -> per-cell array added to the right-hand side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import CorruptionError, PositivityError
-from .grid import Field, Grid
-from .operators import _face_divergence, _face_gradient, chemotactic_flux
+from .grid import Field, Grid, _check_nonnegative, _readonly, _trusted
+# chemotactic_flux: fused into step's kernel, bound here for perfbench's tracer
+from .operators import (_div, _face_density, _face_grads, _lower,  # noqa: F401
+                        chemotactic_flux)
 
 STATUS_OK = "ok"
 STATUS_APPROACHING_BLOWUP = "approaching_blowup"
@@ -50,13 +58,17 @@ class State:
     def __post_init__(self):
         if not self.n.grid.compatible(self.c.grid):
             raise ValueError("n and c live on different grids")
-        n_sup = float(np.max(np.abs(self.n.values)))
-        if float(np.min(self.n.values)) < -1e-12 * max(n_sup, 1.0):
-            raise PositivityError("state has negative bacteria density")
+        _check_nonnegative(self.n.values, "state: n")
 
     @property
     def grid(self) -> Grid:
         return self.n.grid
+
+    @cached_property
+    def c_face_gradient(self) -> tuple[np.ndarray, ...]:
+        """c's kernel-form face gradient per axis, built once per state."""
+        return tuple(_face_grads(self.c.values, self.grid))
+
 
 
 @dataclass(frozen=True)
@@ -108,12 +120,11 @@ def _dt_unclamped(state: State, config: SolverConfig) -> float:
     bounds = []
     # explicit diffusion of both equations: 1 / (2 * sum 1/h_a^2)
     bounds.append(1.0 / (2.0 * float(np.sum(1.0 / grid.h**2))))
-    gc = _face_gradient(state.c.values, grid)
-    for axis in range(grid.dim):
-        speed = config.chi * float(np.max(np.abs(gc[axis])))
+    for axis, gc in enumerate(state.c_face_gradient):
+        speed = config.chi * float(np.abs(gc).max())
         if speed > 0.0:
             bounds.append(grid.h[axis] / speed)
-    n_sup = float(np.max(state.n.values)) if state.n.values.size else 0.0
+    n_sup = float(state.n.values.max())
     if n_sup > 0.0:
         bounds.append(1.0 / n_sup)  # consumption reaction scale
         bounds.append(config.dt_blowup_factor / n_sup)  # refine near blow-up
@@ -159,38 +170,43 @@ def _cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 def step(state: State, dt: float, config: SolverConfig,
          source_n: Optional[Callable] = None,
          source_c: Optional[Callable] = None) -> State:
-    """One first-order splitting step of size dt."""
+    """One first-order splitting step of size dt; the new state is
+    validated here, once (finite, n >= 0)."""
     grid = state.grid
     nv = state.n.values
     cv = state.c.values
 
     # n: conservative flux form, diffusive minus chemotactic face flux
-    grad_n = _face_gradient(nv, grid)
-    chem = chemotactic_flux(state.n, state.c, config.chi, upwind=config.upwind)
-    flux = [grad_n[a] - chem.components[a] for a in range(grid.dim)]
-    n_new = nv + dt * _face_divergence(flux, grid)
+    flux = []
+    for axis, gc in enumerate(state.c_face_gradient):
+        lo = _lower(nv, grid, axis)
+        n_face = _face_density(lo, nv, gc, config.upwind)
+        flux.append((nv - lo) / grid.h[axis] - config.chi * n_face * gc)
+    n_new = nv + dt * _div(flux, grid)
     if source_n is not None:
-        n_new = n_new + dt * np.asarray(source_n(state.t, *grid.meshes()))
+        n_new = n_new + dt * np.broadcast_to(source_n(state.t, *grid.meshes()),
+                                             grid.shape)
 
     # c: explicit or implicit diffusion, then exact exponential consumption
     rhs = cv
     if source_c is not None:
-        rhs = rhs + dt * np.asarray(source_c(state.t, *grid.meshes()))
+        rhs = rhs + dt * np.broadcast_to(source_c(state.t, *grid.meshes()),
+                                         grid.shape)
     if config.scheme == EXPLICIT_EULER:
-        c_half = rhs + dt * _face_divergence(_face_gradient(cv, grid), grid)
+        c_half = rhs + dt * _div(state.c_face_gradient, grid)
     else:
-        def backward_euler(u):
-            return u - dt * _face_divergence(_face_gradient(u, grid), grid)
-
-        c_half = _cg_solve(backward_euler, rhs)
+        c_half = _cg_solve(lambda u: u - dt * _div(_face_grads(u, grid), grid), rhs)
     c_new = c_half * np.exp(-dt * nv)
 
-    if not (np.isfinite(n_new).all() and np.isfinite(c_new).all()):
+    n_min, n_max = float(n_new.min()), float(n_new.max())
+    if not (math.isfinite(n_min) and math.isfinite(n_max)
+            and np.isfinite(c_new).all()):
         raise CorruptionError("step produced non-finite values")
-    n_sup = float(np.max(np.abs(n_new)))
-    if float(np.min(n_new)) < -1e-12 * max(n_sup, 1.0):
+    if n_min < -1e-12 * max(n_max, -n_min, 1.0):
         raise PositivityError("step drove the bacteria density negative")
-    return State(Field(grid, n_new), Field(grid, c_new), state.t + dt)
+    return _trusted(State, t=state.t + dt,
+                    n=_trusted(Field, grid=grid, values=_readonly(n_new)),
+                    c=_trusted(Field, grid=grid, values=_readonly(c_new)))
 
 
 def detect_divergence(state: State, config: SolverConfig) -> str:
@@ -260,9 +276,9 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
         result.dt_smallest = min(result.dt_smallest, dt)
         result.dt_largest = max(result.dt_largest, dt)
 
-        status = detect_divergence(state, config)
-        if status == STATUS_APPROACHING_BLOWUP:
-            result.status = status
+        # step has checked finiteness; only the blow-up threshold is left
+        if float(state.n.values.max()) > config.blowup_sup_threshold:
+            result.status = STATUS_APPROACHING_BLOWUP
             result.stop_reason = "blowup_threshold"
             break
 

@@ -367,6 +367,20 @@ def test_cli_missing_config_file(tmp_path):
     assert cli_main(["run", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("scenario", ["mms", "scaling_test"])
+def test_cli_ladder_stopped_early_exit_code(tmp_path, capsys, scenario):
+    # n starts above the threshold (rescaled by lam^2 in scaling_test), so
+    # the ladder's first solve stops at once
+    cfg_path = _write(tmp_path, f"[run]\nscenario = {scenario}\n")
+    code = cli_main(["run", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "out"),
+                     "--override", "grid.cells=8 8",
+                     "--override", "run.t_end=0.005",
+                     "--override", "solver.blowup_sup_threshold=2"])
+    assert code == EXIT_DIVERGENCE
+    assert "blowup_threshold" in capsys.readouterr().err
+
+
 def test_cli_fit_on_synthetic_series(tmp_path):
     ts = np.linspace(0.5, 0.99, 60)
     series_path = tmp_path / "series.csv"

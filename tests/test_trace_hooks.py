@@ -1,0 +1,46 @@
+"""The names perfbench's tracer wraps stay where its callers look them up.
+
+perfbench/child.py times layers by replacing functions in the namespace of
+the module that calls them (``owner.__dict__[name]``), so each must stay a
+module global there, and solver.run must reach step through that global.
+"""
+
+import numpy as np
+import pytest
+
+import kslab.cli
+import kslab.harness
+import kslab.solver
+from kslab import GridSpec, SolverConfig, State, StopRule, constant_field, make_grid
+
+TRACED = {
+    kslab.solver: ("step", "chemotactic_flux"),
+    kslab.harness: ("run", "evaluate", "mms_sources", "fill", "write_snapshot",
+                    "read_snapshot", "lp_norm", "fit_rate", "nondegeneracy_map",
+                    "load_config"),
+    kslab.cli: ("load_config", "run_scenario", "regenerate_summary"),
+}
+
+
+@pytest.mark.parametrize("module", list(TRACED), ids=lambda m: m.__name__)
+def test_traced_names_are_module_globals(module):
+    for name in TRACED[module]:
+        assert callable(module.__dict__.get(name)), f"{module.__name__}.{name}"
+
+
+def test_run_calls_step_once_per_step_through_the_module_global(monkeypatch):
+    real_step = kslab.solver.step
+    cells = []
+
+    def counting_step(state, *args, **kwargs):
+        cells.append(state.n.values.size)  # what the tracer's cell counter reads
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(kslab.solver, "step", counting_step)
+    grid = make_grid(GridSpec(2, (8, 8), (1.0, 1.0), "periodic_torus"))
+    state = State(constant_field(grid, 1.0), constant_field(grid, 1.0), 0.0)
+    result = kslab.solver.run(state, SolverConfig(dt_max=1e-3),
+                              StopRule(t_end=1.0, max_steps=7))
+    assert result.steps == 7
+    assert cells == [64] * 7
+    assert np.all(result.state.n.values == 1.0)
