@@ -17,18 +17,22 @@ import math
 import sys
 
 from .blowup import NO_BLOWUP, alpha_lower_bound, check_lower_bound, classify, fit_rate
-from .errors import ConfigError, StoppedEarlyError
+from .errors import ConfigError
 from .harness import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK,
                       load_config, regenerate_summary, run_scenario)
 
 
-def _print_monitors(summary: dict) -> None:
+def _print_monitors(code: int, summary: dict) -> int:
+    """Print the monitors and the verdict; a divergence also goes to stderr."""
     for name, mon in summary.get("monitors", {}).items():
         verdict = "PASS" if mon["pass"] else "FAIL"
         op = "<=" if mon.get("kind", "max") == "max" else ">="
         print(f"[{verdict}] {name}: {mon['value']:.6g} {op} {mon['threshold']:.6g}")
     reason = summary.get("run", {}).get("stop_reason")
     print(f"stop_reason={reason} overall={'PASS' if summary.get('pass') else 'FAIL'}")
+    if code == EXIT_DIVERGENCE:
+        print(f"stopped early: {reason}", file=sys.stderr)
+    return code
 
 
 def _cmd_run(args) -> int:
@@ -45,11 +49,7 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except StoppedEarlyError as exc:  # a convergence ladder's solve stopped
-        print(f"stopped early: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    _print_monitors(summary)
-    return code
+    return _print_monitors(code, summary)
 
 
 def _read_series(path) -> list[tuple[float, float]]:
@@ -122,8 +122,7 @@ def _cmd_report(args) -> int:
     except (OSError, ValueError, LookupError) as exc:  # missing or malformed artifact
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    _print_monitors(summary)
-    return code
+    return _print_monitors(code, summary)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,8 +6,9 @@ test oracle):
   - Gradient-based integrands are formed at cell centers by averaging the
     two adjacent face values per component, then squaring/summing.
   - The kinetic energy of the effective velocity w = chi*grad c - grad log n
-    is the one face-centered quadrature: faces weigh one cell volume
-    (half a volume on Neumann walls, where w vanishes anyway).
+    is the one face-centered quadrature: each face weighs one cell volume
+    times the average of its two cells; the box wall face, where w is 0,
+    is left out.
   - log/division diagnostics clip n (and c where divided) at a positivity
     floor, max(config floor, 1e-12 * sup); the floor never feeds back into
     the dynamics.  sqrt(c) clamps negative c at zero so signed verification
@@ -35,8 +36,8 @@ import numpy as np
 
 from .errors import PositivityError
 from .grid import Field, Grid, VectorField, _check_nonnegative, lp_norm
-from .operators import (_closed, _cuts, _div, _face_gradient, _face_grads,
-                        _face_pair, _hessian_parts, _upper_face)
+from .operators import (_cuts, _div, _face_grads, _hessian_parts, _lower,
+                        _upper_face)
 
 WINKLER_CONSTANT = (2.0 + math.sqrt(3.0)) ** 2  # 13.9282...
 
@@ -102,7 +103,7 @@ class CriterionAccumulator:
 
 
 def _cell_sq(faces: Sequence[np.ndarray]) -> np.ndarray:
-    """|v|^2 at cell centers from kernel-form faces: each component is the
+    """|v|^2 at cell centers from face arrays: each component is the
     average of a cell's two faces."""
     out = None
     for axis, comp in enumerate(faces):
@@ -111,20 +112,16 @@ def _cell_sq(faces: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _face_quadrature(weight_values: np.ndarray, comps: Sequence[np.ndarray],
+def _face_quadrature(weight: np.ndarray, faces: Sequence[np.ndarray],
                      grid: Grid) -> float:
-    """Sum over physical faces of weight_face * comp^2 * cell_volume."""
+    """Sum over the faces of 0.5 * (lower + cell weight) * comp^2, times the
+    cell volume; the box wall face (face 0, which carries 0) is left out."""
     total = 0.0
-    for axis in range(grid.dim):
-        lo, hi = _face_pair(weight_values, grid, axis)
-        contrib = 0.5 * (lo + hi) * comps[axis] * comps[axis]
-        tail, head, first, last = _cuts(axis)
-        if grid.periodic:
-            total += float(np.sum(contrib[head]))
-        else:
-            total += float(np.sum(contrib[tail][head]))
-            total += 0.5 * float(np.sum(contrib[first]))
-            total += 0.5 * float(np.sum(contrib[last]))
+    for axis, comp in enumerate(faces):
+        contrib = 0.5 * (_lower(weight, grid, axis) + weight) * comp * comp
+        if not grid.periodic:
+            contrib = contrib[_cuts(axis)[0]]
+        total += float(np.sum(contrib))
     return total * grid.cell_volume
 
 
@@ -143,8 +140,8 @@ def effective_velocity(n: Field, c: Field, chi: float,
         n_reg = nv
     else:
         n_reg = np.maximum(nv, max(floor, _TINY_FLOOR))
-    gc = _face_gradient(c.values, grid)
-    glog = _face_gradient(np.log(n_reg), grid)
+    gc = _face_grads(c.values, grid)
+    glog = _face_grads(np.log(n_reg), grid)
     comps = tuple(chi * gc[a] - glog[a] for a in range(grid.dim))
     return VectorField(grid, comps)
 
@@ -246,8 +243,7 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
     cn3 = integ(cv * nv * nv * nv)
     c_gradn_sq = integ(cv * gn_sq)
 
-    w_comps = [_closed(chi * gc_faces[a] - glogn_faces[a], a)
-               for a in range(grid.dim)]
+    w_comps = [chi * gc_faces[a] - glogn_faces[a] for a in range(grid.dim)]
     kinetic = 0.5 * _face_quadrature(nv, w_comps, grid)
 
     V = (0.5 * n_gradlog_sq

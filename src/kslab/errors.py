@@ -9,12 +9,14 @@ class PositivityError(ValueError):
     """A quantity that must stay nonnegative went negative."""
 
 
-class StaggeringError(ValueError):
-    """A vector field has the wrong centering for the requested operation."""
-
-
 class StoppedEarlyError(RuntimeError):
-    """A solve that has to reach its end time stopped early (CLI exit 2)."""
+    """A solve that has to reach its end time stopped early; carries the
+    run's stop_reason and status (CLI exit 2)."""
+
+    def __init__(self, what: str, stop_reason: str, status: str):
+        super().__init__(f"{what} stopped: {stop_reason}")
+        self.stop_reason = stop_reason
+        self.status = status
 
 
 class ConfigError(ValueError):

@@ -8,11 +8,10 @@ Conventions used throughout the package:
     ghost cells (ghost value = adjacent interior value), so the discrete
     normal derivative at every wall face is exactly zero.
   - topology "periodic_torus": wraparound ghosts.
-  - Face-centered vector components along axis a carry cells_a + 1 entries
-    on that axis (faces at 0, h, ..., extent).  On the torus, face 0 and
-    face cells_a are the same physical face and must store equal values;
-    quadrature and divergence count each physical face once.  The step
-    kernel keeps cells_a faces, face i the lower face of cell i (operators).
+  - Face-centered vector components have the grid's shape: along axis a,
+    face i sits at i * h_a, the lower face of cell i.  On the box face 0 is
+    the wall face and carries exactly 0; on the torus it is also the upper
+    face of the last cell.
   - integrate() is the midpoint rule: sum(values) * cell_volume.  Sums are
     numpy pairwise reductions over C-contiguous arrays, so results are
     bit-identical across runs and independent of BLAS thread counts.
@@ -31,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CorruptionError, PositivityError, StaggeringError
+from .errors import CorruptionError, PositivityError
 
 NEUMANN_BOX = "neumann_box"
 PERIODIC_TORUS = "periodic_torus"
@@ -78,6 +77,8 @@ class Grid:
         self.cell_volume = float(np.prod(self.h))
         self.shape = spec.cells
         self.size = int(np.prod(spec.cells))
+        # explicit diffusion's dt bound, 1 / (2 * sum 1/h_a^2)
+        self.diffusion_dt = 1.0 / (2.0 * float(np.sum(1.0 / self.h**2)))
         self._meshes: tuple[np.ndarray, ...] | None = None
 
     @property
@@ -158,19 +159,13 @@ class Field:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Per-axis component arrays, face- or cell-centered.
-
-    Face components along axis a have cells_a + 1 entries on that axis; on
-    the torus entry 0 and entry cells_a describe the same physical face.
-    """
+    """Per-axis face components, each of the grid's shape (see the module
+    docstring); on the box, each component's wall face must be 0."""
 
     grid: Grid
     components: tuple[np.ndarray, ...]
-    staggering: str = "face"
 
     def __post_init__(self):
-        if self.staggering not in ("face", "cell"):
-            raise StaggeringError(f"unknown staggering {self.staggering!r}")
         if len(self.components) != self.grid.dim:
             raise ValueError(
                 f"need {self.grid.dim} components, got {len(self.components)}"
@@ -178,15 +173,14 @@ class VectorField:
         comps = []
         for axis, comp in enumerate(self.components):
             comp = np.asarray(comp, dtype=np.float64)
-            want = list(self.grid.shape)
-            if self.staggering == "face":
-                want[axis] += 1
-            if comp.shape != tuple(want):
+            if comp.shape != self.grid.shape:
                 raise ValueError(
-                    f"component {axis} shape {comp.shape} != expected {tuple(want)}"
+                    f"component {axis} shape {comp.shape} != {self.grid.shape}"
                 )
             if not np.isfinite(comp).all():
                 raise CorruptionError("vector component contains non-finite values")
+            if not self.grid.periodic and np.any(np.take(comp, 0, axis=axis)):
+                raise ValueError(f"component {axis} is nonzero on the box wall face 0")
             comps.append(_readonly(np.ascontiguousarray(comp)))
         object.__setattr__(self, "components", tuple(comps))
 

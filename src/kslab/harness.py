@@ -42,8 +42,9 @@ from .errors import ConfigError, StoppedEarlyError
 from .grid import (Field, GridSpec, fill, lp_norm, make_grid, read_snapshot,
                    write_snapshot)
 from .manufactured import default_manufactured_pair, mms_sources
-from .scaling import (_ERROR_KEYS, _orders, read_scaling_csv,
-                      scaling_invariance_test, write_scaling_csv)
+from .scaling import (_ERROR_KEYS, _errors, _finished, _orders,
+                      read_scaling_csv, scaling_invariance_test,
+                      write_scaling_csv)
 from .solver import SolverConfig, State, StopRule, run
 
 EXIT_OK = 0
@@ -481,23 +482,12 @@ def _solve_mms(cfg: RunConfig, cells: int, t_end: float,
     solver_cfg = cfg.solver
     if dt_force is not None:
         solver_cfg = replace(solver_cfg, dt_min=dt_force, dt_max=dt_force)
-    result = run(State(n0, c0, 0.0), solver_cfg, StopRule(t_end=t_end),
-                 source_n=src_n, source_c=src_c)
-    if result.stop_reason != "finished":
-        raise StoppedEarlyError(f"manufactured run stopped: {result.stop_reason}")
-    t = result.state.t
+    final = _finished(run(State(n0, c0, 0.0), solver_cfg, StopRule(t_end=t_end),
+                          source_n=src_n, source_c=src_c), "manufactured run")
+    t = final.t
     n_exact = fill(grid, lambda x, y: ms.n(t, x, y))
     c_exact = fill(grid, lambda x, y: ms.c(t, x, y))
-    return result.state, State(n_exact, c_exact, t)
-
-
-def _errors(a: State, b: State) -> tuple[float, float, float, float]:
-    """(l2_n, linf_n, l2_c, linf_c) of a - b."""
-    out = []
-    for fa, fb in ((a.n, b.n), (a.c, b.c)):
-        diff = Field(fa.grid, fa.values - fb.values)
-        out += [lp_norm(diff, 2.0), lp_norm(diff, math.inf)]
-    return tuple(out)
+    return final, State(n_exact, c_exact, t)
 
 
 def _mms_dts(cfg: RunConfig) -> list[float]:
@@ -680,7 +670,11 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_config_echo(cfg, out)
-    return _finish(cfg, out, SCENARIOS[cfg.scenario].runner(cfg, out))
+    try:
+        stats = SCENARIOS[cfg.scenario].runner(cfg, out)
+    except StoppedEarlyError as exc:  # a convergence ladder's solve stopped
+        stats = {"run": {"stop_reason": exc.stop_reason, "status": exc.status}}
+    return _finish(cfg, out, stats)
 
 
 def regenerate_summary(run_dir) -> tuple[int, dict]:
@@ -721,13 +715,16 @@ def _finish(cfg: RunConfig, out: Path, stats: Optional[dict]) -> tuple[int, dict
 
 def _summarize(cfg: RunConfig, out: Path, stats: Optional[dict]) -> dict:
     """The summary of the run in out; stats are a time-stepped run's step
-    statistics (see _run_fields), unused by the convergence ladders."""
+    statistics (see _run_fields), or a convergence ladder's stop."""
     scenario = SCENARIOS[cfg.scenario]
     criteria: list[dict] = []
     blowup = None
     if scenario.initial is None:
-        info, monitors, metadata = scenario.monitors(cfg, out)
-        run_info = {"stop_reason": "finished", "status": "ok", **info}
+        run_info = (stats or {}).get("run", {})
+        monitors, metadata = {}, {}
+        if run_info.get("stop_reason", "finished") == "finished":
+            info, monitors, metadata = scenario.monitors(cfg, out)
+            run_info = {"stop_reason": "finished", "status": "ok", **info}
     else:
         records = read_diagnostics_csv(out / "diagnostics.csv")
         monitors = scenario.monitors(cfg, records, out) if records else {}

@@ -96,11 +96,21 @@ class ScalingErrorTable:
         return min(pooled) if pooled else math.nan
 
 
-def _solve_to(state: State, t_end: float, config: SolverConfig) -> State:
-    result: RunResult = run(state, config, StopRule(t_end=t_end))
+def _finished(result: RunResult, what: str) -> State:
+    """The final state of a solve that has to reach its end time; a solve
+    that stopped early raises StoppedEarlyError with its stop."""
     if result.stop_reason != "finished":
-        raise StoppedEarlyError(f"scaling solve stopped: {result.stop_reason}")
+        raise StoppedEarlyError(what, result.stop_reason, result.status)
     return result.state
+
+
+def _errors(a: State, b: State) -> tuple[float, float, float, float]:
+    """(l2_n, linf_n, l2_c, linf_c) of a - b."""
+    out = []
+    for fa, fb in ((a.n, b.n), (a.c, b.c)):
+        diff = Field(fa.grid, fa.values - fb.values)
+        out += [lp_norm(diff, 2.0), lp_norm(diff, math.inf)]
+    return tuple(out)
 
 
 def _orders(errors: Sequence[float]) -> list[float]:
@@ -141,16 +151,11 @@ def scaling_invariance_test(n0_fn: Callable, c0_fn: Callable, base_cells: int,
         c0 = fill(grid, c0_fn)
         state0 = State(n0, c0, 0.0)
 
-        scaled_first = _solve_to(rescale_state(state0, lam), T / lam**2, config)
-        scaled_last = rescale_state(_solve_to(state0, T, config), lam)
-
-        dn = Field(grid, scaled_first.n.values - scaled_last.n.values)
-        dc = Field(grid, scaled_first.c.values - scaled_last.c.values)
-        rows.append(ScalingErrorRow(
-            level=level, cells=cells,
-            l2_n=lp_norm(dn, 2.0), linf_n=lp_norm(dn, math.inf),
-            l2_c=lp_norm(dc, 2.0), linf_c=lp_norm(dc, math.inf),
-        ))
+        scaled_first = _finished(run(rescale_state(state0, lam), config,
+                                     StopRule(t_end=T / lam**2)), "scaling solve")
+        scaled_last = rescale_state(_finished(run(state0, config, StopRule(t_end=T)),
+                                              "scaling solve"), lam)
+        rows.append(ScalingErrorRow(level, cells, *_errors(scaled_first, scaled_last)))
     return ScalingErrorTable.from_rows(lam, rows)
 
 

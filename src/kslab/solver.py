@@ -13,10 +13,10 @@ Euler solved matrix-free by plain conjugate gradients to a 1e-10 relative
 residual.  States are never mutated in place; every step builds fresh
 arrays (double buffering).
 
-step is one kernel on the operators module's kernel faces (N per axis,
-face i the lower face of cell i); c's face gradient is built once per state
-and shared with the dt choice.  A state is validated once, by its
-constructor or, when stepped, by step itself.
+step is one kernel on the operators module's faces (N per axis, face i the
+lower face of cell i); c's face gradient and max n are computed once per
+state and shared with the dt choice and the blow-up test.  A state is
+validated once, by its constructor or, when stepped, by step itself.
 
 Source hooks (used by manufactured-solution verification only) are
 callables f(t, *coords) -> per-cell array added to the right-hand side.
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CorruptionError, PositivityError
 from .grid import Field, Grid, _check_nonnegative, _readonly, _trusted
 # chemotactic_flux: fused into step's kernel, bound here for perfbench's tracer
-from .operators import (_div, _face_density, _face_grads, _lower,  # noqa: F401
+from .operators import (_chemotactic_faces, _div, _face_grads, _lower,  # noqa: F401
                         chemotactic_flux)
 
 STATUS_OK = "ok"
@@ -66,9 +66,13 @@ class State:
 
     @cached_property
     def c_face_gradient(self) -> tuple[np.ndarray, ...]:
-        """c's kernel-form face gradient per axis, built once per state."""
+        """c's face gradient per axis, built once per state."""
         return tuple(_face_grads(self.c.values, self.grid))
 
+    @cached_property
+    def n_max(self) -> float:
+        """max n; step sets it from its own check of the new state."""
+        return float(self.n.values.max())
 
 
 @dataclass(frozen=True)
@@ -117,14 +121,12 @@ class RunResult:
 def _dt_unclamped(state: State, config: SolverConfig) -> float:
     """cfl_safety times the minimum of the active stability constraints."""
     grid = state.grid
-    bounds = []
-    # explicit diffusion of both equations: 1 / (2 * sum 1/h_a^2)
-    bounds.append(1.0 / (2.0 * float(np.sum(1.0 / grid.h**2))))
+    bounds = [grid.diffusion_dt]  # explicit diffusion of both equations
     for axis, gc in enumerate(state.c_face_gradient):
         speed = config.chi * float(np.abs(gc).max())
         if speed > 0.0:
             bounds.append(grid.h[axis] / speed)
-    n_sup = float(state.n.values.max())
+    n_sup = state.n_max
     if n_sup > 0.0:
         bounds.append(1.0 / n_sup)  # consumption reaction scale
         bounds.append(config.dt_blowup_factor / n_sup)  # refine near blow-up
@@ -180,8 +182,8 @@ def step(state: State, dt: float, config: SolverConfig,
     flux = []
     for axis, gc in enumerate(state.c_face_gradient):
         lo = _lower(nv, grid, axis)
-        n_face = _face_density(lo, nv, gc, config.upwind)
-        flux.append((nv - lo) / grid.h[axis] - config.chi * n_face * gc)
+        flux.append((nv - lo) / grid.h[axis]
+                    - _chemotactic_faces(lo, nv, gc, config.chi, config.upwind))
     n_new = nv + dt * _div(flux, grid)
     if source_n is not None:
         n_new = n_new + dt * np.broadcast_to(source_n(state.t, *grid.meshes()),
@@ -204,7 +206,7 @@ def step(state: State, dt: float, config: SolverConfig,
         raise CorruptionError("step produced non-finite values")
     if n_min < -1e-12 * max(n_max, -n_min, 1.0):
         raise PositivityError("step drove the bacteria density negative")
-    return _trusted(State, t=state.t + dt,
+    return _trusted(State, t=state.t + dt, n_max=n_max,
                     n=_trusted(Field, grid=grid, values=_readonly(n_new)),
                     c=_trusted(Field, grid=grid, values=_readonly(c_new)))
 
@@ -212,7 +214,7 @@ def step(state: State, dt: float, config: SolverConfig,
 def detect_divergence(state: State, config: SolverConfig) -> str:
     if not (np.isfinite(state.n.values).all() and np.isfinite(state.c.values).all()):
         return STATUS_CORRUPTED
-    if float(np.max(state.n.values)) > config.blowup_sup_threshold:
+    if state.n_max > config.blowup_sup_threshold:
         return STATUS_APPROACHING_BLOWUP
     return STATUS_OK
 
@@ -277,7 +279,7 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
         result.dt_largest = max(result.dt_largest, dt)
 
         # step has checked finiteness; only the blow-up threshold is left
-        if float(state.n.values.max()) > config.blowup_sup_threshold:
+        if state.n_max > config.blowup_sup_threshold:
             result.status = STATUS_APPROACHING_BLOWUP
             result.stop_reason = "blowup_threshold"
             break

@@ -362,8 +362,8 @@ def test_effective_velocity_exponential_profile():
     c = constant_field(g, 1.0)
     w = effective_velocity(n, c, chi=0.0)
     comp = w.components[0]
-    np.testing.assert_allclose(comp[1:-1], -1.0, rtol=1e-12)
-    assert comp[0] == 0.0 and comp[-1] == 0.0
+    np.testing.assert_allclose(comp[1:], -1.0, rtol=1e-12)
+    assert comp[0] == 0.0  # the wall face
 
 
 def test_effective_velocity_cancellation():
@@ -372,7 +372,8 @@ def test_effective_velocity_cancellation():
     c = fill(g, lambda x: x)
     w = effective_velocity(n, c, chi=1.0)
     comp = w.components[0]
-    np.testing.assert_allclose(comp[1:-1], 0.0, atol=1e-12)
+    assert comp[0] == 0.0  # the wall face
+    np.testing.assert_allclose(comp[1:], 0.0, atol=1e-12)
     assert kinetic_energy(n, w) <= 1e-24
 
 
@@ -380,6 +381,19 @@ def test_effective_velocity_rejects_nonpositive_n():
     g = _torus(8)
     with pytest.raises(PositivityError):
         effective_velocity(constant_field(g, 0.0), constant_field(g, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("topology", ["neumann_box", "periodic_torus"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_evaluate_kinetic_E_is_kinetic_energy_of_effective_velocity(dim, topology):
+    cells = {1: (40,), 2: (12, 9), 3: (6, 5, 4)}[dim]
+    g = make_grid(GridSpec(dim, cells, (1.0, 2.0, 1.5)[:dim], topology))
+    rng = np.random.default_rng(70 + dim)
+    n = Field(g, 0.5 + rng.random(g.shape))
+    c = Field(g, rng.random(g.shape))
+    rec = evaluate(State(n, c, 0.0), KAPPAS, chi=2.5, s=2.0)
+    assert rec.kinetic_E > 0.0
+    assert rec.kinetic_E == kinetic_energy(n, effective_velocity(n, c, chi=2.5))
 
 
 # --- V invariants -------------------------------------------------------------------

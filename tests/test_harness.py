@@ -381,6 +381,23 @@ def test_cli_ladder_stopped_early_exit_code(tmp_path, capsys, scenario):
     assert "blowup_threshold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["mms", "scaling_test"])
+def test_ladder_stopped_early_writes_summary_and_report_rebuilds_it(tmp_path, scenario):
+    cfg_path = _write(tmp_path, f"[run]\nscenario = {scenario}\n")
+    out = tmp_path / "out"
+    code = cli_main(["run", "--config", str(cfg_path), "--out-dir", str(out),
+                     "--override", "grid.cells=8 8",
+                     "--override", "run.t_end=0.005",
+                     "--override", "solver.blowup_sup_threshold=2"])
+    assert code == EXIT_DIVERGENCE
+    recorded = (out / "summary.json").read_bytes()
+    summary = json.loads(recorded)
+    assert summary["run"]["stop_reason"] == "blowup_threshold"
+    assert summary["pass"] is False
+    assert cli_main(["report", "--run", str(out)]) == EXIT_DIVERGENCE
+    assert (out / "summary.json").read_bytes() == recorded
+
+
 def test_cli_fit_on_synthetic_series(tmp_path):
     ts = np.linspace(0.5, 0.99, 60)
     series_path = tmp_path / "series.csv"

@@ -25,7 +25,7 @@ def _source_c(t, *xs):
 
 
 def _public_step(state, dt, cfg, source_n, source_c):
-    """One step written with the public N + 1 face operators."""
+    """One step written with the public face operators."""
     grid = state.grid
     grad_n = gradient(state.n).components
     chem = chemotactic_flux(state.n, state.c, cfg.chi, upwind=cfg.upwind).components
@@ -73,7 +73,7 @@ def test_choose_dt_unchanged_by_cached_c_gradient(topology):
     assert len(cached.c_face_gradient) == 2  # built before choose_dt reads it
     assert choose_dt(cached, cfg) == fresh
 
-    # the same number from the public N + 1 gradient
+    # the same number from the public gradient
     bounds = [1.0 / (2.0 * float(np.sum(1.0 / grid.h**2)))]
     for axis, comp in enumerate(gradient(c).components):
         bounds.append(grid.h[axis] / (cfg.chi * float(np.max(np.abs(comp)))))

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from kslab import (Field, GridSpec, PositivityError, StaggeringError,
-                   VectorField, chemotactic_flux, constant_field, divergence,
-                   fill, gradient, hessian_frobenius_sq, integrate, laplacian,
-                   make_grid)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kslab import (Field, GridSpec, PositivityError, VectorField,
+                   chemotactic_flux, constant_field, divergence, fill, gradient,
+                   hessian_frobenius_sq, integrate, laplacian, make_grid)
 
 
 def _random_field(grid, rng):
@@ -86,25 +88,19 @@ def test_gradient_linear_interior_faces():
     g = make_grid(GridSpec(1, (8,), (1.0,), "neumann_box"))
     grad = gradient(fill(g, lambda x: x))
     comp = grad.components[0]
-    assert comp[0] == 0.0 and comp[-1] == 0.0
-    np.testing.assert_allclose(comp[1:-1], 1.0, rtol=1e-13)
+    assert comp.shape == (8,)
+    assert comp[0] == 0.0  # the wall face
+    np.testing.assert_allclose(comp[1:], 1.0, rtol=1e-13)
 
 
 def test_gradient_torus_sine():
     g = make_grid(GridSpec(2, (64, 64), (1.0, 1.0), "periodic_torus"))
     grad = gradient(fill(g, lambda x, y: np.sin(2 * np.pi * x)))
     # component 0 at face j sits at x = j * h
-    xf = np.arange(65) * g.h[0]
+    xf = np.arange(64) * g.h[0]
     exact = 2 * np.pi * np.cos(2 * np.pi * xf)
     measured = grad.components[0][:, 0]
     assert np.max(np.abs(measured - exact)) <= 2 * np.pi**3 * g.h[0] ** 2
-
-
-def test_gradient_torus_duplicated_face():
-    rng = np.random.default_rng(8)
-    g = make_grid(GridSpec(1, (16,), (1.0,), "periodic_torus"))
-    comp = gradient(_random_field(g, rng)).components[0]
-    assert comp[0] == comp[-1]
 
 
 # --- divergence ---------------------------------------------------------------
@@ -112,33 +108,63 @@ def test_gradient_torus_duplicated_face():
 
 def test_divergence_zero_vector():
     g = make_grid(GridSpec(2, (8, 8), (1.0, 1.0)))
-    v = VectorField(g, (np.zeros((9, 8)), np.zeros((8, 9))))
+    v = VectorField(g, (np.zeros((8, 8)), np.zeros((8, 8))))
     assert np.all(divergence(v).values == 0.0)
-
-
-def test_divergence_rejects_cell_centering():
-    g = make_grid(GridSpec(1, (8,), (1.0,)))
-    v = VectorField(g, (np.zeros(8),), staggering="cell")
-    with pytest.raises(StaggeringError):
-        divergence(v)
 
 
 def test_divergence_integral_vanishes_on_torus():
     rng = np.random.default_rng(9)
     g = make_grid(GridSpec(2, (12, 12), (1.0, 1.0), "periodic_torus"))
-    comps = []
-    for axis in range(2):
-        shape = [12, 12]
-        shape[axis] += 1
-        comp = rng.normal(size=shape)
-        # duplicated physical face
-        if axis == 0:
-            comp[-1, :] = comp[0, :]
-        else:
-            comp[:, -1] = comp[:, 0]
-        comps.append(comp)
-    v = VectorField(g, tuple(comps))
+    v = VectorField(g, tuple(rng.normal(size=(12, 12)) for _ in range(2)))
     assert abs(integrate(divergence(v))) <= 1e-12
+
+
+@pytest.mark.parametrize("topology", ["neumann_box", "periodic_torus"])
+def test_vector_field_rejects_wrong_shape(topology):
+    g = make_grid(GridSpec(2, (8, 6), (1.0, 1.0), topology))
+    # the last has N + 1 faces along each component's own axis
+    for shapes in (((8, 6),), ((8, 6), (8, 7)), ((9, 6), (8, 7))):
+        with pytest.raises(ValueError, match="component"):
+            VectorField(g, tuple(np.zeros(s) for s in shapes))
+
+
+def test_vector_field_rejects_nonzero_box_wall_face():
+    box = make_grid(GridSpec(2, (8, 6), (1.0, 1.0), "neumann_box"))
+    grad = gradient(fill(box, lambda x, y: x * y)).components
+    VectorField(box, grad)  # a gradient's wall faces are 0
+    for axis, wall_face in ((0, (0, 3)), (1, (3, 0))):
+        comps = [comp.copy() for comp in grad]
+        comps[axis][wall_face] = 1e-300
+        with pytest.raises(ValueError, match="wall face"):
+            VectorField(box, tuple(comps))
+    torus = make_grid(GridSpec(2, (8, 6), (1.0, 1.0), "periodic_torus"))
+    VectorField(torus, (np.ones((8, 6)), np.ones((8, 6))))  # the torus has no wall
+
+
+@st.composite
+def _face_fields(draw):
+    """A random valid face field on a small grid, dims 1-3, both topologies."""
+    dim = draw(st.integers(1, 3))
+    topology = draw(st.sampled_from(["neumann_box", "periodic_torus"]))
+    cells = tuple(draw(st.integers(4, {1: 24, 2: 10, 3: 6}[dim])) for _ in range(dim))
+    extent = tuple(draw(st.floats(0.5, 2.0)) for _ in range(dim))
+    g = make_grid(GridSpec(dim, cells, extent, topology))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = []
+    for axis in range(dim):
+        comp = rng.normal(size=g.shape)
+        if topology == "neumann_box":
+            np.moveaxis(comp, axis, 0)[0] = 0.0
+        comps.append(comp)
+    return VectorField(g, tuple(comps))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_face_fields())
+def test_divergence_integral_vanishes(v):
+    scale = sum(float(np.sum(np.abs(c))) / v.grid.h[a]
+                for a, c in enumerate(v.components)) * v.grid.cell_volume
+    assert abs(integrate(divergence(v))) <= 1e-13 * scale
 
 
 # --- chemotactic flux ---------------------------------------------------------
@@ -159,8 +185,8 @@ def test_flux_linear_c_constant_n():
     for upwind in (False, True):
         flux = chemotactic_flux(n, c, chi=3.0, upwind=upwind)
         comp = flux.components[0]
-        np.testing.assert_allclose(comp[1:-1], 3.0 * 2.5, rtol=1e-13)
-        assert comp[0] == 0.0 and comp[-1] == 0.0
+        np.testing.assert_allclose(comp[1:], 3.0 * 2.5, rtol=1e-13)
+        assert comp[0] == 0.0  # the wall face
 
 
 def test_flux_four_cell_torus_oracle():
@@ -175,8 +201,8 @@ def test_flux_four_cell_torus_oracle():
         gc = (cv[j] - cv[(j - 1) % 4]) / h
         nf = 0.5 * (nv[j] + nv[(j - 1) % 4])
         expected.append(nf * gc)
-    np.testing.assert_allclose(flux.components[0][:4], expected, rtol=1e-14)
-    assert flux.components[0][4] == flux.components[0][0]
+    assert flux.components[0].shape == (4,)
+    np.testing.assert_allclose(flux.components[0], expected, rtol=1e-14)
 
 
 def test_flux_upwind_selects_upstream_cell():
@@ -196,7 +222,7 @@ def test_flux_upwind_selects_upstream_cell():
         else:
             nf = 0.5 * (nv[j] + nv[(j - 1) % 4])
         expected.append(nf * gc)
-    np.testing.assert_allclose(flux.components[0][:4], expected, rtol=1e-14)
+    np.testing.assert_allclose(flux.components[0], expected, rtol=1e-14)
 
 
 def test_flux_rejects_negative_n():

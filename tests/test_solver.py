@@ -7,7 +7,7 @@ from kslab import (Field, GridSpec, SolverConfig, State, StopRule, choose_dt,
                    constant_field, detect_divergence, fill, integrate,
                    lp_norm, make_grid, run, step)
 from kslab.solver import _cg_solve, _dt_unclamped
-from kslab.operators import _face_divergence, _face_gradient
+from kslab.operators import _div, _face_grads
 
 
 def _state(grid, n_val, c_val):
@@ -155,7 +155,7 @@ def test_cg_solves_backward_euler():
     dt = 0.01
 
     def apply_op(u):
-        return u - dt * _face_divergence(_face_gradient(u, g), g)
+        return u - dt * _div(_face_grads(u, g), g)
 
     x = _cg_solve(apply_op, b)
     resid = np.sqrt(np.sum((apply_op(x) - b) ** 2))
