@@ -23,6 +23,13 @@ and G is its companion dissipation rate
     + k3 |grad |grad c|^2|^2 + 4 k3 |hess c|^2 |grad c|^2
     + 1/16 n |hess log n|^2,
 with c_t evaluated pointwise from the model as lap c - n c.
+
+evaluate writes every grid-sized intermediate into the grid's scratch
+(Grid.scratch, 17 grid arrays held on the Grid and reused by every later
+call), taking the face terms one axis at a time, with the same floating-
+point operations in the same order as fresh arrays would take.  It is not
+reentrant: concurrent calls on one grid overwrite each other's scratch.
+The public functions below it return fresh arrays.
 """
 
 from __future__ import annotations
@@ -36,12 +43,13 @@ import numpy as np
 
 from .errors import PositivityError
 from .grid import Field, Grid, VectorField, _check_nonnegative, lp_norm
-from .operators import (_cuts, _div, _face_grads, _hessian_parts, _lower,
-                        _upper_face)
+from .operators import (_cuts, _div_term, _face_grad, _face_grads,
+                        _hessian_parts, _lower, _upper_face)
 
 WINKLER_CONSTANT = (2.0 + math.sqrt(3.0)) ** 2  # 13.9282...
 
 _TINY_FLOOR = 1e-300
+_SCRATCH = 17  # grid arrays evaluate keeps in its grid's scratch
 
 
 @dataclass(frozen=True)
@@ -102,26 +110,53 @@ class CriterionAccumulator:
         return three_over_s + two_over_r <= 2.0
 
 
-def _cell_sq(faces: Sequence[np.ndarray]) -> np.ndarray:
-    """|v|^2 at cell centers from face arrays: each component is the
-    average of a cell's two faces."""
-    out = None
+def _clip_level(floor: float, sup: float) -> float:
+    """The positivity floor of a diagnostic on a field of sup norm sup."""
+    return max(floor, 1e-12 * sup, _TINY_FLOOR)
+
+
+def _add_cell_sq(acc, comp: np.ndarray, axis: int, first: bool,
+                 tmp: Optional[np.ndarray] = None) -> np.ndarray:
+    """acc + cell^2 (cell^2 into acc when first), cell being the average of
+    each cell's two faces of one component; tmp optionally holds cell."""
+    cell = _upper_face(comp, axis, tmp)
+    np.add(comp, cell, out=cell)
+    np.multiply(cell, 0.5, out=cell)
+    if first:
+        return np.multiply(cell, cell, out=acc)
+    return np.add(acc, np.multiply(cell, cell, out=cell), out=acc)
+
+
+def _cell_sq(faces, out: Optional[np.ndarray] = None,
+             tmp: Optional[np.ndarray] = None) -> np.ndarray:
+    """|v|^2 at cell centers from face arrays, taken one axis at a time (a
+    generator of faces is consumed as it goes); out and tmp are optional
+    buffers for the result and the cell average."""
     for axis, comp in enumerate(faces):
-        cell = 0.5 * (comp + _upper_face(comp, axis))
-        out = cell * cell if out is None else out + cell * cell
+        out = _add_cell_sq(out, comp, axis, axis == 0, tmp)
     return out
+
+
+def _face_term(weight: np.ndarray, comp: np.ndarray, grid: Grid, axis: int,
+               tmp: Optional[np.ndarray] = None) -> float:
+    """Sum over one axis's faces of 0.5 * (lower + cell weight) * comp^2;
+    the box wall face (face 0, which carries 0) is left out."""
+    contrib = _lower(weight, grid, axis, tmp)
+    np.add(contrib, weight, out=contrib)
+    np.multiply(contrib, 0.5, out=contrib)
+    np.multiply(contrib, comp, out=contrib)
+    np.multiply(contrib, comp, out=contrib)
+    if not grid.periodic:
+        contrib = contrib[_cuts(axis)[0]]
+    return float(np.sum(contrib))
 
 
 def _face_quadrature(weight: np.ndarray, faces: Sequence[np.ndarray],
                      grid: Grid) -> float:
-    """Sum over the faces of 0.5 * (lower + cell weight) * comp^2, times the
-    cell volume; the box wall face (face 0, which carries 0) is left out."""
+    """Sum of _face_term over the axes, times the cell volume."""
     total = 0.0
     for axis, comp in enumerate(faces):
-        contrib = 0.5 * (_lower(weight, grid, axis) + weight) * comp * comp
-        if not grid.periodic:
-            contrib = contrib[_cuts(axis)[0]]
-        total += float(np.sum(contrib))
+        total += _face_term(weight, comp, grid, axis)
     return total * grid.cell_volume
 
 
@@ -129,8 +164,9 @@ def effective_velocity(n: Field, c: Field, chi: float,
                        floor: Optional[float] = None) -> VectorField:
     """Face-centered w = chi * grad c - grad log n.
 
-    log n is taken after clipping n at the floor; with floor=None a
-    nonpositive n is rejected instead of clipped.
+    log n is taken after clipping n at evaluate's level for it,
+    max(floor, 1e-12 * sup n, 1e-300); with floor=None a nonpositive n is
+    rejected instead of clipped.
     """
     grid = n.grid
     nv = n.values
@@ -139,7 +175,7 @@ def effective_velocity(n: Field, c: Field, chi: float,
             raise PositivityError("effective_velocity needs strictly positive n")
         n_reg = nv
     else:
-        n_reg = np.maximum(nv, max(floor, _TINY_FLOOR))
+        n_reg = np.maximum(nv, _clip_level(floor, float(np.max(np.abs(nv)))))
     gc = _face_grads(c.values, grid)
     glog = _face_grads(np.log(n_reg), grid)
     comps = tuple(chi * gc[a] - glog[a] for a in range(grid.dim))
@@ -158,10 +194,7 @@ def pointwise_hessian_check(field: Field) -> float:
     norm, so the bound is the cellwise Cauchy-Schwarz inequality on the
     diagonal and holds without tolerance.
     """
-    diags, frob = _hessian_parts(field.values, field.grid)
-    trace = diags[0]
-    for d in diags[1:]:
-        trace = trace + d
+    trace, frob = _hessian_parts(field.values, field.grid, trace=True)
     return float(np.max(trace * trace - field.grid.dim * frob))
 
 
@@ -198,53 +231,71 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
 
     kappas = (k1, k2, k3) weight the V/G pair; s selects the L^s norm
     tracked in n_ls_norm; floor is the diagnostics-only positivity clip.
+    Every grid-sized intermediate lives in the grid's scratch (see the
+    module docstring), so evaluate is not reentrant on one grid.
     """
     k1, k2, k3 = (float(k) for k in kappas)
     grid = state.grid
     nv = state.n.values
     cv = state.c.values
     vol = grid.cell_volume
+    (n_reg, log_n, c_reg, log_c, c_pos, gn_sq, gc_sq, glogn_sq, lap_c, grad_sq,
+     face_c, face_l, shift, prod, hess, up, down) = grid.scratch(_SCRATCH)
+    hess_bufs = (hess, up, down, face_c, shift)
 
     n_sup = _check_nonnegative(nv, "n")
-    c_sup = float(np.max(np.abs(cv))) if cv.size else 0.0
+    c_sup = float(np.max(np.abs(cv, out=prod))) if cv.size else 0.0
 
-    floor_n = max(floor, 1e-12 * n_sup, _TINY_FLOOR)
-    floor_c = max(floor, 1e-12 * c_sup, _TINY_FLOOR)
-    n_reg = np.maximum(nv, floor_n)
-    c_reg = np.maximum(cv, floor_c)
-    c_pos = np.maximum(cv, 0.0)
-    log_n = np.log(n_reg)
-    log_c = np.log(c_reg)
+    np.maximum(nv, _clip_level(floor, n_sup), out=n_reg)
+    np.maximum(cv, _clip_level(floor, c_sup), out=c_reg)
+    np.maximum(cv, 0.0, out=c_pos)
+    np.log(n_reg, out=log_n)
+    np.log(c_reg, out=log_c)
 
     def integ(arr) -> float:
         return float(np.sum(arr)) * vol
 
-    # each face gradient is built once
-    gc_faces = _face_grads(cv, grid)
-    glogn_faces = _face_grads(log_n, grid)
-    gn_sq = _cell_sq(_face_grads(nv, grid))
-    gc_sq = _cell_sq(gc_faces)
-    gsqrtc_sq = _cell_sq(_face_grads(np.sqrt(c_pos), grid))
-    glogn_sq = _cell_sq(glogn_faces)
+    def mul(first, *factors) -> np.ndarray:
+        """The product of the factors, left to right, in prod."""
+        out = np.multiply(first, factors[0], out=prod)
+        for f in factors[1:]:
+            np.multiply(out, f, out=out)
+        return out
 
-    lap_c = _div(gc_faces, grid)
-    c_t = lap_c - nv * cv
+    def cell_sq(values, out=grad_sq) -> np.ndarray:
+        """_cell_sq of values' face gradient, one axis at a time."""
+        return _cell_sq((_face_grad(values, grid, axis, face_c, shift)
+                         for axis in range(grid.dim)), out, shift)
+
+    cell_sq(nv, gn_sq)
+    # c's and log n's faces, axis by axis: gc_sq, glogn_sq, lap c, kinetic
+    kinetic = 0.0
+    for axis in range(grid.dim):
+        first = axis == 0
+        gc = _face_grad(cv, grid, axis, face_c, shift)
+        glog = _face_grad(log_n, grid, axis, face_l, shift)
+        _add_cell_sq(gc_sq, gc, axis, first, shift)
+        _add_cell_sq(glogn_sq, glog, axis, first, shift)
+        if first:
+            _div_term(gc, grid, axis, lap_c)
+        else:
+            np.add(lap_c, _div_term(gc, grid, axis, shift), out=lap_c)
+        w = np.subtract(np.multiply(gc, chi, out=gc), glog, out=gc)
+        kinetic += _face_term(nv, w, grid, axis, shift)
+    kinetic = 0.5 * (kinetic * vol)
 
     mass = integ(nv)
-    entropy = integ(nv * log_n)
-    dirichlet_sqrt_c = 2.0 * integ(gsqrtc_sq)
-    fisher = integ(gn_sq / n_reg)
-    n_gradlog_sq = integ(nv * glogn_sq)
-    n_gradc_sq = integ(nv * gc_sq)
-    n_l2_sq = integ(nv * nv)
-    cross_n2c = integ(nv * nv * cv)
-    lap_c_l2_sq = integ(lap_c * lap_c)
-    gradc_l4_4 = integ(gc_sq * gc_sq)
-    cn3 = integ(cv * nv * nv * nv)
-    c_gradn_sq = integ(cv * gn_sq)
-
-    w_comps = [chi * gc_faces[a] - glogn_faces[a] for a in range(grid.dim)]
-    kinetic = 0.5 * _face_quadrature(nv, w_comps, grid)
+    entropy = integ(mul(nv, log_n))
+    dirichlet_sqrt_c = 2.0 * integ(cell_sq(np.sqrt(c_pos, out=prod)))
+    fisher = integ(np.divide(gn_sq, n_reg, out=prod))
+    n_gradlog_sq = integ(mul(nv, glogn_sq))
+    n_gradc_sq = integ(mul(nv, gc_sq))
+    n_l2_sq = integ(mul(nv, nv))
+    cross_n2c = integ(mul(nv, nv, cv))
+    lap_c_l2_sq = integ(mul(lap_c, lap_c))
+    gradc_l4_4 = integ(mul(gc_sq, gc_sq))
+    cn3 = integ(mul(cv, nv, nv, nv))
+    c_gradn_sq = integ(mul(cv, gn_sq))
 
     V = (0.5 * n_gradlog_sq
          + (k1 / (2.0 * chi)) * cross_n2c
@@ -254,14 +305,13 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
          + k3 * gradc_l4_4)
 
     gradn_l2_sq = integ(gn_sq)
-    grad_ct_sq = integ(_cell_sq(_face_grads(c_t, grid)))
-    grad_lapc_sq = integ(_cell_sq(_face_grads(lap_c, grid)))
-    grad_gcsq_sq = integ(_cell_sq(_face_grads(gc_sq, grid)))
-    _, hess_c = _hessian_parts(cv, grid)
-    hessc_gradc = integ(hess_c * gc_sq)
-    n_lapc_sq = integ(nv * lap_c * lap_c)
-    _, hess_logn = _hessian_parts(log_n, grid)
-    n_hesslog_sq = integ(nv * hess_logn)
+    c_t = np.subtract(lap_c, mul(nv, cv), out=prod)
+    grad_ct_sq = integ(cell_sq(c_t))
+    grad_lapc_sq = integ(cell_sq(lap_c))
+    grad_gcsq_sq = integ(cell_sq(gc_sq))
+    hessc_gradc = integ(mul(_hessian_parts(cv, grid, hess_bufs)[1], gc_sq))
+    n_lapc_sq = integ(mul(nv, lap_c, lap_c))
+    n_hesslog_sq = integ(mul(nv, _hessian_parts(log_n, grid, hess_bufs)[1]))
 
     G = ((k1 / chi**2) * gradn_l2_sq
          + (k1 / (2.0 * chi)) * cn3
@@ -276,9 +326,8 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
     gradc_inf = math.sqrt(float(np.max(gc_sq)))
     n_ls_norm = lp_norm(state.n, s)
     c_mass = integ(cv)
-    n_gradc_sq_over_c = integ(nv * gc_sq / c_reg)
-    _, hess_logc = _hessian_parts(log_c, grid)
-    c_hesslog_c_sq = integ(c_pos * hess_logc)
+    n_gradc_sq_over_c = integ(np.divide(mul(nv, gc_sq), c_reg, out=prod))
+    c_hesslog_c_sq = integ(mul(c_pos, _hessian_parts(log_c, grid, hess_bufs)[1]))
 
     return DiagnosticsRecord(
         t=float(state.t), mass=mass, n_sup=n_sup, c_sup=c_sup,
@@ -292,20 +341,19 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
 
 
 def update_accumulators(acc: CriterionAccumulator,
-                        rec_prev: DiagnosticsRecord,
-                        rec_next: DiagnosticsRecord) -> CriterionAccumulator:
-    """Trapezoidal update; rec_prev/rec_next must carry acc's L^s norm."""
-    if not rec_prev.t < rec_next.t:
-        raise ValueError(
-            f"records out of time order: {rec_prev.t} !< {rec_next.t}")
-    dt = rec_next.t - rec_prev.t
+                        t0: float, n_ls0: float, gradc0: float,
+                        t1: float, n_ls1: float, gradc1: float
+                        ) -> CriterionAccumulator:
+    """Trapezoidal update over [t0, t1] from each endpoint's L^s norm of n
+    (for acc's s) and sup |grad c|."""
+    if not t0 < t1:
+        raise ValueError(f"records out of time order: {t0} !< {t1}")
+    dt = t1 - t0
     if math.isinf(acc.r):
-        value_ns = max(acc.value_ns, rec_prev.n_ls_norm, rec_next.n_ls_norm)
+        value_ns = max(acc.value_ns, n_ls0, n_ls1)
     else:
-        value_ns = acc.value_ns + 0.5 * dt * (
-            rec_prev.n_ls_norm**acc.r + rec_next.n_ls_norm**acc.r)
-    value_gc = acc.value_gc + 0.5 * dt * (
-        rec_prev.gradc_inf**2 + rec_next.gradc_inf**2)
+        value_ns = acc.value_ns + 0.5 * dt * (n_ls0**acc.r + n_ls1**acc.r)
+    value_gc = acc.value_gc + 0.5 * dt * (gradc0**2 + gradc1**2)
     return replace(acc, value_ns=value_ns, value_gc=value_gc)
 
 

@@ -27,7 +27,6 @@ import json
 import math
 from dataclasses import dataclass, field, make_dataclass, replace
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -390,10 +389,9 @@ def _criteria(cfg: RunConfig, path: Path) -> list[dict]:
     out = []
     for idx, (s, r) in enumerate(cfg.criterion_pairs):
         acc = CriterionAccumulator(s=s, r=r)
-        samples = [SimpleNamespace(t=row[0], gradc_inf=row[1],
-                                   n_ls_norm=row[2 + idx]) for row in rows]
-        for prev, nxt in zip(samples, samples[1:]):
-            acc = update_accumulators(acc, prev, nxt)
+        ends = [(row[0], row[2 + idx], row[1]) for row in rows]  # t, L^s, grad c
+        for prev, nxt in zip(ends, ends[1:]):
+            acc = update_accumulators(acc, *prev, *nxt)
         out.append({"s": s, "r": r, "admissible": acc.admissible,
                     "value_ns": acc.value_ns, "value_gc": acc.value_gc})
     return out
@@ -471,9 +469,10 @@ def _stress_3d_monitors(cfg, records, out) -> dict:
 
 # --- convergence ladders ------------------------------------------------------
 
-def _solve_mms(cfg: RunConfig, cells: int, t_end: float,
+def _solve_mms(cfg: RunConfig, cells: int, t_end: float, level: int = 0,
                dt_force: Optional[float] = None) -> tuple[State, State]:
-    """Solve the forced system; returns (numerical final, manufactured final)."""
+    """Solve the forced system; returns (numerical final, manufactured final).
+    A forced dt names the solve in the ladder, else its level and cells."""
     ms = default_manufactured_pair()
     src_n, src_c = mms_sources(ms, cfg.solver.chi)
     grid = make_grid(replace(cfg.grid, cells=(cells, cells)))  # a 2D torus
@@ -483,7 +482,9 @@ def _solve_mms(cfg: RunConfig, cells: int, t_end: float,
     if dt_force is not None:
         solver_cfg = replace(solver_cfg, dt_min=dt_force, dt_max=dt_force)
     final = _finished(run(State(n0, c0, 0.0), solver_cfg, StopRule(t_end=t_end),
-                          source_n=src_n, source_c=src_c), "manufactured run")
+                          source_n=src_n, source_c=src_c), "manufactured run",
+                      **({"level": level, "cells": cells} if dt_force is None
+                         else {"dt": dt_force}))
     t = final.t
     n_exact = fill(grid, lambda x, y: ms.n(t, x, y))
     c_exact = fill(grid, lambda x, y: ms.c(t, x, y))
@@ -502,7 +503,7 @@ def _run_mms(cfg: RunConfig, out: Path) -> None:
     spatial = []
     for level in range(cfg.refinements):
         cells = base * (2**level)
-        spatial.append((level, cells, *_errors(*_solve_mms(cfg, cells, cfg.t_end))))
+        spatial.append((level, cells, *_errors(*_solve_mms(cfg, cells, cfg.t_end, level))))
     dts = _mms_dts(cfg)
     finals = [_solve_mms(cfg, base, min(cfg.t_end, 0.03), dt_force=dt)[0]
               for dt in dts]
@@ -673,7 +674,8 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
     try:
         stats = SCENARIOS[cfg.scenario].runner(cfg, out)
     except StoppedEarlyError as exc:  # a convergence ladder's solve stopped
-        stats = {"run": {"stop_reason": exc.stop_reason, "status": exc.status}}
+        stats = {"run": {"stop_reason": exc.stop_reason, "status": exc.status,
+                         "stopped_in": exc.stopped_in, "t_stop": exc.t_stop}}
     return _finish(cfg, out, stats)
 
 

@@ -13,6 +13,7 @@ divergence(gradient(f)) == laplacian(f) bit-exactly.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -26,28 +27,32 @@ def _cuts(axis: int) -> tuple[tuple, tuple, tuple, tuple]:
         slice(1, None), slice(None, -1), slice(None, 1), slice(-1, None)))
 
 
-def _shift(values: np.ndarray, axis: int, up: bool, wrap: bool) -> np.ndarray:
+def _shift(values: np.ndarray, axis: int, up: bool, wrap: bool,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
     """Entry i + 1 (up) or i - 1 of each entry along axis.  The entry past
     the end is the other end (wrap, a roll) or the end entry itself (the
-    mirror ghost)."""
+    mirror ghost).  Written into out (not values itself) when given."""
     tail, head, first, last = _cuts(axis)
     dst, src, end, other = ((head, tail, last, first) if up
                             else (tail, head, first, last))
-    out = np.empty_like(values)
+    if out is None:
+        out = np.empty_like(values)
     out[dst] = values[src]
     out[end] = values[other if wrap else end]
     return out
 
 
-def _lower(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+def _lower(values: np.ndarray, grid: Grid, axis: int,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
     """The ghost-aware lower neighbour of each cell: cell 0 reads the last
     cell on the torus and itself on the box."""
-    return _shift(values, axis, False, grid.periodic)
+    return _shift(values, axis, False, grid.periodic, out)
 
 
-def _upper_face(faces: np.ndarray, axis: int) -> np.ndarray:
+def _upper_face(faces: np.ndarray, axis: int,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """F[i + 1] for each face i, face N read as face 0."""
-    return _shift(faces, axis, True, True)
+    return _shift(faces, axis, True, True, out)
 
 
 def _face_grads(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
@@ -63,6 +68,24 @@ def _div(faces, grid: Grid) -> np.ndarray:
         d = (_upper_face(comp, axis) - comp) / grid.h[axis]
         out = d if out is None else out + d
     return out
+
+
+# One axis of _face_grads and of _div, the same operations written into
+# buffers; the step keeps the allocating forms above, whose fewer calls
+# matter on small grids.
+
+def _face_grad(values: np.ndarray, grid: Grid, axis: int, out: np.ndarray,
+               tmp: np.ndarray) -> np.ndarray:
+    """Axis axis of _face_grads in out; tmp holds the lower neighbour."""
+    np.subtract(values, _lower(values, grid, axis, tmp), out=out)
+    return np.divide(out, grid.h[axis], out=out)
+
+
+def _div_term(comp: np.ndarray, grid: Grid, axis: int,
+              out: np.ndarray) -> np.ndarray:
+    """Axis axis's term of _div, (F[i + 1] - F[i]) / h, in out."""
+    np.subtract(_upper_face(comp, axis, out), comp, out=out)
+    return np.divide(out, grid.h[axis], out=out)
 
 
 def _chemotactic_faces(lo: np.ndarray, hi: np.ndarray, grad: np.ndarray,
@@ -104,28 +127,48 @@ def chemotactic_flux(n: Field, c: Field, chi: float, upwind: bool = False) -> Ve
         for axis, gc in enumerate(_face_grads(c.values, grid))))
 
 
-def _hessian_parts(values: np.ndarray, grid: Grid):
-    """Diagonal second differences and the Frobenius-squared array.
+def _hessian_parts(values: np.ndarray, grid: Grid, bufs=None,
+                   trace: bool = False):
+    """(trace or None, Frobenius-squared array) of the discrete Hessian.
 
     Diagonals use the 3-point stencil; off-diagonals use centered cross
     differences.  Ghosts as in _lower, axis by axis (a box corner is
-    mirrored twice).
+    mirrored twice).  The Frobenius sum adds the diagonals' squares, then
+    twice the crosses' squares, in axis order; the trace (only with
+    trace=True) sums the diagonals.  bufs, five grid-shaped arrays, receive
+    every intermediate, the Frobenius array in bufs[0]; without them the
+    arrays are fresh.
     """
     wrap = grid.periodic
-    ups = [_shift(values, a, True, wrap) for a in range(grid.dim)]
-    downs = [_lower(values, grid, a) for a in range(grid.dim)]
-    diags = [(up - 2.0 * values + down) / (grid.h[a] ** 2)
-             for a, (up, down) in enumerate(zip(ups, downs))]
-    frob = None
-    for d in diags:
-        frob = d * d if frob is None else frob + d * d
+    frob, up, down, d, tmp = (None,) * 5 if bufs is None else bufs
+    tr = None
     for a in range(grid.dim):
+        up = _shift(values, a, True, wrap, up)
+        down = _shift(values, a, False, wrap, down)
+        d = np.multiply(values, 2.0, out=d)
+        np.subtract(up, d, out=d)
+        np.add(d, down, out=d)
+        np.divide(d, grid.h[a] ** 2, out=d)
+        if trace:
+            tr = d.copy() if tr is None else np.add(tr, d, out=tr)
+        if a == 0:
+            frob = np.multiply(d, d, out=frob)
+        else:
+            tmp = np.multiply(d, d, out=tmp)
+            np.add(frob, tmp, out=frob)
+    for a in range(grid.dim - 1):
+        up = _shift(values, a, True, wrap, up)
+        down = _shift(values, a, False, wrap, down)
         for b in range(a + 1, grid.dim):
-            cross = (_shift(ups[a], b, True, wrap) - _shift(ups[a], b, False, wrap)
-                     - _shift(downs[a], b, True, wrap)
-                     + _shift(downs[a], b, False, wrap)) / (4.0 * grid.h[a] * grid.h[b])
-            frob = frob + 2.0 * cross * cross
-    return diags, frob
+            cross = _shift(up, b, True, wrap, d)
+            tmp = _shift(up, b, False, wrap, tmp)
+            np.subtract(cross, tmp, out=cross)
+            np.subtract(cross, _shift(down, b, True, wrap, tmp), out=cross)
+            np.add(cross, _shift(down, b, False, wrap, tmp), out=cross)
+            np.divide(cross, 4.0 * grid.h[a] * grid.h[b], out=cross)
+            np.multiply(cross, 2.0, out=tmp)
+            np.add(frob, np.multiply(tmp, cross, out=tmp), out=frob)
+    return tr, frob
 
 
 def hessian_frobenius_sq(field: Field) -> Field:

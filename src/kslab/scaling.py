@@ -96,11 +96,13 @@ class ScalingErrorTable:
         return min(pooled) if pooled else math.nan
 
 
-def _finished(result: RunResult, what: str) -> State:
+def _finished(result: RunResult, what: str, **where) -> State:
     """The final state of a solve that has to reach its end time; a solve
-    that stopped early raises StoppedEarlyError with its stop."""
+    that stopped early raises StoppedEarlyError with its stop, what and
+    where in its ladder it is (level and cells, or a forced dt)."""
     if result.stop_reason != "finished":
-        raise StoppedEarlyError(what, result.stop_reason, result.status)
+        raise StoppedEarlyError(what, result.stop_reason, result.status,
+                                where, result.state.t)
     return result.state
 
 
@@ -151,10 +153,12 @@ def scaling_invariance_test(n0_fn: Callable, c0_fn: Callable, base_cells: int,
         c0 = fill(grid, c0_fn)
         state0 = State(n0, c0, 0.0)
 
+        where = {"lam": lam, "level": level, "cells": cells}
         scaled_first = _finished(run(rescale_state(state0, lam), config,
-                                     StopRule(t_end=T / lam**2)), "scaling solve")
+                                     StopRule(t_end=T / lam**2)),
+                                 "rescale-then-solve", **where)
         scaled_last = rescale_state(_finished(run(state0, config, StopRule(t_end=T)),
-                                              "scaling solve"), lam)
+                                              "solve-then-rescale", **where), lam)
         rows.append(ScalingErrorRow(level, cells, *_errors(scaled_first, scaled_last)))
     return ScalingErrorTable.from_rows(lam, rows)
 

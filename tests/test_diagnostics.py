@@ -170,12 +170,18 @@ def _mini(t, ns, gc=0.0):
     return rec
 
 
+def _update(acc, prev, nxt):
+    """update_accumulators between two records' t, L^2 norm and sup |grad c|."""
+    return update_accumulators(acc, prev.t, prev.n_ls_norm, prev.gradc_inf,
+                               nxt.t, nxt.n_ls_norm, nxt.gradc_inf)
+
+
 def test_accumulator_constant_integrand():
     acc = CriterionAccumulator(s=2.0, r=4.0)
     n_bar = 3.0
     prev = _mini(0.0, n_bar)
     nxt = _mini(2.5, n_bar)
-    acc = update_accumulators(acc, prev, nxt)
+    acc = _update(acc, prev, nxt)
     # unit volume: ||n||_{L^2} = n_bar, integrand n_bar^4
     assert acc.value_ns == pytest.approx(2.5 * n_bar**4, rel=1e-12)
     assert acc.value_gc == 0.0
@@ -186,7 +192,7 @@ def test_accumulator_three_point_trapezoid_oracle():
     values = [(0.0, 1.0), (0.5, 2.0), (2.0, 5.0)]
     recs = [_mini(t, v) for t, v in values]
     for prev, nxt in zip(recs, recs[1:]):
-        acc = update_accumulators(acc, prev, nxt)
+        acc = _update(acc, prev, nxt)
     expected = 0.5 * 0.5 * (1.0 + 4.0) + 0.5 * 1.5 * (4.0 + 25.0)
     assert acc.value_ns == pytest.approx(expected, rel=1e-12)
 
@@ -195,14 +201,14 @@ def test_accumulator_running_sup_for_infinite_r():
     acc = CriterionAccumulator(s=2.0, r=math.inf)
     recs = [_mini(0.0, 1.0), _mini(1.0, 4.0), _mini(2.0, 2.0)]
     for prev, nxt in zip(recs, recs[1:]):
-        acc = update_accumulators(acc, prev, nxt)
+        acc = _update(acc, prev, nxt)
     assert acc.value_ns == pytest.approx(4.0, rel=1e-12)
 
 
 def test_accumulator_rejects_bad_time_order():
     acc = CriterionAccumulator(s=2.0, r=2.0)
     with pytest.raises(ValueError):
-        update_accumulators(acc, _mini(1.0, 1.0), _mini(0.5, 1.0))
+        _update(acc, _mini(1.0, 1.0), _mini(0.5, 1.0))
 
 
 def test_accumulator_admissibility():
@@ -226,7 +232,7 @@ def test_accumulator_monotone():
     for _ in range(10):
         t += rng.uniform(0.1, 1.0)
         nxt = _mini(t, rng.uniform(0.5, 3.0))
-        acc = update_accumulators(acc, prev, nxt)
+        acc = _update(acc, prev, nxt)
         values_ns.append(acc.value_ns)
         values_gc.append(acc.value_gc)
         prev = nxt
@@ -394,6 +400,14 @@ def test_evaluate_kinetic_E_is_kinetic_energy_of_effective_velocity(dim, topolog
     rec = evaluate(State(n, c, 0.0), KAPPAS, chi=2.5, s=2.0)
     assert rec.kinetic_E > 0.0
     assert rec.kinetic_E == kinetic_energy(n, effective_velocity(n, c, chi=2.5))
+    # n = 1 with one zero cell, floor 0: both clip it at 1e-12 * sup n
+    nz = np.ones(g.shape)
+    nz.flat[3] = 0.0
+    n = Field(g, nz)
+    c = fill(g, lambda x, *_: 1.0 + 0.5 * np.cos(2.0 * math.pi * x))
+    rec = evaluate(State(n, c, 0.0), KAPPAS, chi=2.5, s=2.0, floor=0.0)
+    assert rec.kinetic_E == kinetic_energy(
+        n, effective_velocity(n, c, chi=2.5, floor=0.0))
 
 
 # --- V invariants -------------------------------------------------------------------

@@ -393,6 +393,11 @@ def test_ladder_stopped_early_writes_summary_and_report_rebuilds_it(tmp_path, sc
     recorded = (out / "summary.json").read_bytes()
     summary = json.loads(recorded)
     assert summary["run"]["stop_reason"] == "blowup_threshold"
+    # the first solve of the ladder, the 8^2 level 0, is the one that stops
+    where = {"mms": {"solve": "manufactured run"},
+             "scaling_test": {"solve": "rescale-then-solve", "lam": 2}}[scenario]
+    assert summary["run"]["stopped_in"] == {**where, "level": 0, "cells": 8}
+    assert summary["run"]["t_stop"] == 0.0  # its initial sup n is already above 2
     assert summary["pass"] is False
     assert cli_main(["report", "--run", str(out)]) == EXIT_DIVERGENCE
     assert (out / "summary.json").read_bytes() == recorded

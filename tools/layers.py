@@ -1,0 +1,120 @@
+"""Per-layer sweep: median wall time and minor page faults per call of
+choose_dt, step and evaluate, on one smooth state per grid, at 16^2, 64^2,
+256^2 and 32^3 (Neumann boxes).
+
+    python tools/layers.py --label NAME --out BENCH.json [--src DIR]
+
+The results are stored under NAME in the "columns" of --out; columns
+already in the file are kept, so running it once on each of two checkouts
+(--src points at a checkout's src/) gives a side-by-side table.  Minor
+faults are this process's getrusage(RUSAGE_SELF).ru_minflt around each
+timed call, averaged.  Each layer is warmed up with 3 calls, then
+timed for at least 0.5 s and 5 calls.  Set OMP/BLAS threads to 1 for
+comparable numbers; kslab itself runs single-threaded numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+GRIDS = ((16, 16), (64, 64), (256, 256), (32, 32, 32))
+MIN_SECONDS = 0.5
+MIN_CALLS = 5
+WARMUP = 3
+
+
+def _faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _measure(call, setup=lambda: None) -> dict:
+    """Median µs and minor faults per call of call(setup()); setup is
+    neither timed nor counted."""
+    for _ in range(WARMUP):
+        call(setup())
+    times, faults = [], 0
+    start = time.perf_counter()
+    while len(times) < MIN_CALLS or time.perf_counter() - start < MIN_SECONDS:
+        arg = setup()
+        faults0 = _faults()
+        t0 = time.perf_counter()
+        call(arg)
+        times.append(time.perf_counter() - t0)
+        faults += _faults() - faults0
+    return {"median_us": round(statistics.median(times) * 1e6, 1),
+            "minor_faults_per_call": round(faults / len(times), 1),
+            "calls": len(times)}
+
+
+def sweep() -> dict:
+    import numpy as np
+
+    from kslab import Field, GridSpec, State, make_grid
+    from kslab.diagnostics import evaluate
+    from kslab.solver import SolverConfig, choose_dt, step
+
+    config = SolverConfig(chi=10.0, cfl_safety=0.3)
+    out = {}
+    for cells in GRIDS:
+        dim = len(cells)
+        grid = make_grid(GridSpec(dim, cells, (1.0,) * dim, "neumann_box"))
+        xs = grid.meshes()
+        r2 = sum((x - 0.4 - 0.1 * a) ** 2 for a, x in enumerate(xs))
+        n = Field(grid, 1.0 + 8.0 * np.exp(-r2 / 0.02))
+        c = Field(grid, 5.0 + np.cos(np.pi * xs[0]))
+        state = State(n, c, 0.0)
+        dt = choose_dt(state, config)  # caches c's face gradient, as run() does
+        out["x".join(map(str, cells))] = {
+            # on a fresh state, so that c's face gradient is built each call
+            "choose_dt": _measure(lambda st: choose_dt(st, config),
+                                  lambda: State(n, c, 0.0)),
+            "step": _measure(lambda _: step(state, dt, config)),
+            "evaluate": _measure(lambda _: evaluate(state, (1.0, 1.0, 1.0),
+                                                    config.chi, 2.0)),
+        }
+    return out
+
+
+def _machine() -> dict:
+    import numpy as np
+
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next(line.split(":", 1)[1].strip() for line in fh
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"cpu": cpu, "nproc": os.cpu_count(),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--src", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    results = sweep()
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["machine"] = _machine()
+    doc.setdefault("columns", {})[args.label] = results
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    for grid, layers in results.items():
+        print(grid, " ".join(f"{name}={m['median_us']}us/{m['minor_faults_per_call']}f"
+                             for name, m in layers.items()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
