@@ -55,37 +55,37 @@ def _upper_face(faces: np.ndarray, axis: int,
     return _shift(faces, axis, True, True, out)
 
 
+def _face_grad(values: np.ndarray, grid: Grid, axis: int,
+               out: Optional[np.ndarray] = None,
+               tmp: Optional[np.ndarray] = None) -> np.ndarray:
+    """Face gradient (f[i] - f[i - 1]) / h along one axis, in out; tmp
+    receives the lower neighbour.  Without them one fresh array serves both."""
+    low = _lower(values, grid, axis, tmp)
+    out = np.subtract(values, low, out=low if out is None else out)
+    return np.divide(out, grid.h[axis], out=out)
+
+
 def _face_grads(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Face gradient, one array per axis."""
-    return [(values - _lower(values, grid, axis)) / grid.h[axis]
-            for axis in range(grid.dim)]
+    """Face gradient, one fresh array per axis."""
+    return [_face_grad(values, grid, axis) for axis in range(grid.dim)]
+
+
+def _div_term(comp: np.ndarray, grid: Grid, axis: int,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """One axis's term of the divergence, (F[i + 1] - F[i]) / h, in out
+    (fresh when None)."""
+    out = _upper_face(comp, axis, out)
+    np.subtract(out, comp, out=out)
+    return np.divide(out, grid.h[axis], out=out)
 
 
 def _div(faces, grid: Grid) -> np.ndarray:
     """Divergence of face arrays, summed over axes in axis order."""
     out = None
     for axis, comp in enumerate(faces):
-        d = (_upper_face(comp, axis) - comp) / grid.h[axis]
-        out = d if out is None else out + d
+        d = _div_term(comp, grid, axis)
+        out = d if out is None else np.add(out, d, out=out)
     return out
-
-
-# One axis of _face_grads and of _div, the same operations written into
-# buffers; the step keeps the allocating forms above, whose fewer calls
-# matter on small grids.
-
-def _face_grad(values: np.ndarray, grid: Grid, axis: int, out: np.ndarray,
-               tmp: np.ndarray) -> np.ndarray:
-    """Axis axis of _face_grads in out; tmp holds the lower neighbour."""
-    np.subtract(values, _lower(values, grid, axis, tmp), out=out)
-    return np.divide(out, grid.h[axis], out=out)
-
-
-def _div_term(comp: np.ndarray, grid: Grid, axis: int,
-              out: np.ndarray) -> np.ndarray:
-    """Axis axis's term of _div, (F[i + 1] - F[i]) / h, in out."""
-    np.subtract(_upper_face(comp, axis, out), comp, out=out)
-    return np.divide(out, grid.h[axis], out=out)
 
 
 def _chemotactic_faces(lo: np.ndarray, hi: np.ndarray, grad: np.ndarray,
