@@ -17,11 +17,9 @@ from .diagnostics import (CriterionAccumulator, DiagnosticsRecord,
                           pointwise_hessian_check, update_accumulators,
                           winkler_ratio)
 from .blowup import (BlowupReport, NondegeneracyMap, RateFit, alpha_lower_bound,
-                     blowup_set, check_lower_bound, classify, fit_rate,
-                     nondegeneracy_map)
+                     check_lower_bound, classify, fit_rate, nondegeneracy_map)
 from .scaling import rescale_state, scaling_invariance_test
-from .manufactured import (ManufacturedSolution, default_manufactured_pair,
-                           mms_sources)
+from .manufactured import ManufacturedPair, mms_sources
 from .harness import RunConfig, load_config, regenerate_summary, run_scenario
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -191,30 +191,3 @@ def nondegeneracy_map(snapshots: Sequence[tuple[float, Field]], t_star: float,
     return NondegeneracyMap(values=Field(grid, values), epsilon=epsilon,
                             flagged=flagged)
 
-
-def blowup_set(snapshots: Sequence[tuple[Field, Field]],
-               thresholds: Sequence[float]) -> np.ndarray:
-    """Cells exceeding every threshold of an escalating ladder near the end.
-
-    snapshots are time-ordered (n, |grad c|) field pairs; threshold k is
-    tested on the suffix starting at snapshot floor(k * S / K), so later
-    (larger) thresholds must be exceeded closer to the end of the run.
-    Returns the boolean intersection mask.
-    """
-    if len(thresholds) < 2:
-        raise ValueError("need at least two thresholds")
-    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be non-decreasing")
-    S = len(snapshots)
-    if S == 0:
-        raise ValueError("need at least one snapshot")
-    K = len(thresholds)
-    grid = snapshots[0][0].grid
-    mask = np.ones(grid.shape, dtype=bool)
-    for k, threshold in enumerate(thresholds):
-        start = min(int(k * S / K), S - 1)
-        exceed = np.zeros(grid.shape, dtype=bool)
-        for n, gmag in snapshots[start:]:
-            exceed |= (n.values + gmag.values) >= threshold
-        mask &= exceed
-    return mask

@@ -48,7 +48,6 @@ from .operators import (_cuts, _div_term, _face_grad, _face_grads,
 
 WINKLER_CONSTANT = (2.0 + math.sqrt(3.0)) ** 2  # 13.9282...
 
-_TINY_FLOOR = 1e-300
 _SCRATCH = 17  # grid arrays evaluate keeps in its grid's scratch
 
 
@@ -112,7 +111,7 @@ class CriterionAccumulator:
 
 def _clip_level(floor: float, sup: float) -> float:
     """The positivity floor of a diagnostic on a field of sup norm sup."""
-    return max(floor, 1e-12 * sup, _TINY_FLOOR)
+    return max(floor, 1e-12 * sup, 1e-300)
 
 
 def _add_cell_sq(acc, comp: np.ndarray, axis: int, first: bool,
@@ -203,7 +202,8 @@ def winkler_ratio(n: Field, floor: Optional[float] = None) -> Optional[float]:
 
     For positive fields with zero normal derivative the ratio is bounded by
     (2 + sqrt(dim))^2 <= WINKLER_CONSTANT.  Returns None for constant
-    fields (0/0).
+    fields (0/0).  A floor clips n at evaluate's level (_clip_level); with
+    floor=None a nonpositive n is rejected instead.
     """
     nv = n.values
     if floor is None:
@@ -213,7 +213,7 @@ def winkler_ratio(n: Field, floor: Optional[float] = None) -> Optional[float]:
     else:
         if float(np.min(nv)) < 0.0:
             raise PositivityError("winkler_ratio: n has negative cells")
-        n_reg = np.maximum(nv, max(floor, _TINY_FLOOR))
+        n_reg = np.maximum(nv, _clip_level(floor, float(np.max(nv))))
     grid = n.grid
     vol = grid.cell_volume
     gn_sq = _cell_sq(_face_grads(n_reg, grid))

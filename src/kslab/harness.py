@@ -34,13 +34,13 @@ import numpy as np
 from . import __version__
 from .blowup import (NO_BLOWUP, BlowupReport, RateFit, alpha_lower_bound,
                      check_lower_bound, classify, fit_rate, nondegeneracy_map)
-from .diagnostics import (CriterionAccumulator, DiagnosticsRecord,
-                          DiagnosticsWriter, energy_inequality_residual,
-                          evaluate, read_diagnostics_csv, update_accumulators)
+from .diagnostics import (CriterionAccumulator, DiagnosticsRecord, DiagnosticsWriter,
+                          _clip_level, energy_inequality_residual, evaluate,
+                          read_diagnostics_csv, update_accumulators)
 from .errors import ConfigError, StoppedEarlyError
 from .grid import (Field, GridSpec, fill, lp_norm, make_grid, read_snapshot,
                    write_snapshot)
-from .manufactured import default_manufactured_pair, mms_sources
+from .manufactured import ManufacturedPair, mms_sources
 from .scaling import (_ERROR_KEYS, _errors, _finished, _orders,
                       read_scaling_csv, scaling_invariance_test,
                       write_scaling_csv)
@@ -311,8 +311,8 @@ def _run_fields(cfg: RunConfig, out: Path) -> dict:
             ns = rec.n_ls_norm if s == cfg.ls_exponent else lp_norm(state.n, s)
             row.append(f"{ns:.17g}")
         crit_fh.write(",".join(row) + "\n")
-        floor_c = max(cfg.solver.positivity_floor, 1e-12 * rec.c_sup)
-        if float(np.min(state.c.values)) < floor_c:
+        if float(np.min(state.c.values)) < _clip_level(cfg.solver.positivity_floor,
+                                                       rec.c_sup):
             floor_engaged += 1
         if cfg.fit:
             fit_snaps.append((state.t, state.n))
@@ -473,22 +473,21 @@ def _solve_mms(cfg: RunConfig, cells: int, t_end: float, level: int = 0,
                dt_force: Optional[float] = None) -> tuple[State, State]:
     """Solve the forced system; returns (numerical final, manufactured final).
     A forced dt names the solve in the ladder, else its level and cells."""
-    ms = default_manufactured_pair()
-    src_n, src_c = mms_sources(ms, cfg.solver.chi)
     grid = make_grid(replace(cfg.grid, cells=(cells, cells)))  # a 2D torus
-    n0 = fill(grid, lambda x, y: ms.n(0.0, x, y))
-    c0 = fill(grid, lambda x, y: ms.c(0.0, x, y))
+    pair = ManufacturedPair(grid, cfg.solver.chi)
+    src_n, src_c = mms_sources(pair)
     solver_cfg = cfg.solver
     if dt_force is not None:
         solver_cfg = replace(solver_cfg, dt_min=dt_force, dt_max=dt_force)
-    final = _finished(run(State(n0, c0, 0.0), solver_cfg, StopRule(t_end=t_end),
+
+    def exact(t: float) -> State:
+        return State(Field(grid, pair.n(t)), Field(grid, pair.c(t)), t)
+
+    final = _finished(run(exact(0.0), solver_cfg, StopRule(t_end=t_end),
                           source_n=src_n, source_c=src_c), "manufactured run",
                       **({"level": level, "cells": cells} if dt_force is None
                          else {"dt": dt_force}))
-    t = final.t
-    n_exact = fill(grid, lambda x, y: ms.n(t, x, y))
-    c_exact = fill(grid, lambda x, y: ms.c(t, x, y))
-    return final, State(n_exact, c_exact, t)
+    return final, exact(final.t)
 
 
 def _mms_dts(cfg: RunConfig) -> list[float]:

@@ -19,7 +19,7 @@ state and shared with the dt choice and the blow-up test.  A state is
 validated once, by its constructor or, when stepped, by step itself.
 
 Source hooks (used by manufactured-solution verification only) are
-callables f(t, *coords) -> per-cell array added to the right-hand side.
+callables f(t) -> array of the grid's shape, added to the right-hand side.
 """
 
 from __future__ import annotations
@@ -186,14 +186,12 @@ def step(state: State, dt: float, config: SolverConfig,
                     - _chemotactic_faces(lo, nv, gc, config.chi, config.upwind))
     n_new = nv + dt * _div(flux, grid)
     if source_n is not None:
-        n_new = n_new + dt * np.broadcast_to(source_n(state.t, *grid.meshes()),
-                                             grid.shape)
+        n_new = n_new + dt * source_n(state.t)
 
     # c: explicit or implicit diffusion, then exact exponential consumption
     rhs = cv
     if source_c is not None:
-        rhs = rhs + dt * np.broadcast_to(source_c(state.t, *grid.meshes()),
-                                         grid.shape)
+        rhs = rhs + dt * source_c(state.t)
     if config.scheme == EXPLICIT_EULER:
         c_half = rhs + dt * _div(state.c_face_gradient, grid)
     else:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kslab import (Field, GridSpec, alpha_lower_bound, blowup_set,
-                   check_lower_bound, classify, constant_field, fit_rate,
-                   make_grid, nondegeneracy_map)
+from kslab import (Field, GridSpec, alpha_lower_bound, check_lower_bound,
+                   classify, constant_field, fit_rate, make_grid,
+                   nondegeneracy_map)
 from kslab.blowup import NO_BLOWUP, TYPE_I, TYPE_II
 
 
@@ -202,45 +202,3 @@ def test_nondegeneracy_rejects_bad_times():
     with pytest.raises(ValueError):
         nondegeneracy_map([], t_star=1.0)
 
-
-# --- blow-up set -----------------------------------------------------------------
-
-
-def test_blowup_set_bounded_run_empty():
-    g = _grid2()
-    snaps = [(constant_field(g, 1.0), constant_field(g, 0.5)) for _ in range(6)]
-    mask = blowup_set(snaps, thresholds=[10.0, 100.0])
-    assert not mask.any()
-
-
-def test_blowup_set_single_spike():
-    g = _grid2()
-    snaps = []
-    for k, t in enumerate((0.6, 0.8, 0.9, 0.95)):
-        nv = np.ones(g.shape)
-        nv[4, 4] = 1.0 / (1.0 - t)
-        snaps.append((Field(g, nv), constant_field(g, 0.1)))
-    mask = blowup_set(snaps, thresholds=[2.0, 4.0, 8.0])
-    expected = np.zeros(g.shape, dtype=bool)
-    expected[4, 4] = True
-    np.testing.assert_array_equal(mask, expected)
-
-
-def test_blowup_set_two_bumps():
-    g = _grid2()
-    snaps = []
-    for t in (0.6, 0.8, 0.9, 0.95):
-        nv = np.ones(g.shape)
-        nv[2, 2] = 1.0 / (1.0 - t)
-        nv[6, 6] = 1.2 / (1.0 - t)
-        snaps.append((Field(g, nv), constant_field(g, 0.0)))
-    mask = blowup_set(snaps, thresholds=[3.0, 6.0, 12.0])
-    assert mask[2, 2] and mask[6, 6]
-    assert mask.sum() == 2
-
-
-def test_blowup_set_needs_two_thresholds():
-    g = _grid2()
-    snaps = [(constant_field(g, 1.0), constant_field(g, 0.0))]
-    with pytest.raises(ValueError):
-        blowup_set(snaps, thresholds=[1.0])

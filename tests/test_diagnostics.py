@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,17 @@ def test_winkler_rejects_nonpositive():
     n = fill(g, lambda x: np.cos(2 * np.pi * x))  # touches -1
     with pytest.raises(PositivityError):
         winkler_ratio(n)
+
+
+def test_winkler_ratio_clips_a_zero_cell_at_evaluates_level():
+    # clipped at 1e-300 the cube of the zero cell underflows and the ratio is inf
+    g = _torus(16)
+    nv = 1.0 + 0.5 * np.cos(2 * np.pi * g.centers(0))
+    nv[5] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratio = winkler_ratio(Field(g, nv), floor=0.0)
+    assert ratio is not None and math.isfinite(ratio)
 
 
 def test_pointwise_hessian_check_constant():

@@ -5,8 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from kslab import (ConfigError, GridSpec, ManufacturedSolution,
-                   default_manufactured_pair, fill, load_config, make_grid,
+from kslab import (ConfigError, GridSpec, ManufacturedPair, load_config, make_grid,
                    mms_sources, read_snapshot, regenerate_summary, run_scenario,
                    write_snapshot, constant_field)
 from kslab.cli import main as cli_main
@@ -118,85 +117,64 @@ def test_config_rejects_nonfinite_and_out_of_range(tmp_path, override, key):
         load_config(path, overrides=[override])
 
 
-# --- manufactured sources -----------------------------------------------------
+# --- manufactured pair ----------------------------------------------------------
 
 
-def test_mms_sources_constant_pair():
-    const = ManufacturedSolution(
-        n=lambda t, x, y: 2.0 + 0.0 * x,
-        c=lambda t, x, y: 3.0 + 0.0 * x,
-        dn_dt=lambda t, x, y: 0.0 * x,
-        dc_dt=lambda t, x, y: 0.0 * x,
-        grad_n=(lambda t, x, y: 0.0 * x, lambda t, x, y: 0.0 * x),
-        grad_c=(lambda t, x, y: 0.0 * x, lambda t, x, y: 0.0 * x),
-        lap_n=lambda t, x, y: 0.0 * x,
-        lap_c=lambda t, x, y: 0.0 * x,
-    )
-    src_n, src_c = mms_sources(const, chi=1.0)
-    x = np.linspace(0, 1, 5)
-    np.testing.assert_allclose(src_n(0.3, x, x), 0.0)
-    np.testing.assert_allclose(src_c(0.3, x, x), 6.0)
-
-
-def test_mms_sources_chi_zero_decouples():
-    ms = default_manufactured_pair()
-    src_n0, _ = mms_sources(ms, chi=0.0)
-    x = np.array([0.3])
-    y = np.array([0.6])
-    expected = ms.dn_dt(0.1, x, y) - ms.lap_n(0.1, x, y)
-    np.testing.assert_allclose(src_n0(0.1, x, y), expected, rtol=1e-14)
+def _torus(cells=(6, 5), topology="periodic_torus"):
+    return make_grid(GridSpec(len(cells), cells, (1.0,) * len(cells), topology))
 
 
 def test_mms_sources_frozen_reference_point():
-    ms = default_manufactured_pair()
-    src_n, src_c = mms_sources(ms, chi=1.0)
-    # closed forms at (t, x, y) = (0, 0, 0)
-    assert float(src_n(0.0, 0.0, 0.0)) == pytest.approx(
-        2.0 * math.pi**2 - 1.0, rel=1e-15)
-    assert float(src_c(0.0, 0.0, 0.0)) == pytest.approx(
-        2.0 * math.pi**2 + 4.0, rel=1e-15)
+    # closed forms at t = 0 in the centre (1/2, 1/2) of cell (2, 2), where
+    # cos(2 pi x) = cos(2 pi y) = -1 and sin(2 pi x) = 0 to rounding
+    src_n, src_c = mms_sources(ManufacturedPair(_torus((5, 5)), chi=1.0))
+    assert float(src_n(0.0)[2, 2]) == pytest.approx(14.0 * math.pi**2 - 1.0, rel=1e-15)
+    assert float(src_c(0.0)[2, 2]) == pytest.approx(2.0 - 2.0 * math.pi**2, rel=1e-15)
 
 
-def test_mms_sources_against_symbolic_oracle():
+@pytest.mark.parametrize("chi", [0.0, 1.0, 3.7])
+def test_mms_sources_against_symbolic_oracle(chi):
     sympy = pytest.importorskip("sympy")
     t, x, y = sympy.symbols("t x y")
     n_sym = 2 + sympy.exp(-t) * sympy.cos(2 * sympy.pi * x) * sympy.cos(2 * sympy.pi * y)
     c_sym = 1 + sympy.Rational(1, 2) * sympy.exp(-t) * sympy.cos(2 * sympy.pi * x)
-    chi = 1.0
     lap = lambda f: sympy.diff(f, x, 2) + sympy.diff(f, y, 2)
     src_n_sym = (sympy.diff(n_sym, t) - lap(n_sym)
                  + chi * (sympy.diff(n_sym * sympy.diff(c_sym, x), x)
                           + sympy.diff(n_sym * sympy.diff(c_sym, y), y)))
     src_c_sym = sympy.diff(c_sym, t) - lap(c_sym) + n_sym * c_sym
-    f_n = sympy.lambdify((t, x, y), src_n_sym, "numpy")
-    f_c = sympy.lambdify((t, x, y), src_c_sym, "numpy")
+    oracle = [sympy.lambdify((t, x, y), f, "numpy")
+              for f in (n_sym, c_sym, src_n_sym, src_c_sym)]
 
-    ms = default_manufactured_pair()
-    src_n, src_c = mms_sources(ms, chi=chi)
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        tt, xx, yy = rng.random(3)
-        assert float(src_n(tt, xx, yy)) == pytest.approx(float(f_n(tt, xx, yy)),
-                                                         rel=1e-12)
-        assert float(src_c(tt, xx, yy)) == pytest.approx(float(f_c(tt, xx, yy)),
-                                                         rel=1e-12)
+    grid = _torus()
+    pair = ManufacturedPair(grid, chi)
+    xs, ys = grid.meshes()
+    for tt in (0.0, 0.3, 1.7):
+        for got, f in zip((pair.n, pair.c, *mms_sources(pair)), oracle):
+            want = np.broadcast_to(f(tt, xs, ys), grid.shape)
+            values = got(tt)
+            assert values.shape == grid.shape
+            np.testing.assert_allclose(values, want, rtol=1e-12,
+                                       atol=1e-12 * float(np.max(np.abs(want))))
 
 
-def test_mms_sources_reject_nonpositive_n():
-    bad = ManufacturedSolution(
-        n=lambda t, x, y: 0.0 * x,
-        c=lambda t, x, y: 1.0 + 0.0 * x,
-        dn_dt=lambda t, x, y: 0.0 * x,
-        dc_dt=lambda t, x, y: 0.0 * x,
-        grad_n=(lambda t, x, y: 0.0 * x, lambda t, x, y: 0.0 * x),
-        grad_c=(lambda t, x, y: 0.0 * x, lambda t, x, y: 0.0 * x),
-        lap_n=lambda t, x, y: 0.0 * x,
-        lap_c=lambda t, x, y: 0.0 * x,
-    )
-    src_n, _ = mms_sources(bad, chi=1.0)
-    from kslab import PositivityError
-    with pytest.raises(PositivityError):
-        src_n(0.0, np.zeros(3), np.zeros(3))
+def test_manufactured_n_is_at_least_one():
+    # n = 2 + e^-t cos cos >= 1 for t >= 0: the sources need no positivity check
+    pair = ManufacturedPair(_torus((8, 8)), chi=1.0)
+    for t in (0.0, 1e-3, 0.5, 2.0, 40.0):
+        assert float(pair.n(t).min()) >= 1.0
+
+
+@pytest.mark.parametrize("cells, topology", [
+    ((8,), "periodic_torus"), ((4, 4, 4), "periodic_torus"), ((8, 8), "neumann_box")])
+def test_manufactured_pair_needs_a_2d_torus(cells, topology):
+    with pytest.raises(ValueError, match="2D torus"):
+        ManufacturedPair(_torus(cells, topology), chi=1.0)
+
+
+def test_manufactured_pair_rejects_negative_chi():
+    with pytest.raises(ValueError, match="chi"):
+        ManufacturedPair(_torus(), chi=-1.0)
 
 
 # --- run_scenario ---------------------------------------------------------------
@@ -252,6 +230,22 @@ def test_run_scenario_custom_snapshots(tmp_path):
     n_final, t = read_snapshot(out / "n_final.ksf")
     assert t == pytest.approx(0.05)
     np.testing.assert_allclose(n_final.values, 1.0, rtol=1e-12)
+
+
+def test_c_floor_engaged_counts_at_evaluates_clip_level(tmp_path):
+    # c = 0 with floor 0: evaluate clips c at 1e-300 in every sample
+    g = make_grid(GridSpec(2, (8, 8), (1.0, 1.0), "periodic_torus"))
+    text = "[run]\nscenario = custom\n"
+    for name, value in (("n0", 1.0), ("c0", 0.0)):
+        write_snapshot(constant_field(g, value), 0.0, tmp_path / f"{name}.ksf")
+        text += f"{name}_snapshot = {tmp_path / f'{name}.ksf'}\n"
+    cfg = load_config(_write(tmp_path, text),
+                      overrides=[f"run.out_dir={tmp_path / 'out'}", "run.t_end=0.02",
+                                 "grid.cells=8 8", "run.sample_every=5"])
+    _, summary = run_scenario(cfg)
+    assert summary["metadata"]["samples"] >= 2
+    assert (summary["metadata"]["c_floor_engaged_samples"]
+            == summary["metadata"]["samples"])
 
 
 # cheap overrides per scenario; _cheap_run also writes custom's two snapshots

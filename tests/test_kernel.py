@@ -16,12 +16,11 @@ TOPOLOGIES = ("neumann_box", "periodic_torus")
 SPECS = {1: ((40,), (1.0,)), 2: ((12, 9), (1.0, 2.0)), 3: ((6, 5, 4), (1.0, 1.0, 1.5))}
 
 
-def _source_n(t, *xs):
-    return 0.3 * np.cos(2.0 * xs[0]) + t
-
-
-def _source_c(t, *xs):
-    return 0.2 * np.sin(3.0 * xs[-1]) * (1.0 + t)
+def _sources(grid):
+    """Source hooks f(t) -> array of grid's shape, from its cell centres."""
+    xs = grid.meshes()
+    return (lambda t: 0.3 * np.cos(2.0 * xs[0]) + t,
+            lambda t: 0.2 * np.sin(3.0 * xs[-1]) * (1.0 + t))
 
 
 def _public_step(state, dt, cfg, source_n, source_c):
@@ -33,9 +32,9 @@ def _public_step(state, dt, cfg, source_n, source_c):
     n_new = state.n.values + dt * divergence(flux).values
     c_new = state.c.values
     if source_n is not None:
-        n_new = n_new + dt * source_n(state.t, *grid.meshes())
+        n_new = n_new + dt * source_n(state.t)
     if source_c is not None:
-        c_new = c_new + dt * source_c(state.t, *grid.meshes())
+        c_new = c_new + dt * source_c(state.t)
     c_new = (c_new + dt * laplacian(state.c).values) * np.exp(-dt * state.n.values)
     return n_new, c_new
 
@@ -51,7 +50,7 @@ def test_step_is_bit_identical_to_public_operators(dim, topology, upwind, source
     state = State(Field(grid, 1.0 + 0.5 * rng.random(grid.shape)),
                   Field(grid, 0.5 + rng.random(grid.shape)), 0.0)
     cfg = SolverConfig(chi=3.0, upwind=upwind, cfl_safety=1.0 / (1 + 2 * dim))
-    source_n, source_c = (_source_n, _source_c) if sources else (None, None)
+    source_n, source_c = _sources(grid) if sources else (None, None)
     for _ in range(3):
         dt = choose_dt(state, cfg)
         n_ref, c_ref = _public_step(state, dt, cfg, source_n, source_c)

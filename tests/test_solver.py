@@ -167,8 +167,8 @@ def test_step_source_hook_applied():
     st = _state(g, 1.0, 1.0)
     dt = 1e-3
 
-    def source_n(t, x):
-        return np.ones_like(x)
+    def source_n(t):
+        return np.ones(g.shape)
 
     out = step(st, dt, SolverConfig(), source_n=source_n)
     np.testing.assert_allclose(out.n.values, 1.0 + dt, rtol=1e-14)
