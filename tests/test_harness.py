@@ -120,22 +120,21 @@ def test_config_rejects_nonfinite_and_out_of_range(tmp_path, override, key):
 # --- manufactured pair ----------------------------------------------------------
 
 
-def _torus(cells=(6, 5), topology="periodic_torus"):
+def _unit_grid(cells=(6, 5), topology="periodic_torus"):
     return make_grid(GridSpec(len(cells), cells, (1.0,) * len(cells), topology))
 
 
 def test_mms_sources_frozen_reference_point():
     # closed forms at t = 0 in the centre (1/2, 1/2) of cell (2, 2), where
     # cos(2 pi x) = cos(2 pi y) = -1 and sin(2 pi x) = 0 to rounding
-    src_n, src_c = mms_sources(ManufacturedPair(_torus((5, 5)), chi=1.0))
+    src_n, src_c = mms_sources(ManufacturedPair(_unit_grid((5, 5)), chi=1.0))
     assert float(src_n(0.0)[2, 2]) == pytest.approx(14.0 * math.pi**2 - 1.0, rel=1e-15)
     assert float(src_c(0.0)[2, 2]) == pytest.approx(2.0 - 2.0 * math.pi**2, rel=1e-15)
 
 
-@pytest.mark.parametrize("chi", [0.0, 1.0, 3.7])
-def test_mms_sources_against_symbolic_oracle(chi):
+def test_mms_sources_against_symbolic_oracle():
     sympy = pytest.importorskip("sympy")
-    t, x, y = sympy.symbols("t x y")
+    t, x, y, chi = sympy.symbols("t x y chi")
     n_sym = 2 + sympy.exp(-t) * sympy.cos(2 * sympy.pi * x) * sympy.cos(2 * sympy.pi * y)
     c_sym = 1 + sympy.Rational(1, 2) * sympy.exp(-t) * sympy.cos(2 * sympy.pi * x)
     lap = lambda f: sympy.diff(f, x, 2) + sympy.diff(f, y, 2)
@@ -143,38 +142,40 @@ def test_mms_sources_against_symbolic_oracle(chi):
                  + chi * (sympy.diff(n_sym * sympy.diff(c_sym, x), x)
                           + sympy.diff(n_sym * sympy.diff(c_sym, y), y)))
     src_c_sym = sympy.diff(c_sym, t) - lap(c_sym) + n_sym * c_sym
-    oracle = [sympy.lambdify((t, x, y), f, "numpy")
+    oracle = [sympy.lambdify((t, x, y, chi), f, "numpy")
               for f in (n_sym, c_sym, src_n_sym, src_c_sym)]
 
-    grid = _torus()
-    pair = ManufacturedPair(grid, chi)
+    grid = _unit_grid()
     xs, ys = grid.meshes()
-    for tt in (0.0, 0.3, 1.7):
-        for got, f in zip((pair.n, pair.c, *mms_sources(pair)), oracle):
-            want = np.broadcast_to(f(tt, xs, ys), grid.shape)
-            values = got(tt)
-            assert values.shape == grid.shape
-            np.testing.assert_allclose(values, want, rtol=1e-12,
-                                       atol=1e-12 * float(np.max(np.abs(want))))
+    for chi_value in (0.0, 1.0, 3.7):  # chi = 0 decouples n from c
+        pair = ManufacturedPair(grid, chi_value)
+        for tt in (0.0, 0.3, 1.7):
+            for got, f in zip((pair.n, pair.c, *mms_sources(pair)), oracle):
+                want = np.broadcast_to(f(tt, xs, ys, chi_value), grid.shape)
+                values = got(tt)
+                assert values.shape == grid.shape
+                np.testing.assert_allclose(values, want, rtol=1e-12,
+                                           atol=1e-12 * float(np.max(np.abs(want))))
 
 
 def test_manufactured_n_is_at_least_one():
     # n = 2 + e^-t cos cos >= 1 for t >= 0: the sources need no positivity check
-    pair = ManufacturedPair(_torus((8, 8)), chi=1.0)
+    pair = ManufacturedPair(_unit_grid((8, 8)), chi=1.0)
     for t in (0.0, 1e-3, 0.5, 2.0, 40.0):
         assert float(pair.n(t).min()) >= 1.0
 
 
 @pytest.mark.parametrize("cells, topology", [
-    ((8,), "periodic_torus"), ((4, 4, 4), "periodic_torus"), ((8, 8), "neumann_box")])
+    ((8,), "periodic_torus"), ((4, 4, 4), "periodic_torus"), ((8, 8), "neumann_box")],
+    ids=["1d-torus", "3d-torus", "2d-box"])
 def test_manufactured_pair_needs_a_2d_torus(cells, topology):
     with pytest.raises(ValueError, match="2D torus"):
-        ManufacturedPair(_torus(cells, topology), chi=1.0)
+        ManufacturedPair(_unit_grid(cells, topology), chi=1.0)
 
 
 def test_manufactured_pair_rejects_negative_chi():
     with pytest.raises(ValueError, match="chi"):
-        ManufacturedPair(_torus(), chi=-1.0)
+        ManufacturedPair(_unit_grid(), chi=-1.0)
 
 
 # --- run_scenario ---------------------------------------------------------------
