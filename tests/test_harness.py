@@ -132,6 +132,16 @@ def test_mms_sources_frozen_reference_point():
     assert float(src_c(0.0)[2, 2]) == pytest.approx(2.0 - 2.0 * math.pi**2, rel=1e-15)
 
 
+def test_mms_sources_chi_zero_decouples():
+    # chi = 0 drops the taxis term: source_n = dn/dt - lap n = (8 pi^2 - 1) e^-t cos cos
+    grid = _unit_grid()
+    src_n0, _ = mms_sources(ManufacturedPair(grid, chi=0.0))
+    x, y = grid.meshes()
+    expected = ((8.0 * math.pi**2 - 1.0) * math.exp(-0.1)
+                * np.cos(2 * math.pi * x) * np.cos(2 * math.pi * y))
+    np.testing.assert_allclose(src_n0(0.1), expected, rtol=1e-14)
+
+
 def test_mms_sources_against_symbolic_oracle():
     sympy = pytest.importorskip("sympy")
     t, x, y, chi = sympy.symbols("t x y chi")
