@@ -41,9 +41,8 @@ from .errors import ConfigError, StoppedEarlyError
 from .grid import (Field, GridSpec, fill, lp_norm, make_grid, read_snapshot,
                    write_snapshot)
 from .manufactured import ManufacturedPair, mms_sources
-from .scaling import (_ERROR_KEYS, _errors, _finished, _orders,
-                      read_scaling_csv, scaling_invariance_test,
-                      write_scaling_csv)
+from .scaling import (_ERROR_KEYS, ScalingErrorTable, _errors, _finished, _orders,
+                      read_scaling_csv, scaling_rows, write_scaling_csv)
 from .solver import SolverConfig, State, StopRule, run
 
 EXIT_OK = 0
@@ -469,11 +468,16 @@ def _stress_3d_monitors(cfg, records, out) -> dict:
 
 # --- convergence ladders ------------------------------------------------------
 
+def _mms_grid(cfg: RunConfig, cells: int):
+    """The config's grid (dim, extent, topology) with cells per axis."""
+    return make_grid(replace(cfg.grid, cells=(cells,) * cfg.grid.dim))
+
+
 def _solve_mms(cfg: RunConfig, cells: int, t_end: float, level: int = 0,
                dt_force: Optional[float] = None) -> tuple[State, State]:
     """Solve the forced system; returns (numerical final, manufactured final).
     A forced dt names the solve in the ladder, else its level and cells."""
-    grid = make_grid(replace(cfg.grid, cells=(cells, cells)))  # a 2D torus
+    grid = _mms_grid(cfg, cells)
     pair = ManufacturedPair(grid, cfg.solver.chi)
     src_n, src_c = mms_sources(pair)
     solver_cfg = cfg.solver
@@ -491,29 +495,32 @@ def _solve_mms(cfg: RunConfig, cells: int, t_end: float, level: int = 0,
 
 
 def _mms_dts(cfg: RunConfig) -> list[float]:
-    """Forced steps of the temporal self-convergence runs on the base grid."""
-    h = cfg.grid.extent[0] / cfg.grid.cells[0]
-    dt0 = 0.5 * h * h / 4.0
+    """Forced steps of the temporal self-convergence runs on the base grid:
+    half its explicit diffusion bound, then halved twice."""
+    dt0 = 0.5 * _mms_grid(cfg, cfg.grid.cells[0]).diffusion_dt
     return [dt0 / (2**k) for k in range(3)]
 
 
 def _run_mms(cfg: RunConfig, out: Path) -> None:
+    """The spatial ladder, then the forced-dt runs on the base grid.  Each
+    row is written as soon as its solves finish, so a ladder that stops
+    early keeps the rows of the levels before the stop."""
     base = cfg.grid.cells[0]
-    spatial = []
-    for level in range(cfg.refinements):
-        cells = base * (2**level)
-        spatial.append((level, cells, *_errors(*_solve_mms(cfg, cells, cfg.t_end, level))))
     dts = _mms_dts(cfg)
-    finals = [_solve_mms(cfg, base, min(cfg.t_end, 0.03), dt_force=dt)[0]
-              for dt in dts]
     with open(out / "mms_errors.csv", "w", encoding="utf-8") as fh:
         fh.write("kind,level,cells_or_dt,l2_n,linf_n,l2_c,linf_c\n")
-        for level, cells, *errs in spatial:
+        for level in range(cfg.refinements):
+            cells = base * (2**level)
+            errs = _errors(*_solve_mms(cfg, cells, cfg.t_end, level))
             fh.write(f"spatial,{level},{cells},"
                      + ",".join(f"{e:.17g}" for e in errs) + "\n")
-        for k in range(2):
-            _, e_n, _, e_c = _errors(finals[k], finals[k + 1])
-            fh.write(f"temporal_diff,{k},{dts[k]:.17g},,{e_n:.17g},,{e_c:.17g}\n")
+        finals = []
+        for k, dt in enumerate(dts):
+            finals.append(_solve_mms(cfg, base, min(cfg.t_end, 0.03), dt_force=dt)[0])
+            if k:
+                _, e_n, _, e_c = _errors(finals[k - 1], finals[k])
+                fh.write(f"temporal_diff,{k - 1},{dts[k - 1]:.17g},,"
+                         f"{e_n:.17g},,{e_c:.17g}\n")
 
 
 def _mms_monitors(cfg: RunConfig, out: Path) -> tuple[dict, dict, dict]:
@@ -537,15 +544,25 @@ def _mms_monitors(cfg: RunConfig, out: Path) -> tuple[dict, dict, dict]:
 
 
 def _run_scaling_test(cfg: RunConfig, out: Path) -> None:
-    """The lam ladder, then the lam = 1 identity run that must be exact."""
-    tables = [scaling_invariance_test(
-        lambda x, y: 1.0 + 0.4 * np.cos(_W * x) * np.cos(_W * y),
-        lambda x, y: 0.8 + 0.3 * np.cos(_W * x),
-        base_cells=cfg.grid.cells[0], dim=2, lam=lam,
-        T=cfg.t_end, config=cfg.solver, refinements=levels,
-        extent=cfg.grid.extent[0])
-        for lam, levels in ((cfg.lam, cfg.refinements), (1, 1))]
-    write_scaling_csv(tables, out / "scaling_errors.csv")
+    """The lam ladder, then the lam = 1 identity run that must be exact.  The
+    rows of the levels that finished are written even when a solve stops
+    the ladder."""
+    ladders = []  # (lam, rows so far)
+    try:
+        for lam, levels in ((cfg.lam, cfg.refinements), (1, 1)):
+            rows = []
+            ladders.append((lam, rows))
+            for row in scaling_rows(
+                    lambda x, y: 1.0 + 0.4 * np.cos(_W * x) * np.cos(_W * y),
+                    lambda x, y: 0.8 + 0.3 * np.cos(_W * x),
+                    base_cells=cfg.grid.cells[0], dim=2, lam=lam,
+                    T=cfg.t_end, config=cfg.solver, refinements=levels,
+                    extent=cfg.grid.extent[0]):
+                rows.append(row)
+    finally:
+        write_scaling_csv([ScalingErrorTable.from_rows(lam, rows)
+                           for lam, rows in ladders if rows],
+                          out / "scaling_errors.csv")
 
 
 def _scaling_monitors(cfg: RunConfig, out: Path) -> tuple[dict, dict, dict]:
@@ -636,7 +653,7 @@ SCENARIOS: dict[str, Scenario] = {
     "mms": Scenario(
         presets={"run.t_end": "0.05", "grid.cells": "32 32",
                  "solver.upwind": "false"},
-        grid=_TORUS_2D, runner=_run_mms, monitors=_mms_monitors),
+        runner=_run_mms, monitors=_mms_monitors),
     "equilibrium_2d": Scenario(
         presets={"run.t_end": "50.0", "run.sample_every": "500",
                  "solver.cfl_safety": "0.9", "solver.dt_max": "0.05"},

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -132,18 +132,11 @@ def _orders(errors: Sequence[float]) -> list[float]:
     return out
 
 
-def scaling_invariance_test(n0_fn: Callable, c0_fn: Callable, base_cells: int,
-                            dim: int, lam: int, T: float, config: SolverConfig,
-                            refinements: int = 3,
-                            extent: float = 1.0) -> ScalingErrorTable:
-    """Compare rescale-then-solve against solve-then-rescale under refinement.
-
-    Initial data is given as vectorized position functions so every level
-    samples it at its own resolution.  Per level the reported error is
-    || solve(T/lam^2, rescale(u0)) - rescale(solve(T, u0)) || in L2 and
-    Linf per component; observed orders are log2 of successive ratios.
-    """
-    rows: list[ScalingErrorRow] = []
+def scaling_rows(n0_fn: Callable, c0_fn: Callable, base_cells: int, dim: int,
+                 lam: int, T: float, config: SolverConfig, refinements: int = 3,
+                 extent: float = 1.0) -> Iterator[ScalingErrorRow]:
+    """The rows of scaling_invariance_test, each yielded as soon as its two
+    solves have finished."""
     for level in range(refinements):
         cells = base_cells * (2**level)
         spec = GridSpec(dim=dim, cells=(cells,) * dim, extent=(extent,) * dim,
@@ -159,8 +152,22 @@ def scaling_invariance_test(n0_fn: Callable, c0_fn: Callable, base_cells: int,
                                  "rescale-then-solve", **where)
         scaled_last = rescale_state(_finished(run(state0, config, StopRule(t_end=T)),
                                               "solve-then-rescale", **where), lam)
-        rows.append(ScalingErrorRow(level, cells, *_errors(scaled_first, scaled_last)))
-    return ScalingErrorTable.from_rows(lam, rows)
+        yield ScalingErrorRow(level, cells, *_errors(scaled_first, scaled_last))
+
+
+def scaling_invariance_test(n0_fn: Callable, c0_fn: Callable, base_cells: int,
+                            dim: int, lam: int, T: float, config: SolverConfig,
+                            refinements: int = 3,
+                            extent: float = 1.0) -> ScalingErrorTable:
+    """Compare rescale-then-solve against solve-then-rescale under refinement.
+
+    Initial data is given as vectorized position functions so every level
+    samples it at its own resolution.  Per level the reported error is
+    || solve(T/lam^2, rescale(u0)) - rescale(solve(T, u0)) || in L2 and
+    Linf per component; observed orders are log2 of successive ratios.
+    """
+    return ScalingErrorTable.from_rows(lam, list(scaling_rows(
+        n0_fn, c0_fn, base_cells, dim, lam, T, config, refinements, extent)))
 
 
 def write_scaling_csv(tables: Sequence[ScalingErrorTable], path) -> None:

@@ -7,6 +7,7 @@ individually; the printed line restates the measured value and threshold.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +111,24 @@ def test_criterion_03_mms(tmp_path):
     _report(3, ok, f"spatial order {spatial:.3f} >= 1.9 over cells 32/64/128, "
                    f"temporal order {temporal:.3f} >= 0.9, "
                    f"runtime {elapsed:.0f}s < 120s")
+
+
+def test_criterion_13_mms_3d_neumann_box(tmp_path):
+    # the paper's setting: a bounded 3D domain with Neumann walls
+    t0 = time.time()
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "mms_box_3d.ini",
+                      overrides=[f"run.out_dir={tmp_path/'mms3d'}"])
+    assert (cfg.grid.cells, cfg.grid.extent, cfg.grid.topology, cfg.t_end) == (
+        (8, 8, 8), (1.0, 1.0, 1.0), "neumann_box", 0.02)
+    assert cfg.solver.upwind is False and cfg.solver.cfl_safety == 0.4
+    code, summary = run_scenario(cfg)
+    elapsed = time.time() - t0
+    spatial = summary["monitors"]["spatial_order"]["value"]
+    temporal = summary["monitors"]["temporal_order"]["value"]
+    ok = code == 0 and spatial >= 1.9 and temporal >= 0.9 and elapsed < 60.0
+    _report(13, ok, f"3D Neumann box: spatial order {spatial:.3f} >= 1.9 over "
+                    f"cells 8/16/32 per axis, temporal order {temporal:.3f} >= 0.9, "
+                    f"runtime {elapsed:.1f}s < 60s")
 
 
 # --- 4: conservation and maximum principle ---------------------------------------------

@@ -142,30 +142,46 @@ def test_mms_sources_chi_zero_decouples():
     np.testing.assert_allclose(src_n0(0.1), expected, rtol=1e-14)
 
 
-def test_mms_sources_against_symbolic_oracle():
+def _symbolic_pair(dim):
+    """n, c, source_n and source_c of the pair in dim dimensions, derived by
+    sympy with the wavenumbers as symbols: f(t, x_0.., k_0.., chi)."""
     sympy = pytest.importorskip("sympy")
-    t, x, y, chi = sympy.symbols("t x y chi")
-    n_sym = 2 + sympy.exp(-t) * sympy.cos(2 * sympy.pi * x) * sympy.cos(2 * sympy.pi * y)
-    c_sym = 1 + sympy.Rational(1, 2) * sympy.exp(-t) * sympy.cos(2 * sympy.pi * x)
-    lap = lambda f: sympy.diff(f, x, 2) + sympy.diff(f, y, 2)
+    t, chi = sympy.symbols("t chi")
+    xs, ks = sympy.symbols(f"x0:{dim}"), sympy.symbols(f"k0:{dim}")
+    n_sym = 2 + sympy.exp(-t) * sympy.Mul(*(sympy.cos(k * x) for k, x in zip(ks, xs)))
+    c_sym = 1 + sympy.Rational(1, 2) * sympy.exp(-t) * sympy.cos(ks[0] * xs[0])
+    lap = lambda f: sum(sympy.diff(f, x, 2) for x in xs)
     src_n_sym = (sympy.diff(n_sym, t) - lap(n_sym)
-                 + chi * (sympy.diff(n_sym * sympy.diff(c_sym, x), x)
-                          + sympy.diff(n_sym * sympy.diff(c_sym, y), y)))
+                 + chi * sum(sympy.diff(n_sym * sympy.diff(c_sym, x), x) for x in xs))
     src_c_sym = sympy.diff(c_sym, t) - lap(c_sym) + n_sym * c_sym
-    oracle = [sympy.lambdify((t, x, y, chi), f, "numpy")
-              for f in (n_sym, c_sym, src_n_sym, src_c_sym)]
+    return [sympy.lambdify((t, *xs, *ks, chi), f, "numpy")
+            for f in (n_sym, c_sym, src_n_sym, src_c_sym)]
 
-    grid = _unit_grid()
-    xs, ys = grid.meshes()
-    for chi_value in (0.0, 1.0, 3.7):  # chi = 0 decouples n from c
-        pair = ManufacturedPair(grid, chi_value)
-        for tt in (0.0, 0.3, 1.7):
-            for got, f in zip((pair.n, pair.c, *mms_sources(pair)), oracle):
-                want = np.broadcast_to(f(tt, xs, ys, chi_value), grid.shape)
-                values = got(tt)
-                assert values.shape == grid.shape
-                np.testing.assert_allclose(values, want, rtol=1e-12,
-                                           atol=1e-12 * float(np.max(np.abs(want))))
+
+_PAIR_GRIDS = [GridSpec(dim, cells, (1.0,) * dim, topology)
+               for dim, cells in ((1, (7,)), (2, (6, 5)), (3, (5, 4, 6)))
+               for topology in ("periodic_torus", "neumann_box")]
+
+
+def test_mms_sources_against_symbolic_oracle():
+    oracles = {dim: _symbolic_pair(dim) for dim in (1, 2, 3)}
+    specs = _PAIR_GRIDS + [GridSpec(2, (6, 5), (1.5, 0.8), "periodic_torus"),
+                           GridSpec(3, (5, 4, 6), (1.5, 0.75, 2.0), "neumann_box")]
+    for spec in specs:
+        grid = make_grid(spec)
+        # k_a = 2 pi / L_a on the torus, pi / L_a on the box
+        ks = [(2.0 if grid.periodic else 1.0) * math.pi / L for L in spec.extent]
+        for chi_value in (0.0, 1.0, 3.7):  # chi = 0 decouples n from c
+            pair = ManufacturedPair(grid, chi_value)
+            for tt in (0.0, 0.3, 1.7):
+                for got, f in zip((pair.n, pair.c, *mms_sources(pair)), oracles[spec.dim]):
+                    want = np.broadcast_to(f(tt, *grid.meshes(), *ks, chi_value),
+                                           grid.shape)
+                    values = got(tt)
+                    assert values.shape == grid.shape
+                    np.testing.assert_allclose(values, want, rtol=1e-12,
+                                               atol=1e-12 * float(np.max(np.abs(want))),
+                                               err_msg=f"{spec}, chi {chi_value}, t {tt}")
 
 
 def test_manufactured_n_is_at_least_one():
@@ -175,12 +191,15 @@ def test_manufactured_n_is_at_least_one():
         assert float(pair.n(t).min()) >= 1.0
 
 
-@pytest.mark.parametrize("cells, topology", [
-    ((8,), "periodic_torus"), ((4, 4, 4), "periodic_torus"), ((8, 8), "neumann_box")],
-    ids=["1d-torus", "3d-torus", "2d-box"])
-def test_manufactured_pair_needs_a_2d_torus(cells, topology):
-    with pytest.raises(ValueError, match="2D torus"):
-        ManufacturedPair(_unit_grid(cells, topology), chi=1.0)
+@pytest.mark.parametrize("spec", _PAIR_GRIDS,
+                         ids=lambda s: f"{s.dim}d-{s.topology.split('_')[1]}")
+def test_manufactured_pair_builds_on_every_grid(spec):
+    grid = make_grid(spec)
+    pair = ManufacturedPair(grid, chi=1.0)
+    for f in (pair.n, pair.c, *mms_sources(pair)):
+        values = f(0.2)
+        assert values.shape == grid.shape and np.isfinite(values).all()
+    assert float(pair.n(0.0).min()) >= 1.0 and float(pair.c(0.0).min()) >= 0.5
 
 
 def test_manufactured_pair_rejects_negative_chi():
@@ -408,6 +427,35 @@ def test_ladder_stopped_early_writes_summary_and_report_rebuilds_it(tmp_path, sc
     assert (out / "summary.json").read_bytes() == recorded
 
 
+@pytest.mark.parametrize("scenario, threshold, stopped_in", [
+    # 8^2 starts at sup n 2.854 and finishes; 16^2 starts at 2.962
+    ("mms", "2.9", {"solve": "manufactured run", "level": 1, "cells": 16}),
+    # rescaled by lam^2 = 4: 8^2 starts at sup n 4.68, 16^2 at 5.31
+    ("scaling_test", "5.0", {"solve": "rescale-then-solve", "lam": 2, "level": 1,
+                             "cells": 16}),
+], ids=["mms", "scaling_test"])
+def test_ladder_stopped_early_keeps_the_rows_that_finished(tmp_path, scenario,
+                                                            threshold, stopped_in):
+    cfg_path = _write(tmp_path, f"[run]\nscenario = {scenario}\n")
+    csv = {"mms": "mms_errors.csv", "scaling_test": "scaling_errors.csv"}[scenario]
+    tables = {}
+    for tag, extra in (("full", []), ("stop", [f"solver.blowup_sup_threshold={threshold}"])):
+        args = ["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / tag),
+                "--override", "grid.cells=8 8", "--override", "run.t_end=0.005"]
+        code = cli_main(args + [arg for item in extra for arg in ("--override", item)])
+        # the 8^2 ladders are pre-asymptotic: the full one may fail a monitor
+        assert (code == EXIT_DIVERGENCE) == (tag == "stop")
+        tables[tag] = (tmp_path / tag / csv).read_text().splitlines()
+    out = tmp_path / "stop"
+    recorded = (out / "summary.json").read_bytes()
+    assert json.loads(recorded)["run"]["stopped_in"] == stopped_in
+    # the header and the 8^2 level's row, as the ladder that finished wrote them
+    assert tables["stop"] == tables["full"][:2]
+    assert tables["stop"][1].split(",")[1:3] == ["0", "8"]
+    assert cli_main(["report", "--run", str(out)]) == EXIT_DIVERGENCE
+    assert (out / "summary.json").read_bytes() == recorded
+
+
 def test_cli_fit_on_synthetic_series(tmp_path):
     ts = np.linspace(0.5, 0.99, 60)
     series_path = tmp_path / "series.csv"
@@ -476,6 +524,19 @@ def test_run_scenario_mms_small(tmp_path):
     assert summary["monitors"]["spatial_order"]["value"] >= 1.9
     assert summary["monitors"]["temporal_order"]["value"] >= 0.9
     assert (out / "mms_errors.csv").exists()
+
+
+def test_run_scenario_mms_on_a_non_unit_torus(tmp_path):
+    # the pair's wavenumbers follow the extent: 2 pi / 1.5 on each axis
+    out = tmp_path / "mms"
+    code = cli_main(["run", "--config", str(_write(tmp_path, "[run]\nscenario = mms\n")),
+                     "--out-dir", str(out), "--override", "grid.extent=1.5 1.5",
+                     "--override", "run.t_end=0.005",
+                     "--override", "scaling.refinements=2"])
+    summary = json.loads((out / "summary.json").read_text())
+    assert code == EXIT_OK, summary["monitors"]
+    assert summary["monitors"]["spatial_order"]["value"] >= 1.9
+    assert summary["monitors"]["temporal_order"]["value"] >= 0.9
 
 
 def test_runs_are_deterministic(tmp_path):

@@ -44,3 +44,30 @@ def test_run_calls_step_once_per_step_through_the_module_global(monkeypatch):
     assert result.steps == 7
     assert cells == [64] * 7
     assert np.all(result.state.n.values == 1.0)
+
+
+def test_solve_mms_fetches_its_sources_through_the_module_global(monkeypatch, tmp_path):
+    real_sources, real_step = kslab.harness.mms_sources, kslab.solver.step
+    calls = {"mms_sources": 0, "source_n": 0, "source_c": 0, "step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def traced_sources(pair):
+        calls["mms_sources"] += 1
+        source_n, source_c = real_sources(pair)
+        return counted("source_n", source_n), counted("source_c", source_c)
+
+    monkeypatch.setattr(kslab.harness, "mms_sources", traced_sources)
+    monkeypatch.setattr(kslab.solver, "step", counted("step", real_step))
+    path = tmp_path / "mms.ini"
+    path.write_text("[run]\nscenario = mms\n")
+    cfg = kslab.harness.load_config(path, overrides=["grid.cells=8 8"])
+    final, exact = kslab.harness._solve_mms(cfg, 8, 0.002)
+    assert final.t == exact.t == pytest.approx(0.002)
+    assert calls["mms_sources"] == 1
+    assert calls["step"] > 0
+    assert calls["source_n"] == calls["source_c"] == calls["step"]

@@ -1,6 +1,7 @@
 """Per-layer sweep: median wall time and minor page faults per call of
 choose_dt, step and evaluate, on one smooth state per grid, at 16^2, 64^2,
-256^2 and 32^3 (Neumann boxes).
+256^2 and 32^3 (Neumann boxes), and of the manufactured pair's source_n and
+source_c hooks at the same sizes (tori in 2D, the Neumann box in 3D).
 
     python tools/layers.py --label NAME --out BENCH.json [--src DIR]
 
@@ -10,7 +11,9 @@ already in the file are kept, so running it once on each of two checkouts
 faults are this process's getrusage(RUSAGE_SELF).ru_minflt around each
 timed call, averaged.  Each layer is warmed up with 3 calls, then
 timed for at least 0.5 s and 5 calls.  Set OMP/BLAS threads to 1 for
-comparable numbers; kslab itself runs single-threaded numpy.
+comparable numbers; kslab itself runs single-threaded numpy.  A source row
+whose pair the checkout cannot build on that grid records the ValueError
+under "unsupported".
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ def sweep() -> dict:
 
     from kslab import Field, GridSpec, State, make_grid
     from kslab.diagnostics import evaluate
+    from kslab.manufactured import ManufacturedPair, mms_sources
     from kslab.solver import SolverConfig, choose_dt, step
 
     config = SolverConfig(chi=10.0, cfl_safety=0.3)
@@ -72,7 +76,7 @@ def sweep() -> dict:
         c = Field(grid, 5.0 + np.cos(np.pi * xs[0]))
         state = State(n, c, 0.0)
         dt = choose_dt(state, config)  # caches c's face gradient, as run() does
-        out["x".join(map(str, cells))] = {
+        row = out["x".join(map(str, cells))] = {
             # on a fresh state, so that c's face gradient is built each call
             "choose_dt": _measure(lambda st: choose_dt(st, config),
                                   lambda: State(n, c, 0.0)),
@@ -80,6 +84,15 @@ def sweep() -> dict:
             "evaluate": _measure(lambda _: evaluate(state, (1.0, 1.0, 1.0),
                                                     config.chi, 2.0)),
         }
+        topology = "neumann_box" if dim == 3 else "periodic_torus"
+        try:
+            sources = mms_sources(ManufacturedPair(
+                make_grid(GridSpec(dim, cells, (1.0,) * dim, topology)), config.chi))
+        except ValueError as exc:
+            row["source_n"] = row["source_c"] = {"unsupported": str(exc)}
+            continue
+        for name, source in zip(("source_n", "source_c"), sources):
+            row[name] = _measure(lambda _: source(0.01))
     return out
 
 
@@ -111,8 +124,10 @@ def main(argv=None) -> int:
     doc.setdefault("columns", {})[args.label] = results
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     for grid, layers in results.items():
-        print(grid, " ".join(f"{name}={m['median_us']}us/{m['minor_faults_per_call']}f"
-                             for name, m in layers.items()))
+        print(grid, " ".join(
+            f"{name}={m['median_us']}us/{m['minor_faults_per_call']}f"
+            if "median_us" in m else f"{name}=unsupported"
+            for name, m in layers.items()))
     return 0
 
 
