@@ -26,7 +26,7 @@ with c_t evaluated pointwise from the model as lap c - n c.
 
 evaluate writes every grid-sized intermediate into the grid's scratch
 (Grid.scratch, 17 grid arrays held on the Grid and reused by every later
-call), taking the face terms one axis at a time, with the same floating-
+call and by solver.step), taking the face terms one axis at a time, with the same floating-
 point operations in the same order as fresh arrays would take.  It is not
 reentrant: concurrent calls on one grid overwrite each other's scratch.
 The public functions below it return fresh arrays.

@@ -80,7 +80,7 @@ class Grid:
         # explicit diffusion's dt bound, 1 / (2 * sum 1/h_a^2)
         self.diffusion_dt = 1.0 / (2.0 * float(np.sum(1.0 / self.h**2)))
         self._meshes: tuple[np.ndarray, ...] | None = None
-        self._scratch: list[np.ndarray] = []
+        self._scratch = np.empty((0, *spec.cells))
 
     @property
     def dim(self) -> int:
@@ -106,12 +106,14 @@ class Grid:
             self._meshes = tuple(np.meshgrid(*axes, indexing="ij"))
         return self._meshes
 
-    def scratch(self, count: int) -> list[np.ndarray]:
-        """count float64 arrays of the grid's shape, allocated on first use
-        and handed out again by every later call: a workspace whose contents
-        belong to its latest caller (diagnostics.evaluate)."""
-        while len(self._scratch) < count:
-            self._scratch.append(np.empty(self.shape))
+    def scratch(self, count: int) -> np.ndarray:
+        """count float64 arrays of the grid's shape, the rows of one block
+        (so adjacent rows form a stacked pair), allocated on first use and
+        handed out again by every later call: a workspace whose contents
+        belong to its latest caller (diagnostics.evaluate, solver.step).
+        A larger count replaces the block."""
+        if len(self._scratch) < count:
+            self._scratch = np.empty((count, *self.shape))
         return self._scratch[:count]
 
     def compatible(self, other: "Grid") -> bool:

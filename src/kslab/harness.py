@@ -269,6 +269,9 @@ def load_config(path, overrides: Optional[Sequence[str]] = None) -> RunConfig:
         for key in scenario.requires:
             if not run_sec[key]:
                 errors.append(f"{name} scenario requires run.{key}")
+        for key in scenario.uniform:
+            if grid_spec is not None and len(set(getattr(grid_spec, key))) > 1:
+                errors.append(f"{name} needs equal grid.{key} on every axis")
 
     if errors:
         raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(errors))
@@ -600,6 +603,7 @@ class Scenario:
     runner: Callable = _run_fields
     grid: Optional[tuple[Optional[int], str]] = None  # (dim or None, topology)
     requires: tuple[str, ...] = ()  # [run] keys that must be set
+    uniform: tuple[str, ...] = ()  # [grid] keys equal on every axis
     # the entropy/Dirichlet inequality presumes positive c
     energy: bool = True
 
@@ -653,7 +657,7 @@ SCENARIOS: dict[str, Scenario] = {
     "mms": Scenario(
         presets={"run.t_end": "0.05", "grid.cells": "32 32",
                  "solver.upwind": "false"},
-        runner=_run_mms, monitors=_mms_monitors),
+        runner=_run_mms, monitors=_mms_monitors, uniform=("cells",)),
     "equilibrium_2d": Scenario(
         presets={"run.t_end": "50.0", "run.sample_every": "500",
                  "solver.cfl_safety": "0.9", "solver.dt_max": "0.05"},
@@ -671,7 +675,8 @@ SCENARIOS: dict[str, Scenario] = {
         initial=_stress_3d_initial, monitors=_stress_3d_monitors),
     "scaling_test": Scenario(
         presets={"run.t_end": "0.04", "solver.upwind": "false"},
-        grid=_TORUS_2D, runner=_run_scaling_test, monitors=_scaling_monitors),
+        grid=_TORUS_2D, runner=_run_scaling_test, monitors=_scaling_monitors,
+        uniform=("cells", "extent")),
     "custom": Scenario(
         presets={}, requires=("n0_snapshot", "c0_snapshot"),
         initial=_custom_initial,

@@ -73,8 +73,9 @@ def _face_grads(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
 def _div_term(comp: np.ndarray, grid: Grid, axis: int,
               out: Optional[np.ndarray] = None) -> np.ndarray:
     """One axis's term of the divergence, (F[i + 1] - F[i]) / h, in out
-    (fresh when None)."""
-    out = _upper_face(comp, axis, out)
+    (fresh when None).  The grid's axes are comp's trailing axes, so a
+    stack of face arrays takes one pass."""
+    out = _upper_face(comp, comp.ndim - grid.dim + axis, out)
     np.subtract(out, comp, out=out)
     return np.divide(out, grid.h[axis], out=out)
 
@@ -90,14 +91,23 @@ def _div(faces, grid: Grid) -> np.ndarray:
 
 def _chemotactic_faces(lo: np.ndarray, hi: np.ndarray, grad: np.ndarray,
                        chi: float, upwind: bool) -> np.ndarray:
-    """chi * n_face * grad at the faces of one axis.  n_face is the average
-    of the cells below (lo) and above (hi), or with upwind the cell upstream
-    of the face velocity chi * grad (the average where it is exactly zero,
-    which preserves symmetry)."""
-    n_face = 0.5 * (lo + hi)
+    """chi * n_face * grad at the faces of one axis, in a fresh array.
+    n_face is the average of the cells below (lo) and above (hi), or with
+    upwind the cell upstream of the face velocity chi * grad: lo where
+    grad > 0, else hi.  Where grad is exactly zero the flux is a zero
+    whatever n_face is, so taking hi there rather than the symmetric
+    average changes no value, only the sign of that zero where hi is -0.0
+    (or negative) and the average is not.  step's new n never sees that
+    sign: a cell that is not -0.0 absorbs a zero divergence term, and a
+    -0.0 cell's terms come out bit-identical under either choice.
+    """
     if upwind:
-        n_face = np.where(grad > 0.0, lo, np.where(grad < 0.0, hi, n_face))
-    return chi * n_face * grad
+        n_face = np.where(grad > 0.0, lo, hi)
+    else:
+        n_face = np.add(lo, hi)
+        np.multiply(n_face, 0.5, out=n_face)
+    np.multiply(n_face, chi, out=n_face)
+    return np.multiply(n_face, grad, out=n_face)
 
 
 def gradient(field: Field) -> VectorField:

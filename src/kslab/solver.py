@@ -10,13 +10,19 @@ is applied as an exact pointwise exponential c <- c * exp(-dt * n), which
 keeps c nonnegative and its maximum non-increasing unconditionally when
 n >= 0.  Diffusion of c is either explicit or, for scheme "imex", backward
 Euler solved matrix-free by plain conjugate gradients to a 1e-10 relative
-residual.  States are never mutated in place; every step builds fresh
-arrays (double buffering).
+residual.  States are never mutated in place: a step's new n and c, its
+per-axis face density n_face and each state's cached face gradient of c
+are fresh arrays; every other intermediate of the explicit kernel (the
+lower neighbour, the face pair, the divergence accumulator, exp(-dt n))
+lives in the grid's scratch (Grid.scratch), shared with
+diagnostics.evaluate.  step is therefore not reentrant on one grid.
 
 step is one kernel on the operators module's faces (N per axis, face i the
-lower face of cell i); c's face gradient and max n are computed once per
-state and shared with the dt choice and the blow-up test.  A state is
-validated once, by its constructor or, when stepped, by step itself.
+lower face of cell i): per axis, n's face flux and c's face gradient are
+stacked as a pair and differenced in one divergence pass.  c's face
+gradient and max n are computed once per state and shared with the dt
+choice and the blow-up test.  A state is validated once, by its
+constructor or, when stepped, by step itself.
 
 Source hooks (used by manufactured-solution verification only) are
 callables f(t) -> array of the grid's shape, added to the right-hand side.
@@ -34,8 +40,8 @@ import numpy as np
 from .errors import CorruptionError, PositivityError
 from .grid import Field, Grid, _check_nonnegative, _readonly, _trusted
 # chemotactic_flux: fused into step's kernel, bound here for perfbench's tracer
-from .operators import (_chemotactic_faces, _div, _face_grads, _lower,  # noqa: F401
-                        chemotactic_flux)
+from .operators import (_chemotactic_faces, _div, _div_term,  # noqa: F401
+                        _face_grads, _lower, chemotactic_flux)
 
 STATUS_OK = "ok"
 STATUS_APPROACHING_BLOWUP = "approaching_blowup"
@@ -173,30 +179,49 @@ def step(state: State, dt: float, config: SolverConfig,
          source_n: Optional[Callable] = None,
          source_c: Optional[Callable] = None) -> State:
     """One first-order splitting step of size dt; the new state is
-    validated here, once (finite, n >= 0)."""
+    validated here, once (finite, n >= 0).  Not reentrant on one grid (see
+    the module docstring)."""
     grid = state.grid
     nv = state.n.values
     cv = state.c.values
+    explicit = config.scheme == EXPLICIT_EULER
 
-    # n: conservative flux form, diffusive minus chemotactic face flux
-    flux = []
+    # Per axis, n's face flux (diffusive minus chemotactic) goes to pair[0]
+    # and, when c's diffusion is explicit, c's face gradient to pair[1]; one
+    # divergence pass over the pair sums both into div in axis order.  tmp
+    # reuses lo's row once the flux is built.
+    ws = grid.scratch(6)
+    width = 2 if explicit else 1
+    lo, flux, grad_c = ws[0], ws[2], ws[3]
+    tmp, pair, div = ws[:width], ws[2:2 + width], ws[4:4 + width]
     for axis, gc in enumerate(state.c_face_gradient):
-        lo = _lower(nv, grid, axis)
-        flux.append((nv - lo) / grid.h[axis]
-                    - _chemotactic_faces(lo, nv, gc, config.chi, config.upwind))
-    n_new = nv + dt * _div(flux, grid)
+        _lower(nv, grid, axis, lo)
+        np.subtract(nv, lo, out=flux)
+        np.divide(flux, grid.h[axis], out=flux)
+        np.subtract(flux, _chemotactic_faces(lo, nv, gc, config.chi, config.upwind),
+                    out=flux)
+        if explicit:
+            np.copyto(grad_c, gc)
+        if axis == 0:
+            _div_term(pair, grid, axis, div)
+        else:
+            np.add(div, _div_term(pair, grid, axis, tmp), out=div)
+    np.multiply(div, dt, out=div)
+
+    # n: conservative flux form
+    n_new = np.add(nv, div[0])
     if source_n is not None:
-        n_new = n_new + dt * source_n(state.t)
+        n_new += dt * source_n(state.t)
 
     # c: explicit or implicit diffusion, then exact exponential consumption
     rhs = cv
     if source_c is not None:
         rhs = rhs + dt * source_c(state.t)
-    if config.scheme == EXPLICIT_EULER:
-        c_half = rhs + dt * _div(state.c_face_gradient, grid)
+    if explicit:
+        c_new = np.add(rhs, div[1])
     else:
-        c_half = _cg_solve(lambda u: u - dt * _div(_face_grads(u, grid), grid), rhs)
-    c_new = c_half * np.exp(-dt * nv)
+        c_new = _cg_solve(lambda u: u - dt * _div(_face_grads(u, grid), grid), rhs)
+    c_new *= np.exp(np.multiply(nv, -dt, out=lo), out=lo)
 
     n_min, n_max = float(n_new.min()), float(n_new.max())
     if not (math.isfinite(n_min) and math.isfinite(n_max)

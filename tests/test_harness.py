@@ -391,6 +391,28 @@ def test_cli_missing_config_file(tmp_path):
     assert cli_main(["run", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
 
+def test_cli_mms_rejects_unequal_cells(tmp_path, capsys):
+    # the ladder refines one cell count on every axis; 8 16 used to run 8x8
+    cfg_path = _write(tmp_path, "[run]\nscenario = mms\n")
+    code = cli_main(["run", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "out"),
+                     "--override", "grid.cells=8 16"])
+    assert code == EXIT_CONFIG
+    assert "mms needs equal grid.cells on every axis" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override, key", [("grid.cells=8 16", "cells"),
+                                           ("grid.extent=1 2", "extent")])
+def test_cli_scaling_test_rejects_unequal_cells_or_extent(tmp_path, capsys,
+                                                          override, key):
+    cfg_path = _write(tmp_path, "[run]\nscenario = scaling_test\n")
+    code = cli_main(["run", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "out"), "--override", override])
+    assert code == EXIT_CONFIG
+    assert f"scaling_test needs equal grid.{key} on every axis" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scenario", ["mms", "scaling_test"])
 def test_cli_ladder_stopped_early_exit_code(tmp_path, capsys, scenario):
     # n starts above the threshold (rescaled by lam^2 in scaling_test), so

@@ -1,6 +1,6 @@
-"""evaluate on its per-grid scratch: bit-identical to the frozen reference,
-no grid-sized allocation after the first call, records independent of the
-scratch."""
+"""evaluate and step on their grid's shared scratch: bit-identical to the
+frozen references, no grid-sized allocation after the first call beyond
+their results, results independent of the scratch."""
 
 import math
 import tracemalloc
@@ -10,9 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_evaluate as ref
-from kslab import Field, GridSpec, State, make_grid
+import reference_step
+from kslab import Field, GridSpec, SolverConfig, State, make_grid
 from kslab.diagnostics import CSV_FIELDS, evaluate
+from kslab.errors import CorruptionError, PositivityError
 from kslab.grid import TOPOLOGIES
+from kslab.operators import chemotactic_flux
+from kslab.solver import EXPLICIT_EULER, IMEX, choose_dt, step
 
 
 def _bits(record) -> list[bytes]:
@@ -84,3 +88,114 @@ def test_record_holds_no_reference_into_the_scratch():
     other = _box_state(seed=4)
     assert _bits(evaluate(other, (2.0, 0.5, 1.0), 3.0, 3.0, 0.1)) != before
     assert _bits(record) == before
+
+
+def _state_bits(state) -> tuple:
+    return (state.n.values.tobytes(), state.c.values.tobytes(),
+            np.float64(state.t).tobytes(), np.float64(state.n_max).tobytes())
+
+
+@st.composite
+def _trajectories(draw):
+    """One or two grids, each with a start state and a solver setting, and
+    the order in which their steps alternate.  n >= 0, with or without a
+    slab of exact-zero cells (+0.0, or +0.0 and -0.0 mixed); c positive,
+    constant along one axis (an exact-zero face gradient there) or not;
+    sources on or off."""
+    runs = []
+    for _ in range(draw(st.integers(1, 2))):
+        grid = draw(_grids())
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        nv = 0.5 + rng.random(grid.shape) * draw(st.floats(0.1, 5.0))
+        zeros = draw(st.sampled_from([None, "+0", "mixed"]))
+        if zeros is not None:
+            axis = draw(st.integers(0, grid.dim - 1))
+            slab = np.moveaxis(nv, axis, 0)[:draw(st.integers(1, grid.shape[axis] - 1))]
+            slab[...] = 0.0
+            if zeros == "mixed":
+                slab[rng.random(slab.shape) < 0.5] = -0.0
+        cv = 0.5 + rng.random(grid.shape)
+        if draw(st.booleans()):
+            flat = draw(st.integers(0, grid.dim - 1))
+            cv = np.broadcast_to(np.take(cv, [0], axis=flat), grid.shape).copy()
+        cfg = SolverConfig(chi=draw(st.floats(0.1, 10.0)),
+                           upwind=draw(st.booleans()),
+                           scheme=draw(st.sampled_from([EXPLICIT_EULER] * 3 + [IMEX])),
+                           cfl_safety=1.0 / (1 + 2 * grid.dim))
+        sources = (None, None)
+        if draw(st.booleans()):
+            xs = grid.meshes()
+            sources = (lambda t, x=xs[0]: 0.3 * np.cos(2.0 * x) + t,
+                       lambda t, x=xs[-1]: 0.2 * np.sin(3.0 * x) * (1.0 + t))
+        runs.append([State(Field(grid, nv), Field(grid, cv), 0.0), cfg, sources])
+    order = draw(st.lists(st.integers(0, len(runs) - 1), min_size=4, max_size=12))
+    return runs, order
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_trajectories())
+def test_property_step_is_bit_identical_to_frozen_reference(trajectories):
+    runs, order = trajectories
+    for k in order:
+        state, cfg, (source_n, source_c) = runs[k]
+        dt = choose_dt(state, cfg)
+        try:
+            expected = reference_step.step(state, dt, cfg, source_n, source_c)
+        except (CorruptionError, PositivityError) as exc:
+            try:
+                step(state, dt, cfg, source_n=source_n, source_c=source_c)
+            except type(exc):
+                continue
+            raise AssertionError(f"the reference raised {exc!r}, step did not")
+        new = step(state, dt, cfg, source_n=source_n, source_c=source_c)
+        assert _state_bits(new) == _state_bits(expected)
+        runs[k][0] = new
+
+
+def test_negative_zero_flips_only_the_sign_of_a_zero_chemotactic_flux():
+    """Where c's face gradient is zero the upwind rule takes the cell above
+    the face, and the frozen reference the average: a cell of -0.0 above a
+    +0.0 cell makes that face's flux -0.0 instead of +0.0.  The flux is a
+    zero either way, and step's new n keeps every bit."""
+    grid = make_grid(GridSpec(1, (8,), (1.0,), "periodic_torus"))
+    nv = np.array([0.0, -0.0, 1.0, 2.0, 0.0, -0.0, -0.0, 0.0])
+    state = State(Field(grid, nv), Field(grid, np.ones(8)), 0.0)
+    flux = chemotactic_flux(state.n, state.c, 2.0, upwind=True).components[0]
+    old = reference_step._chemotactic_faces(np.roll(nv, 1), nv, np.zeros(8), 2.0, True)
+    assert np.array_equal(flux, old) and not flux.any()
+    flipped = np.signbit(flux) != np.signbit(old)
+    assert flipped.tolist() == [False, True, False, False, False, True, False, False]
+    cfg = SolverConfig(chi=2.0)
+    assert (_state_bits(step(state, 1e-3, cfg))
+            == _state_bits(reference_step.step(state, 1e-3, cfg)))
+
+
+def test_stepped_state_shares_no_memory_with_the_scratch():
+    """Neither on step's own scratch nor on the larger one evaluate leaves
+    behind, which step then borrows."""
+    state = _box_state(cells=8)
+    for scheme in (EXPLICIT_EULER, IMEX):
+        cfg = SolverConfig(chi=5.0, cfl_safety=1.0 / 7, scheme=scheme)
+        for rows, sink in ((6, lambda: None),
+                           (17, lambda: evaluate(state, (1.0, 1.0, 1.0), 5.0, 2.0))):
+            sink()
+            new = step(state, choose_dt(state, cfg), cfg)
+            block = state.grid.scratch(rows)
+            for arr in (new.n.values, new.c.values, *new.c_face_gradient):
+                assert not np.shares_memory(arr, block)
+
+
+def test_second_step_allocates_under_three_grid_arrays():
+    """Only the new n, the new c and one axis's n_face are fresh."""
+    state = _box_state(cells=32)
+    for cfg in (SolverConfig(chi=5.0, cfl_safety=1.0 / 7),
+                SolverConfig(chi=5.0, cfl_safety=1.0 / 7, upwind=False)):
+        dt = choose_dt(state, cfg)
+        step(state, dt, cfg)
+        tracemalloc.start()
+        try:
+            step(state, dt, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * state.n.values.nbytes

@@ -1,7 +1,8 @@
 """Per-layer sweep: median wall time and minor page faults per call of
-choose_dt, step and evaluate, on one smooth state per grid, at 16^2, 64^2,
-256^2 and 32^3 (Neumann boxes), and of the manufactured pair's source_n and
-source_c hooks at the same sizes (tori in 2D, the Neumann box in 3D).
+choose_dt, step (explicit, and imex as step_imex) and evaluate, on one
+smooth state per grid, at 16^2, 64^2, 256^2 and 32^3 (Neumann boxes), and
+of the manufactured pair's source_n and source_c hooks at the same sizes
+(tori in 2D, the Neumann box in 3D).
 
     python tools/layers.py --label NAME --out BENCH.json [--src DIR]
 
@@ -63,9 +64,10 @@ def sweep() -> dict:
     from kslab import Field, GridSpec, State, make_grid
     from kslab.diagnostics import evaluate
     from kslab.manufactured import ManufacturedPair, mms_sources
-    from kslab.solver import SolverConfig, choose_dt, step
+    from kslab.solver import IMEX, SolverConfig, choose_dt, step
 
     config = SolverConfig(chi=10.0, cfl_safety=0.3)
+    imex = SolverConfig(chi=10.0, cfl_safety=0.3, scheme=IMEX)
     out = {}
     for cells in GRIDS:
         dim = len(cells)
@@ -81,6 +83,7 @@ def sweep() -> dict:
             "choose_dt": _measure(lambda st: choose_dt(st, config),
                                   lambda: State(n, c, 0.0)),
             "step": _measure(lambda _: step(state, dt, config)),
+            "step_imex": _measure(lambda _: step(state, dt, imex)),
             "evaluate": _measure(lambda _: evaluate(state, (1.0, 1.0, 1.0),
                                                     config.chi, 2.0)),
         }
