@@ -16,8 +16,8 @@ from .diagnostics import (CriterionAccumulator, DiagnosticsRecord,
                           energy_inequality_residual, evaluate, kinetic_energy,
                           pointwise_hessian_check, update_accumulators,
                           winkler_ratio)
-from .blowup import (BlowupReport, NondegeneracyMap, RateFit, alpha_lower_bound,
-                     check_lower_bound, classify, fit_rate, nondegeneracy_map)
+from .blowup import (NondegeneracyMap, RateFit, alpha_lower_bound, check_lower_bound,
+                     classify, fit_rate, nondegeneracy_map)
 from .scaling import rescale_state, scaling_invariance_test
 from .manufactured import ManufacturedPair, mms_sources
 from .harness import RunConfig, load_config, regenerate_summary, run_scenario

@@ -20,7 +20,7 @@ existence-type constant with no computable value; it is a config input.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,21 +42,6 @@ class RateFit:
     gamma: float = math.nan
     amplitude: float = math.nan
     residual: float = math.nan  # RMS of the log-log fit
-
-
-@dataclass
-class BlowupReport:
-    t_star: float
-    gamma: float
-    amplitude: float
-    fit_residual: float
-    classification: str
-    alpha: float
-    limsup_estimate: float
-    lower_bound_satisfied: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -17,6 +17,7 @@ import math
 import sys
 
 from .blowup import NO_BLOWUP, alpha_lower_bound, check_lower_bound, classify, fit_rate
+from .diagnostics import read_table
 from .errors import ConfigError
 from .harness import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK,
                       load_config, regenerate_summary, run_scenario)
@@ -53,21 +54,14 @@ def _cmd_run(args) -> int:
 
 
 def _read_series(path) -> list[tuple[float, float]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if "t" not in header:
-            raise ValueError(f"{path}: no 't' column")
-        t_idx = header.index("t")
-        v_idx = header.index("n_sup") if "n_sup" in header else (1 - t_idx if len(header) == 2 else None)
-        if v_idx is None:
-            raise ValueError(f"{path}: need an n_sup column or a two-column file")
-        series = []
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) <= max(t_idx, v_idx) or not parts[0]:
-                continue
-            series.append((float(parts[t_idx]), float(parts[v_idx])))
-    return series
+    header, rows = read_table(path)
+    if "t" not in header:
+        raise ValueError(f"{path}: no 't' column")
+    t_idx = header.index("t")
+    v_idx = header.index("n_sup") if "n_sup" in header else (1 - t_idx if len(header) == 2 else None)
+    if v_idx is None:
+        raise ValueError(f"{path}: need an n_sup column or a two-column file")
+    return [(float(row[t_idx]), float(row[v_idx])) for row in rows]
 
 
 def _cmd_fit(args) -> int:
@@ -75,32 +69,33 @@ def _cmd_fit(args) -> int:
         series = _read_series(args.series)
         fit = fit_rate(series, window_fraction=args.window_fraction)
         alpha, c_tilde, delta0, kappa3 = alpha_lower_bound(args.c0_sup, args.c3)
+        payload = {
+            "status": fit.status,
+            "t_star": fit.t_star,
+            "gamma": fit.gamma,
+            "amplitude": fit.amplitude,
+            "fit_residual": fit.residual,
+            "alpha": alpha,
+            "constants": {"C_tilde": c_tilde, "delta0": delta0, "kappa3": kappa3,
+                          "C3": args.c3, "c0_sup": args.c0_sup},
+        }
+        if fit.status != NO_BLOWUP:
+            limsup, ok = check_lower_bound(series, fit.t_star, alpha,
+                                           window_fraction=args.window_fraction)
+            payload["classification"] = classify(fit.gamma)
+            payload["limsup_estimate"] = limsup
+            payload["lower_bound_satisfied"] = ok
+        else:
+            payload["classification"] = NO_BLOWUP
+        # strict JSON: the NaN fields of a declined fit are null
+        text = json.dumps({key: None if isinstance(v, float) and math.isnan(v) else v
+                           for key, v in payload.items()}, indent=2, allow_nan=False)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    payload = {
-        "status": fit.status,
-        "t_star": fit.t_star,
-        "gamma": fit.gamma,
-        "amplitude": fit.amplitude,
-        "fit_residual": fit.residual,
-        "alpha": alpha,
-        "constants": {"C_tilde": c_tilde, "delta0": delta0, "kappa3": kappa3,
-                      "C3": args.c3, "c0_sup": args.c0_sup},
-    }
-    if fit.status != NO_BLOWUP:
-        limsup, ok = check_lower_bound(series, fit.t_star, alpha,
-                                       window_fraction=args.window_fraction)
-        payload["classification"] = classify(fit.gamma)
-        payload["limsup_estimate"] = limsup
-        payload["lower_bound_satisfied"] = ok
-    else:
-        payload["classification"] = NO_BLOWUP
-    text = json.dumps(payload, indent=2,
-                      default=lambda v: None if isinstance(v, float) and math.isnan(v) else float(v))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

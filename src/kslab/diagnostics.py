@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -386,18 +387,28 @@ def energy_inequality_residual(window: Sequence[DiagnosticsRecord],
 
 
 # --- CSV interface ----------------------------------------------------------
+# Every CSV artifact is one header line, then one line per row: a float cell
+# to 17 significant digits, an int or a text cell as it is, None as an empty
+# cell.  read_table gives the cells back as text.
 
 
-class DiagnosticsWriter:
-    """Streaming CSV writer: fixed column order, 17 significant digits."""
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
-    def __init__(self, path):
+
+class TableWriter:
+    """Streaming CSV writer: the header, then one flushed line per row."""
+
+    def __init__(self, path, header: Sequence[str]):
         self._fh = open(path, "w", encoding="utf-8")
-        self._fh.write(",".join(CSV_FIELDS) + "\n")
+        self._fh.write(",".join(header) + "\n")
 
-    def write(self, record: DiagnosticsRecord) -> None:
-        row = ",".join(f"{getattr(record, name):.17g}" for name in CSV_FIELDS)
-        self._fh.write(row + "\n")
+    def write_row(self, cells) -> None:
+        self._fh.write(",".join(map(_cell, cells)) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -411,6 +422,46 @@ class DiagnosticsWriter:
         return False
 
 
+def read_table(path, header: Optional[Sequence[str]] = None
+               ) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows, as text cells, of a table.
+
+    A given header must equal the first line once joined by commas (a
+    column name may hold a comma), and every row must have as many cells as
+    the header has names; a trailing blank line is allowed.  Anything else
+    raises ValueError.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if lines and not lines[-1]:
+        lines.pop()
+    if not lines:
+        raise ValueError(f"{path}: empty table")
+    if header is None:
+        header = lines[0].split(",")
+    elif lines[0] != ",".join(header):
+        raise ValueError(f"{path}: unexpected header {lines[0]!r}")
+    rows = [line.split(",") for line in lines[1:]]
+    for number, row in enumerate(rows, 2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}, line {number}: {len(row)} cells "
+                             f"for {len(header)} columns")
+    return list(header), rows
+
+
+_RECORD_CELLS = operator.attrgetter(*CSV_FIELDS)
+
+
+class DiagnosticsWriter(TableWriter):
+    """Streaming writer of diagnostics.csv, one row per record."""
+
+    def __init__(self, path):
+        super().__init__(path, CSV_FIELDS)
+
+    def write(self, record: DiagnosticsRecord) -> None:
+        self.write_row(_RECORD_CELLS(record))
+
+
 def write_diagnostics_csv(records: Sequence[DiagnosticsRecord], path) -> None:
     with DiagnosticsWriter(path) as writer:
         for rec in records:
@@ -418,15 +469,5 @@ def write_diagnostics_csv(records: Sequence[DiagnosticsRecord], path) -> None:
 
 
 def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != CSV_FIELDS:
-            raise ValueError(f"{path}: unexpected diagnostics header")
-        records = []
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            records.append(DiagnosticsRecord(
-                **{name: float(v) for name, v in zip(CSV_FIELDS, parts)}))
-    return records
+    _, rows = read_table(path, CSV_FIELDS)
+    return [DiagnosticsRecord(*map(float, row)) for row in rows]

@@ -32,17 +32,18 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .blowup import (NO_BLOWUP, BlowupReport, RateFit, alpha_lower_bound,
-                     check_lower_bound, classify, fit_rate, nondegeneracy_map)
+from .blowup import (NO_BLOWUP, RateFit, alpha_lower_bound, check_lower_bound,
+                     classify, fit_rate, nondegeneracy_map)
 from .diagnostics import (CriterionAccumulator, DiagnosticsRecord, DiagnosticsWriter,
-                          _clip_level, energy_inequality_residual, evaluate,
-                          read_diagnostics_csv, update_accumulators)
+                          TableWriter, _clip_level, energy_inequality_residual,
+                          evaluate, read_diagnostics_csv, read_table,
+                          update_accumulators)
 from .errors import ConfigError, StoppedEarlyError
 from .grid import (Field, GridSpec, fill, lp_norm, make_grid, read_snapshot,
                    write_snapshot)
 from .manufactured import ManufacturedPair, mms_sources
-from .scaling import (_ERROR_KEYS, ScalingErrorTable, _errors, _finished, _orders,
-                      read_scaling_csv, scaling_rows, write_scaling_csv)
+from .scaling import (_ERROR_KEYS, SCALING_HEADER, ErrorRow, ErrorTable, _errors,
+                      _finished, _orders, read_scaling_csv, scaling_rows)
 from .solver import SolverConfig, State, StopRule, run
 
 EXIT_OK = 0
@@ -298,9 +299,7 @@ def _run_fields(cfg: RunConfig, out: Path) -> dict:
     floor_engaged = 0
 
     writer = DiagnosticsWriter(out / "diagnostics.csv")
-    crit_fh = open(out / "criteria.csv", "w", encoding="utf-8")
-    crit_fh.write(",".join(["t", "gradc_inf"] + [
-        f"ns[s={s:g},r={r:g}]" for s, r in cfg.criterion_pairs]) + "\n")
+    criteria = TableWriter(out / "criteria.csv", _criteria_header(cfg))
 
     def on_sample(state: State, step_idx: int) -> None:
         nonlocal floor_engaged
@@ -308,11 +307,9 @@ def _run_fields(cfg: RunConfig, out: Path) -> dict:
                        floor=cfg.solver.positivity_floor)
         records.append(rec)
         writer.write(rec)
-        row = [f"{rec.t:.17g}", f"{rec.gradc_inf:.17g}"]
-        for s, _r in cfg.criterion_pairs:
-            ns = rec.n_ls_norm if s == cfg.ls_exponent else lp_norm(state.n, s)
-            row.append(f"{ns:.17g}")
-        crit_fh.write(",".join(row) + "\n")
+        criteria.write_row([rec.t, rec.gradc_inf, *(
+            rec.n_ls_norm if s == cfg.ls_exponent else lp_norm(state.n, s)
+            for s, _r in cfg.criterion_pairs)])
         if float(np.min(state.c.values)) < _clip_level(cfg.solver.positivity_floor,
                                                        rec.c_sup):
             floor_engaged += 1
@@ -323,7 +320,7 @@ def _run_fields(cfg: RunConfig, out: Path) -> dict:
         write_snapshot(state.n, state.t, snap_dir / f"n_{step_idx:08d}.ksf")
         write_snapshot(state.c, state.t, snap_dir / f"c_{step_idx:08d}.ksf")
 
-    with writer, crit_fh:
+    with writer, criteria:
         result = run(state0, cfg.solver,
                      StopRule(t_end=cfg.t_end, max_steps=cfg.max_steps),
                      on_sample=on_sample, sample_every=cfg.sample_every,
@@ -365,11 +362,10 @@ def _fit_blowup(cfg: RunConfig, records: list[DiagnosticsRecord],
             if usable:
                 ndmap = nondegeneracy_map(usable, fit.t_star, cfg.epsilon)
                 write_snapshot(ndmap.values, fit.t_star, out / "nondegeneracy.ksf")
-    payload = BlowupReport(
-        t_star=fit.t_star, gamma=fit.gamma, amplitude=fit.amplitude,
-        fit_residual=fit.residual, classification=classification, alpha=alpha,
-        limsup_estimate=limsup_estimate, lower_bound_satisfied=satisfied,
-    ).as_dict()
+    payload = {"t_star": fit.t_star, "gamma": fit.gamma, "amplitude": fit.amplitude,
+               "fit_residual": fit.residual, "classification": classification,
+               "alpha": alpha, "limsup_estimate": limsup_estimate,
+               "lower_bound_satisfied": satisfied}
     if note:
         payload["note"] = note
     payload["constants"] = {"C_tilde": c_tilde, "delta0": delta0,
@@ -380,14 +376,15 @@ def _fit_blowup(cfg: RunConfig, records: list[DiagnosticsRecord],
         json.dump(payload, fh, indent=2)
 
 
+def _criteria_header(cfg: RunConfig) -> list[str]:
+    """criteria.csv's columns: t, sup |grad c| and n's L^s norm per pair."""
+    return ["t", "gradc_inf"] + [f"ns[s={s:g},r={r:g}]" for s, r in cfg.criterion_pairs]
+
+
 def _criteria(cfg: RunConfig, path: Path) -> list[dict]:
     """The criterion accumulators, integrated over the rows of criteria.csv."""
-    n_pairs = len(cfg.criterion_pairs)
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        rows = [[float(v) for v in parts] for parts in
-                (line.strip().split(",") for line in fh)
-                if len(parts) >= 2 + n_pairs]
+    rows = [[float(v) for v in row]
+            for row in read_table(path, _criteria_header(cfg))[1]]
     out = []
     for idx, (s, r) in enumerate(cfg.criterion_pairs):
         acc = CriterionAccumulator(s=s, r=r)
@@ -471,6 +468,9 @@ def _stress_3d_monitors(cfg, records, out) -> dict:
 
 # --- convergence ladders ------------------------------------------------------
 
+_MMS_HEADER = ("kind", "level", "cells_or_dt", *_ERROR_KEYS)
+
+
 def _mms_grid(cfg: RunConfig, cells: int):
     """The config's grid (dim, extent, topology) with cells per axis."""
     return make_grid(replace(cfg.grid, cells=(cells,) * cfg.grid.dim))
@@ -510,77 +510,63 @@ def _run_mms(cfg: RunConfig, out: Path) -> None:
     early keeps the rows of the levels before the stop."""
     base = cfg.grid.cells[0]
     dts = _mms_dts(cfg)
-    with open(out / "mms_errors.csv", "w", encoding="utf-8") as fh:
-        fh.write("kind,level,cells_or_dt,l2_n,linf_n,l2_c,linf_c\n")
+    with TableWriter(out / "mms_errors.csv", _MMS_HEADER) as table:
         for level in range(cfg.refinements):
             cells = base * (2**level)
-            errs = _errors(*_solve_mms(cfg, cells, cfg.t_end, level))
-            fh.write(f"spatial,{level},{cells},"
-                     + ",".join(f"{e:.17g}" for e in errs) + "\n")
+            table.write_row(["spatial", level, cells,
+                             *_errors(*_solve_mms(cfg, cells, cfg.t_end, level))])
         finals = []
         for k, dt in enumerate(dts):
             finals.append(_solve_mms(cfg, base, min(cfg.t_end, 0.03), dt_force=dt)[0])
             if k:
                 _, e_n, _, e_c = _errors(finals[k - 1], finals[k])
-                fh.write(f"temporal_diff,{k - 1},{dts[k - 1]:.17g},,"
-                         f"{e_n:.17g},,{e_c:.17g}\n")
+                table.write_row(["temporal_diff", k - 1, dts[k - 1], None, e_n, None, e_c])
 
 
 def _mms_monitors(cfg: RunConfig, out: Path) -> tuple[dict, dict, dict]:
-    with open(out / "mms_errors.csv", "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n").split(",") for line in fh][1:]
-    rows = [{"level": int(r[1]), "cells": int(r[2]),
-             **dict(zip(_ERROR_KEYS, map(float, r[3:])))}
-            for r in lines if r[0] == "spatial"]
-    temporal = [r for r in lines if r[0] == "temporal_diff"]
-    spatial_orders = {key: _orders([row[key] for row in rows]) for key in _ERROR_KEYS}
+    rows = read_table(out / "mms_errors.csv", _MMS_HEADER)[1]
+    table = ErrorTable([ErrorRow(int(r[1]), int(r[2]), *map(float, r[3:]))
+                        for r in rows if r[0] == "spatial"])
+    temporal = [r for r in rows if r[0] == "temporal_diff"]
     temporal_orders = {"n": _orders([float(r[4]) for r in temporal])[0],
                        "c": _orders([float(r[6]) for r in temporal])[0]}
-    min_spatial = min(min(v, default=math.nan) for v in spatial_orders.values())
     monitors = {
-        "spatial_order": _monitor(min_spatial, 1.9, kind="min"),
+        "spatial_order": _monitor(table.min_order, 1.9, kind="min"),
         "temporal_order": _monitor(min(temporal_orders.values()), 0.9, kind="min"),
     }
-    metadata = {"spatial_errors": rows, "spatial_orders": spatial_orders,
-                "temporal_orders": temporal_orders, "temporal_dts": _mms_dts(cfg)}
-    return {"levels": [row["cells"] for row in rows]}, monitors, metadata
+    metadata = {"spatial_errors": [r._asdict() for r in table.rows],
+                "spatial_orders": table.orders, "temporal_orders": temporal_orders,
+                "temporal_dts": _mms_dts(cfg)}
+    return {"levels": [r.cells for r in table.rows]}, monitors, metadata
 
 
 def _run_scaling_test(cfg: RunConfig, out: Path) -> None:
-    """The lam ladder, then the lam = 1 identity run that must be exact.  The
-    rows of the levels that finished are written even when a solve stops
-    the ladder."""
-    ladders = []  # (lam, rows so far)
-    try:
+    """The lam ladder, then the lam = 1 identity run that must be exact.  Each
+    row, with its orders against the level before, is written as soon as its
+    solves finish, so a ladder that stops early keeps the rows before the stop."""
+    with TableWriter(out / "scaling_errors.csv", SCALING_HEADER) as table:
         for lam, levels in ((cfg.lam, cfg.refinements), (1, 1)):
-            rows = []
-            ladders.append((lam, rows))
+            ladder = ErrorTable([])
             for row in scaling_rows(
                     lambda x, y: 1.0 + 0.4 * np.cos(_W * x) * np.cos(_W * y),
                     lambda x, y: 0.8 + 0.3 * np.cos(_W * x),
                     base_cells=cfg.grid.cells[0], dim=2, lam=lam,
                     T=cfg.t_end, config=cfg.solver, refinements=levels,
                     extent=cfg.grid.extent[0]):
-                rows.append(row)
-    finally:
-        write_scaling_csv([ScalingErrorTable.from_rows(lam, rows)
-                           for lam, rows in ladders if rows],
-                          out / "scaling_errors.csv")
+                ladder.rows.append(row)
+                table.write_row([lam, *row, *(f"{col[-1]:.6g}" if col else None
+                                              for col in ladder.orders.values())])
 
 
 def _scaling_monitors(cfg: RunConfig, out: Path) -> tuple[dict, dict, dict]:
-    table, identity = read_scaling_csv(out / "scaling_errors.csv")
-    lambda1_error = max(getattr(identity.rows[0], key) for key in _ERROR_KEYS)
+    (lam, table), (_, identity) = read_scaling_csv(out / "scaling_errors.csv")
     monitors = {
         "scaling_order": _monitor(table.min_order, 1.5, kind="min"),
-        "lambda1_error": _monitor(lambda1_error, 0.0),
+        "lambda1_error": _monitor(max(getattr(identity.rows[0], key)
+                                      for key in _ERROR_KEYS), 0.0),
     }
-    metadata = {
-        "errors": [vars(r) for r in table.rows],
-        "orders": {key: getattr(table, f"orders_{key}") for key in _ERROR_KEYS},
-    }
-    return ({"lam": table.lam, "levels": [r.cells for r in table.rows]},
-            monitors, metadata)
+    metadata = {"errors": [r._asdict() for r in table.rows], "orders": table.orders}
+    return {"lam": lam, "levels": [r.cells for r in table.rows]}, monitors, metadata
 
 
 # --- scenario registry --------------------------------------------------------

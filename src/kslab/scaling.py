@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .diagnostics import read_table
 from .errors import StoppedEarlyError
 from .grid import Field, Grid, GridSpec, fill, lp_norm, make_grid
 from .solver import RunResult, SolverConfig, State, StopRule, run
@@ -62,9 +63,16 @@ def rescale_state(state: State, lam: int) -> State:
 
 _ERROR_KEYS = ("l2_n", "linf_n", "l2_c", "linf_c")
 
+# scaling_errors.csv: one row per lam and level, each ladder from its level
+# 0; an order cell holds log2 of the previous level's error over this one's,
+# as text to 6 significant digits
+SCALING_HEADER = ("lam", "level", "cells", *_ERROR_KEYS,
+                  *(f"order_{key}" for key in _ERROR_KEYS))
 
-@dataclass
-class ScalingErrorRow:
+
+class ErrorRow(NamedTuple):
+    """One level of a ladder: cells per axis, L2 and Linf errors of n and c."""
+
     level: int
     cells: int
     l2_n: float
@@ -74,25 +82,20 @@ class ScalingErrorRow:
 
 
 @dataclass
-class ScalingErrorTable:
-    lam: int
-    rows: list[ScalingErrorRow]
-    orders_l2_n: list[float]
-    orders_linf_n: list[float]
-    orders_l2_c: list[float]
-    orders_linf_c: list[float]
+class ErrorTable:
+    """The per-level errors of a refinement ladder and their observed orders."""
 
-    @classmethod
-    def from_rows(cls, lam: int, rows: list[ScalingErrorRow]) -> "ScalingErrorTable":
-        """The table of rows, with observed orders between successive levels."""
-        return cls(lam=lam, rows=rows, **{
-            f"orders_{key}": _orders([getattr(r, key) for r in rows])
-            for key in _ERROR_KEYS})
+    rows: list[ErrorRow]
+
+    @property
+    def orders(self) -> dict[str, list[float]]:
+        """Per error column, the orders between successive levels."""
+        return {key: _orders([getattr(r, key) for r in self.rows])
+                for key in _ERROR_KEYS}
 
     @property
     def min_order(self) -> float:
-        pooled = (self.orders_l2_n + self.orders_linf_n
-                  + self.orders_l2_c + self.orders_linf_c)
+        pooled = [order for col in self.orders.values() for order in col]
         return min(pooled) if pooled else math.nan
 
 
@@ -134,7 +137,7 @@ def _orders(errors: Sequence[float]) -> list[float]:
 
 def scaling_rows(n0_fn: Callable, c0_fn: Callable, base_cells: int, dim: int,
                  lam: int, T: float, config: SolverConfig, refinements: int = 3,
-                 extent: float = 1.0) -> Iterator[ScalingErrorRow]:
+                 extent: float = 1.0) -> Iterator[ErrorRow]:
     """The rows of scaling_invariance_test, each yielded as soon as its two
     solves have finished."""
     for level in range(refinements):
@@ -152,13 +155,12 @@ def scaling_rows(n0_fn: Callable, c0_fn: Callable, base_cells: int, dim: int,
                                  "rescale-then-solve", **where)
         scaled_last = rescale_state(_finished(run(state0, config, StopRule(t_end=T)),
                                               "solve-then-rescale", **where), lam)
-        yield ScalingErrorRow(level, cells, *_errors(scaled_first, scaled_last))
+        yield ErrorRow(level, cells, *_errors(scaled_first, scaled_last))
 
 
 def scaling_invariance_test(n0_fn: Callable, c0_fn: Callable, base_cells: int,
                             dim: int, lam: int, T: float, config: SolverConfig,
-                            refinements: int = 3,
-                            extent: float = 1.0) -> ScalingErrorTable:
+                            refinements: int = 3, extent: float = 1.0) -> ErrorTable:
     """Compare rescale-then-solve against solve-then-rescale under refinement.
 
     Initial data is given as vectorized position functions so every level
@@ -166,39 +168,17 @@ def scaling_invariance_test(n0_fn: Callable, c0_fn: Callable, base_cells: int,
     || solve(T/lam^2, rescale(u0)) - rescale(solve(T, u0)) || in L2 and
     Linf per component; observed orders are log2 of successive ratios.
     """
-    return ScalingErrorTable.from_rows(lam, list(scaling_rows(
-        n0_fn, c0_fn, base_cells, dim, lam, T, config, refinements, extent)))
+    return ErrorTable(list(scaling_rows(n0_fn, c0_fn, base_cells, dim, lam, T,
+                                        config, refinements, extent)))
 
 
-def write_scaling_csv(tables: Sequence[ScalingErrorTable], path) -> None:
-    """lam, level, cells, per-component L2/Linf errors, observed order columns.
-
-    Each table's rows follow one another; a table starts at its level 0.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lam,level,cells,l2_n,linf_n,l2_c,linf_c,"
-                 "order_l2_n,order_linf_n,order_l2_c,order_linf_c\n")
-        for table in tables:
-            for i, row in enumerate(table.rows):
-                errors = [f"{getattr(row, key):.17g}" for key in _ERROR_KEYS]
-                orders = [""] * 4 if i == 0 else [
-                    f"{getattr(table, f'orders_{key}')[i - 1]:.6g}"
-                    for key in _ERROR_KEYS]
-                fh.write(",".join([str(table.lam), str(row.level), str(row.cells),
-                                   *errors, *orders]) + "\n")
-
-
-def read_scaling_csv(path) -> list[ScalingErrorTable]:
-    """The tables written by write_scaling_csv; orders are recomputed from
-    the errors, which the file holds to 17 significant digits."""
-    tables: list[tuple[int, list[ScalingErrorRow]]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            lam, level, cells, l2_n, linf_n, l2_c, linf_c = line.split(",")[:7]
-            row = ScalingErrorRow(int(level), int(cells), float(l2_n),
-                                  float(linf_n), float(l2_c), float(linf_c))
-            if row.level == 0:
-                tables.append((int(lam), []))
-            tables[-1][1].append(row)
-    return [ScalingErrorTable.from_rows(lam, rows) for lam, rows in tables]
+def read_scaling_csv(path) -> list[tuple[int, ErrorTable]]:
+    """The (lam, table) ladders of a scaling_errors.csv; orders are
+    recomputed from the errors, which the file holds to 17 digits."""
+    ladders: list[tuple[int, ErrorTable]] = []
+    for lam, level, cells, *errors in read_table(path, SCALING_HEADER)[1]:
+        row = ErrorRow(int(level), int(cells), *map(float, errors[:len(_ERROR_KEYS)]))
+        if row.level == 0:
+            ladders.append((int(lam), ErrorTable([])))
+        ladders[-1][1].rows.append(row)
+    return ladders

@@ -11,7 +11,8 @@ from kslab import (CriterionAccumulator, Field, GridSpec, PositivityError,
                    energy_inequality_residual, evaluate, fill, kinetic_energy,
                    lp_norm, make_grid, pointwise_hessian_check, run,
                    update_accumulators, winkler_ratio)
-from kslab.diagnostics import CSV_FIELDS, read_diagnostics_csv, write_diagnostics_csv
+from kslab.diagnostics import (CSV_FIELDS, TableWriter, read_diagnostics_csv, read_table,
+                               write_diagnostics_csv)
 
 KAPPAS = (1.0, 1.0, 1.0)
 
@@ -455,6 +456,27 @@ def test_diagnostics_csv_roundtrip(tmp_path):
     for a, b in zip(recs, back):
         for name in CSV_FIELDS:
             assert getattr(a, name) == getattr(b, name), name
+
+
+def test_read_table_checks_header_and_row_width(tmp_path):
+    path = tmp_path / "table.csv"
+    header = ["t", "ns[s=2,r=4]"]  # a column name may hold a comma
+    with TableWriter(path, header) as table:
+        table.write_row([0.1, 2])
+        table.write_row(["x", None])
+    assert path.read_text() == "t,ns[s=2,r=4]\n0.10000000000000001,2\nx,\n"
+    # the header is compared as text; the rows have one cell per name
+    assert read_table(path, header) == (header, [["0.10000000000000001", "2"], ["x", ""]])
+    with pytest.raises(ValueError, match="header"):
+        read_table(path, ["t", "ns"])
+    # a trailing blank line is accepted
+    path.write_text("t,ns[s=2,r=4]\n0.5,1\n\n")
+    assert read_table(path, header)[1] == [["0.5", "1"]]
+    # a ragged row is not, wherever it is
+    for text in ("t,ns[s=2,r=4]\n0.5\n0.6,1\n", "t,ns[s=2,r=4]\n0.5,1\n0.6,1,2\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="cells"):
+            read_table(path, header)
 
 
 def test_V_structure_vanishes_only_without_contributions():

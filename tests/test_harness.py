@@ -348,6 +348,21 @@ def test_cli_report_malformed_artifact_exit_code(tmp_path):
     assert cli_main(["report", "--run", str(out)]) == EXIT_IO
 
 
+@pytest.mark.parametrize("csv, cut", [
+    # the last diagnostics row cut mid-row
+    ("diagnostics.csv", lambda lines: lines[:-1] + [lines[-1][:len(lines[-1]) // 2]]),
+    # a criteria row that lost its last cell
+    ("criteria.csv", lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]),
+])
+def test_cli_report_malformed_table_exit_code(tmp_path, capsys, csv, cut):
+    out, _ = _cheap_run(tmp_path, "constant_decay")
+    lines = (out / csv).read_text().splitlines()
+    assert len(lines) >= 4
+    (out / csv).write_text("\n".join(cut(lines)) + "\n")
+    assert cli_main(["report", "--run", str(out)]) == EXIT_IO
+    assert f"i/o error: {out / csv}" in capsys.readouterr().err
+
+
 def test_criteria_accumulators_reported(tmp_path):
     out = tmp_path / "run"
     cfg = load_config(
@@ -510,6 +525,22 @@ def test_cli_fit_bad_input_exit_code(tmp_path, capsys, args):
             fh.write(f"{t},{1.0 / (1.0 - t)}\n")
     assert cli_main(["fit", "--series", str(series_path)] + args) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_fit_writes_strict_json(tmp_path, capsys):
+    # a flat series declines the fit: its NaN fields must come out as null
+    series_path = tmp_path / "series.csv"
+    series_path.write_text("t,n_sup\n" + "".join(f"{t},1.0\n" for t in range(60)))
+    assert cli_main(["fit", "--series", str(series_path)]) == EXIT_OK
+
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["status"] == payload["classification"] == "no_blowup"
+    assert [payload[key] for key in ("t_star", "gamma", "amplitude", "fit_residual")] \
+        == [None] * 4
+    assert payload["alpha"] > 0.0
 
 
 def test_run_scenario_stress_3d_artifacts(tmp_path):

@@ -120,7 +120,7 @@ def test_invariance_pure_heat_second_order():
         lambda x, y: np.zeros_like(x),
         lambda x, y: 0.8 + 0.3 * np.cos(w * x) + 0.1 * np.sin(w * y),
         base_cells=16, dim=2, lam=2, T=0.04, config=cfg, refinements=3)
-    orders = table.orders_l2_c + table.orders_linf_c
+    orders = table.orders["l2_c"] + table.orders["linf_c"]
     assert min(orders) >= 1.9
 
 

@@ -1,8 +1,10 @@
 """Per-layer sweep: median wall time and minor page faults per call of
-choose_dt, step (explicit, and imex as step_imex) and evaluate, on one
-smooth state per grid, at 16^2, 64^2, 256^2 and 32^3 (Neumann boxes), and
-of the manufactured pair's source_n and source_c hooks at the same sizes
-(tori in 2D, the Neumann box in 3D).
+choose_dt, step (explicit, and imex as step_imex), evaluate and the KSF1
+write_snapshot/read_snapshot of n, on one smooth state per grid, at 16^2,
+64^2, 256^2 and 32^3 (Neumann boxes), and of the manufactured pair's
+source_n and source_c hooks at the same sizes (tori in 2D, the Neumann box
+in 3D).  Under "csv": csv_write is one DiagnosticsWriter.write of a record
+and csv_read one read_diagnostics_csv of a 1,000-row diagnostics.csv.
 
     python tools/layers.py --label NAME --out BENCH.json [--src DIR]
 
@@ -11,7 +13,7 @@ already in the file are kept, so running it once on each of two checkouts
 (--src points at a checkout's src/) gives a side-by-side table.  Minor
 faults are this process's getrusage(RUSAGE_SELF).ru_minflt around each
 timed call, averaged.  Each layer is warmed up with 3 calls, then
-timed for at least 0.5 s and 5 calls.  Set OMP/BLAS threads to 1 for
+timed for at least 0.5 s and 5 calls.  Files go to a temporary directory.  Set OMP/BLAS threads to 1 for
 comparable numbers; kslab itself runs single-threaded numpy.  A source row
 whose pair the checkout cannot build on that grid records the ValueError
 under "unsupported".
@@ -26,6 +28,7 @@ import platform
 import resource
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,6 +36,7 @@ GRIDS = ((16, 16), (64, 64), (256, 256), (32, 32, 32))
 MIN_SECONDS = 0.5
 MIN_CALLS = 5
 WARMUP = 3
+CSV_ROWS = 1000
 
 
 def _faults() -> int:
@@ -58,11 +62,12 @@ def _measure(call, setup=lambda: None) -> dict:
             "calls": len(times)}
 
 
-def sweep() -> dict:
+def sweep(work: Path) -> dict:
     import numpy as np
 
-    from kslab import Field, GridSpec, State, make_grid
-    from kslab.diagnostics import evaluate
+    from kslab import Field, GridSpec, State, make_grid, read_snapshot, write_snapshot
+    from kslab.diagnostics import (DiagnosticsWriter, evaluate, read_diagnostics_csv,
+                                   write_diagnostics_csv)
     from kslab.manufactured import ManufacturedPair, mms_sources
     from kslab.solver import IMEX, SolverConfig, choose_dt, step
 
@@ -86,6 +91,8 @@ def sweep() -> dict:
             "step_imex": _measure(lambda _: step(state, dt, imex)),
             "evaluate": _measure(lambda _: evaluate(state, (1.0, 1.0, 1.0),
                                                     config.chi, 2.0)),
+            "write_snapshot": _measure(lambda _: write_snapshot(n, 0.0, work / "n.ksf")),
+            "read_snapshot": _measure(lambda _: read_snapshot(work / "n.ksf")),
         }
         topology = "neumann_box" if dim == 3 else "periodic_torus"
         try:
@@ -96,6 +103,13 @@ def sweep() -> dict:
             continue
         for name, source in zip(("source_n", "source_c"), sources):
             row[name] = _measure(lambda _: source(0.01))
+
+    record = evaluate(state, (1.0, 1.0, 1.0), config.chi, 2.0)
+    csv = work / "diagnostics.csv"
+    with DiagnosticsWriter(csv) as writer:
+        out["csv"] = {"csv_write": _measure(lambda _: writer.write(record))}
+    write_diagnostics_csv([record] * CSV_ROWS, csv)
+    out["csv"]["csv_read"] = _measure(lambda _: read_diagnostics_csv(csv))
     return out
 
 
@@ -121,7 +135,8 @@ def main(argv=None) -> int:
                         default=Path(__file__).resolve().parent.parent / "src")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
-    results = sweep()
+    with tempfile.TemporaryDirectory() as work:
+        results = sweep(Path(work))
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["machine"] = _machine()
     doc.setdefault("columns", {})[args.label] = results
