@@ -79,12 +79,18 @@ def fit_rate(series: Sequence[tuple[float, float]], window_fraction: float = 0.2
     The search bracket is (t_last, t_last + 10 * sampled span); the
     golden-section search shrinks it to search_tol relative.  Returns
     status "no_blowup" when n_sup is not increasing over the window, the
-    fitted exponent is nonpositive, or the fit residual exceeds
-    residual_threshold.
+    fitted exponent is not positive, or the fit residual exceeds
+    residual_threshold.  A non-finite sample raises ValueError naming its
+    row.
     """
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("series must be a sequence of (t, n_sup) pairs")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"series row {row} is not finite: "
+                         f"t={arr[row, 0]!r}, n_sup={arr[row, 1]!r}")
     ts_all = arr[:, 0]
     ns_all = arr[:, 1]
     if not np.all(np.diff(ts_all) > 0.0):
@@ -123,7 +129,7 @@ def fit_rate(series: Sequence[tuple[float, float]], window_fraction: float = 0.2
     t_star = 0.5 * (a + b)
     slope, intercept, rms = _loglog_fit(ts, log_ns, t_star)
     gamma = -slope
-    if gamma <= 0.0 or rms > residual_threshold:
+    if not gamma > 0.0 or rms > residual_threshold:
         return RateFit(status=NO_BLOWUP)
     return RateFit(status="ok", t_star=t_star, gamma=gamma,
                    amplitude=math.exp(intercept), residual=rms)

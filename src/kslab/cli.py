@@ -67,6 +67,10 @@ def _read_series(path) -> list[tuple[float, float]]:
 def _cmd_fit(args) -> int:
     try:
         series = _read_series(args.series)
+    except (OSError, ValueError) as exc:  # missing or malformed series table
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    try:
         fit = fit_rate(series, window_fraction=args.window_fraction)
         alpha, c_tilde, delta0, kappa3 = alpha_lower_bound(args.c0_sup, args.c3)
         payload = {
@@ -90,9 +94,6 @@ def _cmd_fit(args) -> int:
         # strict JSON: the NaN fields of a declined fit are null
         text = json.dumps({key: None if isinstance(v, float) and math.isnan(v) else v
                            for key, v in payload.items()}, indent=2, allow_nan=False)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,10 +25,12 @@ and G is its companion dissipation rate
 with c_t evaluated pointwise from the model as lap c - n c.
 
 evaluate writes every grid-sized intermediate into the grid's scratch
-(Grid.scratch, 17 grid arrays held on the Grid and reused by every later
-call and by solver.step), taking the face terms one axis at a time, with the same floating-
-point operations in the same order as fresh arrays would take.  It is not
-reentrant: concurrent calls on one grid overwrite each other's scratch.
+(Grid.scratch: 17 grid arrays held on the Grid for the calling thread and
+reused by that thread's every later call, solver.step's included), taking
+the face terms one axis at a time, with the same floating-point operations
+in the same order as fresh arrays would take.  It is not reentrant within
+one thread; on another thread (solver.run's sink thread) it has a block
+of its own.
 The public functions below it return fresh arrays.
 """
 
@@ -232,8 +234,9 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
 
     kappas = (k1, k2, k3) weight the V/G pair; s selects the L^s norm
     tracked in n_ls_norm; floor is the diagnostics-only positivity clip.
-    Every grid-sized intermediate lives in the grid's scratch (see the
-    module docstring), so evaluate is not reentrant on one grid.
+    Every grid-sized intermediate lives in the calling thread's block of
+    the grid's scratch (see the module docstring), so evaluate is not
+    reentrant on one grid within one thread.
     """
     k1, k2, k3 = (float(k) for k in kappas)
     grid = state.grid

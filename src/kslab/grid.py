@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -80,7 +81,7 @@ class Grid:
         # explicit diffusion's dt bound, 1 / (2 * sum 1/h_a^2)
         self.diffusion_dt = 1.0 / (2.0 * float(np.sum(1.0 / self.h**2)))
         self._meshes: tuple[np.ndarray, ...] | None = None
-        self._scratch = np.empty((0, *spec.cells))
+        self._scratch = threading.local()  # .block: this thread's scratch
 
     @property
     def dim(self) -> int:
@@ -108,13 +109,16 @@ class Grid:
 
     def scratch(self, count: int) -> np.ndarray:
         """count float64 arrays of the grid's shape, the rows of one block
-        (so adjacent rows form a stacked pair), allocated on first use and
-        handed out again by every later call: a workspace whose contents
-        belong to its latest caller (diagnostics.evaluate, solver.step).
-        A larger count replaces the block."""
-        if len(self._scratch) < count:
-            self._scratch = np.empty((count, *self.shape))
-        return self._scratch[:count]
+        (so adjacent rows form a stacked pair), allocated on a thread's
+        first use and handed out again by that thread's every later call: a
+        workspace whose contents belong to the thread's latest caller
+        (solver.choose_dt, solver.step, diagnostics.evaluate).  Each thread
+        has its own block, so calls on two threads never share rows.  A
+        larger count replaces the calling thread's block."""
+        block = getattr(self._scratch, "block", None)
+        if block is None or len(block) < count:
+            block = self._scratch.block = np.empty((count, *self.shape))
+        return block[:count]
 
     def compatible(self, other: "Grid") -> bool:
         return self is other or self.spec == other.spec

@@ -14,8 +14,16 @@ residual.  States are never mutated in place: a step's new n and c, its
 per-axis face density n_face and each state's cached face gradient of c
 are fresh arrays; every other intermediate of the explicit kernel (the
 lower neighbour, the face pair, the divergence accumulator, exp(-dt n))
-lives in the grid's scratch (Grid.scratch), shared with
-diagnostics.evaluate.  step is therefore not reentrant on one grid.
+lives in the grid's scratch (Grid.scratch), one block per thread, which
+choose_dt and diagnostics.evaluate on the same thread share.  step is
+therefore not reentrant on one grid within one thread.
+
+run steps on its caller's thread and hands every sink call (on_sample,
+on_snapshot) to one sink thread, in call order, so sampling overlaps
+stepping wherever numpy releases the interpreter lock; the sinks see the
+same immutable n and c arrays, at the same times and in the same order,
+as a serial loop would show them, so every artifact is the same to the
+byte.
 
 step is one kernel on the operators module's faces (N per axis, face i the
 lower face of cell i): per axis, n's face flux and c's face gradient are
@@ -31,6 +39,9 @@ callables f(t) -> array of the grid's shape, added to the right-hand side.
 from __future__ import annotations
 
 import math
+import queue
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -128,8 +139,9 @@ def _dt_unclamped(state: State, config: SolverConfig) -> float:
     """cfl_safety times the minimum of the active stability constraints."""
     grid = state.grid
     bounds = [grid.diffusion_dt]  # explicit diffusion of both equations
+    row = grid.scratch(1)[0]
     for axis, gc in enumerate(state.c_face_gradient):
-        speed = config.chi * float(np.abs(gc).max())
+        speed = config.chi * float(np.abs(gc, out=row).max())
         if speed > 0.0:
             bounds.append(grid.h[axis] / speed)
     n_sup = state.n_max
@@ -179,8 +191,8 @@ def step(state: State, dt: float, config: SolverConfig,
          source_n: Optional[Callable] = None,
          source_c: Optional[Callable] = None) -> State:
     """One first-order splitting step of size dt; the new state is
-    validated here, once (finite, n >= 0).  Not reentrant on one grid (see
-    the module docstring)."""
+    validated here, once (finite, n >= 0).  Not reentrant on one grid
+    within one thread (see the module docstring)."""
     grid = state.grid
     nv = state.n.values
     cv = state.c.values
@@ -242,6 +254,48 @@ def detect_divergence(state: State, config: SolverConfig) -> str:
     return STATUS_OK
 
 
+class _SinkThread:
+    """One thread that makes run's sink calls, in call order.  The hand-off
+    holds at most one pending call, so the caller runs at most one call
+    ahead of the sinks.  The first exception a sink raises is kept and no
+    later call runs; put raises it, and so does leaving the with block
+    unless that exception is already on its way out."""
+
+    def __init__(self):
+        self._calls: queue.Queue = queue.Queue(maxsize=1)
+        self._failure: list[BaseException] = []
+        self._thread = threading.Thread(target=self._drain, name="kslab-sinks",
+                                        daemon=True)
+
+    def _drain(self) -> None:
+        while (call := self._calls.get()) is not None:
+            if not self._failure:
+                sink, state, steps = call
+                try:
+                    sink(state, steps)
+                except BaseException as exc:  # raised again in run's caller
+                    self._failure.append(exc)
+
+    def put(self, sink: Callable[[State, int], None], state: State, steps: int) -> None:
+        """Hand sink(state, steps) over; the sink gets an equal state
+        without c's face gradient, which only stepping reads, so no call in
+        flight keeps those arrays alive."""
+        if self._failure:
+            raise self._failure[0]
+        self._calls.put((sink, _trusted(State, n=state.n, c=state.c, t=state.t,
+                                        n_max=state.n_max), steps))
+
+    def __enter__(self) -> "_SinkThread":
+        self._thread.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._calls.put(None)
+        self._thread.join()
+        if self._failure and self._failure[0] is not exc:
+            raise self._failure[0]
+
+
 def run(state0: State, config: SolverConfig, stop: StopRule, *,
         on_sample: Optional[Callable[[State, int], None]] = None,
         sample_every: int = 1,
@@ -249,72 +303,81 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
         snapshot_every: int = 0,
         source_n: Optional[Callable] = None,
         source_c: Optional[Callable] = None) -> RunResult:
-    """choose_dt/step loop with cadenced sinks; errors become stop reasons."""
-    state = state0
-    result = RunResult(state=state, stop_reason="finished", steps=0)
-    t_slack = 0.0 if math.isinf(stop.t_end) \
-        else 1e-12 * max(1.0, abs(stop.t_end))
-    last_sample = -1
-    last_snapshot = -1
+    """choose_dt/step loop with cadenced sinks; errors become stop reasons.
 
-    def sample():
-        nonlocal last_sample
-        if on_sample is not None and result.steps != last_sample:
-            on_sample(state, result.steps)
-            last_sample = result.steps
+    The sinks run on one sink thread (see _SinkThread), in the order the
+    loop calls them, while this thread steps on; no thread starts without
+    a sink.  The thread is joined before run returns or raises.  The first
+    exception a sink raises is raised here, at the next sink call or on
+    return, and no later sink call runs.
+    """
+    with (_SinkThread() if on_sample is not None or on_snapshot is not None
+          else nullcontext()) as sinks:
+        state = state0
+        result = RunResult(state=state, stop_reason="finished", steps=0)
+        t_slack = 0.0 if math.isinf(stop.t_end) \
+            else 1e-12 * max(1.0, abs(stop.t_end))
+        last_sample = -1
+        last_snapshot = -1
 
-    def snapshot():
-        nonlocal last_snapshot
-        if on_snapshot is not None and result.steps != last_snapshot:
-            on_snapshot(state, result.steps)
-            last_snapshot = result.steps
+        def sample():
+            nonlocal last_sample
+            if on_sample is not None and result.steps != last_sample:
+                sinks.put(on_sample, state, result.steps)
+                last_sample = result.steps
 
-    status = detect_divergence(state, config)
-    if status != STATUS_OK:
-        result.status = status
-        result.stop_reason = ("blowup_threshold"
-                              if status == STATUS_APPROACHING_BLOWUP else status)
+        def snapshot():
+            nonlocal last_snapshot
+            if on_snapshot is not None and result.steps != last_snapshot:
+                sinks.put(on_snapshot, state, result.steps)
+                last_snapshot = result.steps
+
+        status = detect_divergence(state, config)
+        if status != STATUS_OK:
+            result.status = status
+            result.stop_reason = ("blowup_threshold"
+                                  if status == STATUS_APPROACHING_BLOWUP else status)
+            sample()
+            snapshot()
+            return result
+
+        sample()
+        while stop.t_end - state.t > t_slack:
+            if stop.max_steps is not None and result.steps >= stop.max_steps:
+                result.stop_reason = "max_steps"
+                break
+            raw = _dt_unclamped(state, config)
+            if raw < config.dt_min:
+                result.dt_clamp_events += 1
+            dt = min(max(raw, config.dt_min), config.dt_max, stop.t_end - state.t)
+            try:
+                state = step(state, dt, config, source_n=source_n, source_c=source_c)
+            except CorruptionError:
+                result.stop_reason = "corrupted"
+                result.status = STATUS_CORRUPTED
+                break
+            except PositivityError:
+                result.stop_reason = "positivity"
+                break
+            result.steps += 1
+            result.dt_last = dt
+            result.dt_smallest = min(result.dt_smallest, dt)
+            result.dt_largest = max(result.dt_largest, dt)
+
+            # step has checked finiteness; only the blow-up threshold is left
+            if state.n_max > config.blowup_sup_threshold:
+                result.status = STATUS_APPROACHING_BLOWUP
+                result.stop_reason = "blowup_threshold"
+                break
+
+            if sample_every > 0 and result.steps % sample_every == 0:
+                sample()
+            if snapshot_every > 0 and result.steps % snapshot_every == 0:
+                snapshot()
+
+        result.state = state
+        if math.isinf(result.dt_smallest):
+            result.dt_smallest = 0.0
         sample()
         snapshot()
         return result
-
-    sample()
-    while stop.t_end - state.t > t_slack:
-        if stop.max_steps is not None and result.steps >= stop.max_steps:
-            result.stop_reason = "max_steps"
-            break
-        raw = _dt_unclamped(state, config)
-        if raw < config.dt_min:
-            result.dt_clamp_events += 1
-        dt = min(max(raw, config.dt_min), config.dt_max, stop.t_end - state.t)
-        try:
-            state = step(state, dt, config, source_n=source_n, source_c=source_c)
-        except CorruptionError:
-            result.stop_reason = "corrupted"
-            result.status = STATUS_CORRUPTED
-            break
-        except PositivityError:
-            result.stop_reason = "positivity"
-            break
-        result.steps += 1
-        result.dt_last = dt
-        result.dt_smallest = min(result.dt_smallest, dt)
-        result.dt_largest = max(result.dt_largest, dt)
-
-        # step has checked finiteness; only the blow-up threshold is left
-        if state.n_max > config.blowup_sup_threshold:
-            result.status = STATUS_APPROACHING_BLOWUP
-            result.stop_reason = "blowup_threshold"
-            break
-
-        if sample_every > 0 and result.steps % sample_every == 0:
-            sample()
-        if snapshot_every > 0 and result.steps % snapshot_every == 0:
-            snapshot()
-
-    result.state = state
-    if math.isinf(result.dt_smallest):
-        result.dt_smallest = 0.0
-    sample()
-    snapshot()
-    return result

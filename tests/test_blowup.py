@@ -65,6 +65,22 @@ def test_fit_rejects_unordered_times():
         fit_rate(series)
 
 
+@pytest.mark.parametrize("row, cell, value", [
+    (59, 1, math.inf), (30, 1, math.nan), (0, 0, -math.inf)])
+def test_fit_rejects_non_finite_samples(row, cell, value):
+    series = [list(pair) for pair in _synthetic(1.0, 1.0, 1.0, 0.5, 0.99, count=60)]
+    series[row][cell] = value
+    with pytest.raises(ValueError, match=f"series row {row} is not finite"):
+        fit_rate(series)
+
+
+def test_fit_nan_exponent_is_no_blowup(monkeypatch):
+    import kslab.blowup
+
+    monkeypatch.setattr(kslab.blowup, "_loglog_fit", lambda *args: (math.nan, 0.0, 0.0))
+    assert fit_rate(_synthetic(1.0, 1.0, 1.0, 0.5, 0.99)).status == NO_BLOWUP
+
+
 # --- classify -------------------------------------------------------------------
 
 

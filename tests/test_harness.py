@@ -527,6 +527,32 @@ def test_cli_fit_bad_input_exit_code(tmp_path, capsys, args):
     assert "config error" in capsys.readouterr().err
 
 
+def _inverse_law(rows):
+    return "t,n_sup\n" + "".join(f"{t},{1.0 / (1.0 - t)}\n"
+                                  for t in np.linspace(0.5, 0.99, rows))
+
+
+def test_cli_fit_non_finite_sample_exit_code(tmp_path, capsys):
+    series_path = tmp_path / "series.csv"
+    head, _last = _inverse_law(60).rstrip("\n").rsplit(",", 1)
+    series_path.write_text(head + ",inf\n")
+    assert cli_main(["fit", "--series", str(series_path)]) == EXIT_CONFIG
+    assert "config error: series row 59 is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut, message", [
+    (lambda text: text + "0.995\n", "line 62: 1 cells for 2 columns"),
+    (lambda text: text.replace("t,n_sup", "time,n_sup", 1), "no 't' column"),
+    (lambda text: text.replace("\n0.5,", "\nhalf,", 1), "could not convert"),
+], ids=["one-cell last row", "no t column", "unparsable cell"])
+def test_cli_fit_malformed_series_exit_code(tmp_path, capsys, cut, message):
+    series_path = tmp_path / "series.csv"
+    series_path.write_text(cut(_inverse_law(60)))
+    assert cli_main(["fit", "--series", str(series_path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and message in err
+
+
 def test_cli_fit_writes_strict_json(tmp_path, capsys):
     # a flat series declines the fit: its NaN fields must come out as null
     series_path = tmp_path / "series.csv"

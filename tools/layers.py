@@ -3,8 +3,11 @@ choose_dt, step (explicit, and imex as step_imex), evaluate and the KSF1
 write_snapshot/read_snapshot of n, on one smooth state per grid, at 16^2,
 64^2, 256^2 and 32^3 (Neumann boxes), and of the manufactured pair's
 source_n and source_c hooks at the same sizes (tori in 2D, the Neumann box
-in 3D).  Under "csv": csv_write is one DiagnosticsWriter.write of a record
-and csv_read one read_diagnostics_csv of a 1,000-row diagnostics.csv.
+in 3D).  At 32^3 only, run_sampled is one solver.run of 1,024 steps from
+that state with an evaluate sink every 5 steps, the step-and-sample loop
+the step and evaluate rows take apart.  Under "csv": csv_write is one
+DiagnosticsWriter.write of a record and csv_read one read_diagnostics_csv
+of a 1,000-row diagnostics.csv.
 
     python tools/layers.py --label NAME --out BENCH.json [--src DIR]
 
@@ -13,8 +16,9 @@ already in the file are kept, so running it once on each of two checkouts
 (--src points at a checkout's src/) gives a side-by-side table.  Minor
 faults are this process's getrusage(RUSAGE_SELF).ru_minflt around each
 timed call, averaged.  Each layer is warmed up with 3 calls, then
-timed for at least 0.5 s and 5 calls.  Files go to a temporary directory.  Set OMP/BLAS threads to 1 for
-comparable numbers; kslab itself runs single-threaded numpy.  A source row
+timed for at least 0.5 s and 5 calls.  Files go to a temporary directory.
+Set OMP/BLAS threads to 1 for comparable numbers; kslab itself runs numpy on
+one thread, and run_sampled's sink on one more.  A source row
 whose pair the checkout cannot build on that grid records the ValueError
 under "unsupported".
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import resource
@@ -37,6 +42,8 @@ MIN_SECONDS = 0.5
 MIN_CALLS = 5
 WARMUP = 3
 CSV_ROWS = 1000
+RUN_STEPS = 1024
+RUN_SAMPLE_EVERY = 5
 
 
 def _faults() -> int:
@@ -69,10 +76,20 @@ def sweep(work: Path) -> dict:
     from kslab.diagnostics import (DiagnosticsWriter, evaluate, read_diagnostics_csv,
                                    write_diagnostics_csv)
     from kslab.manufactured import ManufacturedPair, mms_sources
-    from kslab.solver import IMEX, SolverConfig, choose_dt, step
+    from kslab.solver import IMEX, SolverConfig, StopRule, choose_dt, run, step
 
     config = SolverConfig(chi=10.0, cfl_safety=0.3)
     imex = SolverConfig(chi=10.0, cfl_safety=0.3, scheme=IMEX)
+
+    def run_sampled(state):
+        result = run(state, config, StopRule(t_end=math.inf, max_steps=RUN_STEPS),
+                     on_sample=lambda st, _k: evaluate(st, (1.0, 1.0, 1.0),
+                                                       config.chi, 2.0),
+                     sample_every=RUN_SAMPLE_EVERY)
+        if result.steps != RUN_STEPS:
+            raise RuntimeError(f"run_sampled stopped after {result.steps} steps: "
+                               f"{result.stop_reason}")
+
     out = {}
     for cells in GRIDS:
         dim = len(cells)
@@ -94,6 +111,8 @@ def sweep(work: Path) -> dict:
             "write_snapshot": _measure(lambda _: write_snapshot(n, 0.0, work / "n.ksf")),
             "read_snapshot": _measure(lambda _: read_snapshot(work / "n.ksf")),
         }
+        if dim == 3:
+            row["run_sampled"] = _measure(lambda _: run_sampled(state))
         topology = "neumann_box" if dim == 3 else "periodic_torus"
         try:
             sources = mms_sources(ManufacturedPair(
