@@ -89,8 +89,8 @@ def fit_rate(series: Sequence[tuple[float, float]], window_fraction: float = 0.2
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
-        raise ValueError(f"series row {row} is not finite: "
-                         f"t={arr[row, 0]!r}, n_sup={arr[row, 1]!r}")
+        t, n_sup = (float(v) for v in arr[row])
+        raise ValueError(f"series row {row} is not finite: t={t!r}, n_sup={n_sup!r}")
     ts_all = arr[:, 0]
     ns_all = arr[:, 1]
     if not np.all(np.diff(ts_all) > 0.0):

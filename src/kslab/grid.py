@@ -112,9 +112,9 @@ class Grid:
         (so adjacent rows form a stacked pair), allocated on a thread's
         first use and handed out again by that thread's every later call: a
         workspace whose contents belong to the thread's latest caller
-        (solver.choose_dt, solver.step, diagnostics.evaluate).  Each thread
-        has its own block, so calls on two threads never share rows.  A
-        larger count replaces the calling thread's block."""
+        (solver.step, diagnostics.evaluate).  Each thread has its own
+        block, so calls on two threads never share rows.  A larger count
+        replaces the calling thread's block."""
         block = getattr(self._scratch, "block", None)
         if block is None or len(block) < count:
             block = self._scratch.block = np.empty((count, *self.shape))

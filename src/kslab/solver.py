@@ -15,15 +15,16 @@ per-axis face density n_face and each state's cached face gradient of c
 are fresh arrays; every other intermediate of the explicit kernel (the
 lower neighbour, the face pair, the divergence accumulator, exp(-dt n))
 lives in the grid's scratch (Grid.scratch), one block per thread, which
-choose_dt and diagnostics.evaluate on the same thread share.  step is
-therefore not reentrant on one grid within one thread.
+diagnostics.evaluate on the same thread shares.  step is therefore not
+reentrant on one grid within one thread.
 
-run steps on its caller's thread and hands every sink call (on_sample,
-on_snapshot) to one sink thread, in call order, so sampling overlaps
-stepping wherever numpy releases the interpreter lock; the sinks see the
-same immutable n and c arrays, at the same times and in the same order,
-as a serial loop would show them, so every artifact is the same to the
-byte.
+run steps on its caller's thread and, on a grid of at least 32^3 cells,
+hands its sink calls (on_sample, on_snapshot) to one sink thread, in call
+order, so sampling overlaps stepping where numpy releases the interpreter
+lock; on smaller grids the sinks run on the caller's thread.  Either way
+they see the same immutable n and c arrays, at the same times and in the
+same order, as a serial loop would show them, so every artifact is the
+same to the byte.
 
 step is one kernel on the operators module's faces (N per axis, face i the
 lower face of cell i): per axis, n's face flux and c's face gradient are
@@ -39,9 +40,6 @@ callables f(t) -> array of the grid's shape, added to the right-hand side.
 from __future__ import annotations
 
 import math
-import queue
-import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -62,6 +60,14 @@ EXPLICIT_EULER = "explicit_euler"
 IMEX = "imex"
 
 _CG_TOL = 1e-10
+# run hands its sink calls to a sink thread only on grids of at least this
+# many cells.  On smaller grids the hand-off costs more than the overlap
+# gives back: numpy keeps the interpreter lock over short loops, and where
+# it drops it the two threads trade the lock at every ufunc call.  Measured
+# with an evaluate sink, a 16^3 box run sampled every 5 steps took 505 us a
+# step on the thread and 305 us without it; 28^3 is the smallest box where
+# the thread won.  Sinks below the size run on run's own thread.
+_SINK_THREAD_CELLS = 32 ** 3
 
 
 @dataclass(frozen=True)
@@ -139,9 +145,8 @@ def _dt_unclamped(state: State, config: SolverConfig) -> float:
     """cfl_safety times the minimum of the active stability constraints."""
     grid = state.grid
     bounds = [grid.diffusion_dt]  # explicit diffusion of both equations
-    row = grid.scratch(1)[0]
     for axis, gc in enumerate(state.c_face_gradient):
-        speed = config.chi * float(np.abs(gc, out=row).max())
+        speed = config.chi * float(np.abs(gc).max())
         if speed > 0.0:
             bounds.append(grid.h[axis] / speed)
     n_sup = state.n_max
@@ -254,46 +259,9 @@ def detect_divergence(state: State, config: SolverConfig) -> str:
     return STATUS_OK
 
 
-class _SinkThread:
-    """One thread that makes run's sink calls, in call order.  The hand-off
-    holds at most one pending call, so the caller runs at most one call
-    ahead of the sinks.  The first exception a sink raises is kept and no
-    later call runs; put raises it, and so does leaving the with block
-    unless that exception is already on its way out."""
-
-    def __init__(self):
-        self._calls: queue.Queue = queue.Queue(maxsize=1)
-        self._failure: list[BaseException] = []
-        self._thread = threading.Thread(target=self._drain, name="kslab-sinks",
-                                        daemon=True)
-
-    def _drain(self) -> None:
-        while (call := self._calls.get()) is not None:
-            if not self._failure:
-                sink, state, steps = call
-                try:
-                    sink(state, steps)
-                except BaseException as exc:  # raised again in run's caller
-                    self._failure.append(exc)
-
-    def put(self, sink: Callable[[State, int], None], state: State, steps: int) -> None:
-        """Hand sink(state, steps) over; the sink gets an equal state
-        without c's face gradient, which only stepping reads, so no call in
-        flight keeps those arrays alive."""
-        if self._failure:
-            raise self._failure[0]
-        self._calls.put((sink, _trusted(State, n=state.n, c=state.c, t=state.t,
-                                        n_max=state.n_max), steps))
-
-    def __enter__(self) -> "_SinkThread":
-        self._thread.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._calls.put(None)
-        self._thread.join()
-        if self._failure and self._failure[0] is not exc:
-            raise self._failure[0]
+def _call_each(sinks, state: State, steps: int) -> None:
+    for sink in sinks:
+        sink(state, steps)
 
 
 def run(state0: State, config: SolverConfig, stop: StopRule, *,
@@ -305,14 +273,18 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
         source_c: Optional[Callable] = None) -> RunResult:
     """choose_dt/step loop with cadenced sinks; errors become stop reasons.
 
-    The sinks run on one sink thread (see _SinkThread), in the order the
-    loop calls them, while this thread steps on; no thread starts without
-    a sink.  The thread is joined before run returns or raises.  The first
-    exception a sink raises is raised here, at the next sink call or on
+    On a grid of at least _SINK_THREAD_CELLS cells, a step's due sink calls
+    go to one sink thread as one call, in the order the loop makes them,
+    while this thread steps on; the next hand-off waits for that call to
+    finish, so at most one is in flight.  The thread (a one-worker pool)
+    starts at the first hand-off, so a smaller grid or a run without sinks
+    starts none, and it is joined before run returns or raises.  The first
+    exception a sink raises is raised here, at the next hand-off or on
     return, and no later sink call runs.
     """
-    with (_SinkThread() if on_sample is not None or on_snapshot is not None
-          else nullcontext()) as sinks:
+    pool = None
+    pending = None  # the Future of the sink call in flight
+    try:
         state = state0
         result = RunResult(state=state, stop_reason="finished", steps=0)
         t_slack = 0.0 if math.isinf(stop.t_end) \
@@ -320,28 +292,46 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
         last_sample = -1
         last_snapshot = -1
 
-        def sample():
-            nonlocal last_sample
-            if on_sample is not None and result.steps != last_sample:
-                sinks.put(on_sample, state, result.steps)
+        def hand_off(sample: bool, snapshot: bool) -> None:
+            nonlocal last_sample, last_snapshot, pool, pending
+            sinks = []
+            if sample and on_sample is not None and result.steps != last_sample:
+                sinks.append(on_sample)
                 last_sample = result.steps
-
-        def snapshot():
-            nonlocal last_snapshot
-            if on_snapshot is not None and result.steps != last_snapshot:
-                sinks.put(on_snapshot, state, result.steps)
+            if snapshot and on_snapshot is not None and result.steps != last_snapshot:
+                sinks.append(on_snapshot)
                 last_snapshot = result.steps
+            if not sinks:
+                return
+            if state.grid.size < _SINK_THREAD_CELLS:
+                _call_each(sinks, state, result.steps)
+                return
+            if pool is None:
+                # imported here, so only runs that use the thread pay for it
+                from concurrent.futures import ThreadPoolExecutor
+                pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kslab-sinks")
+            if pending is not None:
+                pending.result()
+            # an equal state without c's face gradient, which only stepping
+            # reads, so the call in flight keeps no such arrays alive
+            view = _trusted(State, n=state.n, c=state.c, t=state.t,
+                            n_max=state.n_max)
+            pending = pool.submit(_call_each, sinks, view, result.steps)
+
+        def finish() -> RunResult:
+            hand_off(True, True)
+            if pending is not None:
+                pending.result()
+            return result
 
         status = detect_divergence(state, config)
         if status != STATUS_OK:
             result.status = status
             result.stop_reason = ("blowup_threshold"
                                   if status == STATUS_APPROACHING_BLOWUP else status)
-            sample()
-            snapshot()
-            return result
+            return finish()
 
-        sample()
+        hand_off(True, False)
         while stop.t_end - state.t > t_slack:
             if stop.max_steps is not None and result.steps >= stop.max_steps:
                 result.stop_reason = "max_steps"
@@ -370,14 +360,15 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
                 result.stop_reason = "blowup_threshold"
                 break
 
-            if sample_every > 0 and result.steps % sample_every == 0:
-                sample()
-            if snapshot_every > 0 and result.steps % snapshot_every == 0:
-                snapshot()
+            due_sample = sample_every > 0 and result.steps % sample_every == 0
+            due_snapshot = snapshot_every > 0 and result.steps % snapshot_every == 0
+            if due_sample or due_snapshot:
+                hand_off(due_sample, due_snapshot)
 
         result.state = state
         if math.isinf(result.dt_smallest):
             result.dt_smallest = 0.0
-        sample()
-        snapshot()
-        return result
+        return finish()
+    finally:
+        if pool is not None:
+            pool.shutdown()  # waits for the call in flight, joins the thread

@@ -1,7 +1,8 @@
 """solver.run's sink thread: the sinks see what a serial loop would show
-them, in the same order; a failing sink stops the run with its own
-exception; a run without sinks starts no thread; the grid's scratch is one
-block per thread."""
+them, in the same order, on the sink thread and on run's own thread; a
+failing sink stops the run with its own exception; only grids of at least
+solver._SINK_THREAD_CELLS cells, and only runs with sinks, start a thread;
+the grid's scratch is one block per thread."""
 
 import math
 import sys
@@ -14,6 +15,7 @@ import reference_evaluate as ref
 import reference_step
 from kslab import (Field, GridSpec, SolverConfig, State, StopRule, make_grid,
                    run, write_snapshot)
+from kslab import solver
 from kslab.diagnostics import CSV_FIELDS, evaluate
 from kslab.solver import choose_dt, step
 
@@ -38,6 +40,14 @@ def _box_state(cells=16):
                  Field(grid, 5.0 + np.cos(np.pi * xs[0])), 0.0)
 
 
+@pytest.fixture(params=["sink_thread", "caller_thread"])
+def sink_thread(request, monkeypatch):
+    """Run the test's small grids on the sink thread, or as they are."""
+    if request.param == "sink_thread":
+        monkeypatch.setattr(solver, "_SINK_THREAD_CELLS", 0)
+    return request.param == "sink_thread"
+
+
 def _sinks(records, snap_dir):
     def on_sample(state, k):
         records.append((k, _bits(evaluate(state, KAPPAS, CHI, 2.0))))
@@ -49,7 +59,7 @@ def _sinks(records, snap_dir):
     return on_sample, on_snapshot
 
 
-def test_sampled_run_matches_a_serial_loop_bit_for_bit(tmp_path):
+def test_sampled_run_matches_a_serial_loop_bit_for_bit(tmp_path, sink_thread):
     """Records and KSF1 files of run equal those of choose_dt/step/evaluate
     called one after the other in this thread.  Step 20 is off the sampling
     cadence, so the closing sample is included."""
@@ -89,7 +99,7 @@ def test_sampled_run_matches_a_serial_loop_bit_for_bit(tmp_path):
 
 
 @pytest.mark.parametrize("fail_at", [1, 4])
-def test_failing_sink_raises_its_own_exception_and_stops_the_sinks(fail_at):
+def test_failing_sink_raises_its_own_exception_and_stops_the_sinks(fail_at, sink_thread):
     calls = []
 
     def on_sample(state, k):
@@ -107,7 +117,7 @@ def test_failing_sink_raises_its_own_exception_and_stops_the_sinks(fail_at):
     assert set(threading.enumerate()) == threads
 
 
-def test_sink_thread_is_joined_after_a_run(tmp_path):
+def test_sink_thread_is_joined_after_a_run(tmp_path, sink_thread):
     threads = set(threading.enumerate())
     records = []
     on_sample, on_snapshot = _sinks(records, tmp_path)
@@ -117,7 +127,7 @@ def test_sink_thread_is_joined_after_a_run(tmp_path):
     assert set(threading.enumerate()) == threads
 
 
-def test_run_without_sinks_starts_no_thread(monkeypatch):
+def test_run_without_sinks_starts_no_thread(monkeypatch, sink_thread):
     started = []
     real_start = threading.Thread.start
 
@@ -130,6 +140,25 @@ def test_run_without_sinks_starts_no_thread(monkeypatch):
                  StopRule(t_end=math.inf, max_steps=4))
     assert result.steps == 4
     assert started == []
+
+
+@pytest.mark.parametrize("cells", [16, 32])
+def test_sinks_leave_the_callers_thread_only_on_large_grids(cells):
+    """A 16^3 box samples on run's own thread; a 32^3 box, at the size
+    limit, on one other thread for every call."""
+    threads = []
+
+    def record(state, k):
+        threads.append(threading.get_ident())
+
+    run(_box_state(cells=cells), SolverConfig(chi=CHI, cfl_safety=0.3),
+        StopRule(t_end=math.inf, max_steps=2), on_sample=record,
+        on_snapshot=record, snapshot_every=1)
+    assert len(threads) == 5
+    if cells ** 3 < solver._SINK_THREAD_CELLS:
+        assert set(threads) == {threading.get_ident()}
+    else:
+        assert len(set(threads)) == 1 and threads[0] != threading.get_ident()
 
 
 def test_scratch_is_one_block_per_thread():

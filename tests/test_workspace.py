@@ -16,7 +16,7 @@ from kslab.diagnostics import CSV_FIELDS, evaluate
 from kslab.errors import CorruptionError, PositivityError
 from kslab.grid import TOPOLOGIES
 from kslab.operators import chemotactic_flux
-from kslab.solver import EXPLICIT_EULER, IMEX, _dt_unclamped, choose_dt, step
+from kslab.solver import EXPLICIT_EULER, IMEX, choose_dt, step
 
 
 def _bits(record) -> list[bytes]:
@@ -199,44 +199,3 @@ def test_second_step_allocates_under_three_grid_arrays():
         finally:
             tracemalloc.stop()
         assert peak < 3 * state.n.values.nbytes
-
-
-def _reference_dt_unclamped(state, config) -> float:
-    """solver._dt_unclamped as it was before |grad c| went through the
-    scratch, on the frozen face gradient."""
-    grid = state.grid
-    bounds = [grid.diffusion_dt]
-    for axis, gc in enumerate(ref._face_grads(state.c.values, grid)):
-        speed = config.chi * float(np.abs(gc).max())
-        if speed > 0.0:
-            bounds.append(grid.h[axis] / speed)
-    n_sup = float(state.n.values.max())
-    if n_sup > 0.0:
-        bounds.append(1.0 / n_sup)
-        bounds.append(config.dt_blowup_factor / n_sup)
-    return config.cfl_safety * min(bounds)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(_trajectories())
-def test_property_dt_is_bit_identical_to_frozen_reference(trajectories):
-    runs, _order = trajectories
-    for state, cfg, _sources in runs:
-        expected = _reference_dt_unclamped(state, cfg)
-        state.grid.scratch(6)[:] = np.nan  # rows left behind by other callers
-        assert np.float64(_dt_unclamped(state, cfg)).tobytes() \
-            == np.float64(expected).tobytes()
-
-
-def test_second_choose_dt_allocates_under_one_grid_array():
-    """|grad c| goes through one scratch row, not a fresh array per axis."""
-    state = _box_state(cells=32)
-    cfg = SolverConfig(chi=5.0)
-    dt = choose_dt(state, cfg)  # builds c's face gradient and the scratch row
-    tracemalloc.start()
-    try:
-        assert choose_dt(state, cfg) == dt
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < state.n.values.nbytes
