@@ -142,8 +142,8 @@ def test_run_without_sinks_starts_no_thread(monkeypatch, sink_thread):
     assert started == []
 
 
-@pytest.mark.parametrize("cells", [16, 32])
-def test_sinks_leave_the_callers_thread_only_on_large_grids(cells):
+@pytest.mark.parametrize("cells, on_sink_thread", [(16, False), (32, True)])
+def test_sinks_leave_the_callers_thread_only_on_large_grids(cells, on_sink_thread):
     """A 16^3 box samples on run's own thread; a 32^3 box, at the size
     limit, on one other thread for every call."""
     threads = []
@@ -155,10 +155,10 @@ def test_sinks_leave_the_callers_thread_only_on_large_grids(cells):
         StopRule(t_end=math.inf, max_steps=2), on_sample=record,
         on_snapshot=record, snapshot_every=1)
     assert len(threads) == 5
-    if cells ** 3 < solver._SINK_THREAD_CELLS:
-        assert set(threads) == {threading.get_ident()}
-    else:
+    if on_sink_thread:
         assert len(set(threads)) == 1 and threads[0] != threading.get_ident()
+    else:
+        assert set(threads) == {threading.get_ident()}
 
 
 def test_scratch_is_one_block_per_thread():
