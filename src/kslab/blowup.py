@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class RateFit:
 
 @dataclass
 class NondegeneracyMap:
-    """Per-cell sup over a late window of (t_star - t) * n(x, t)."""
+    """Per-cell sup over every sample before t_star of (t_star - t) * n(x, t)."""
 
     values: Field
     epsilon: float
@@ -162,23 +162,27 @@ def check_lower_bound(series: Sequence[tuple[float, float]], t_star: float,
     return limsup_estimate, limsup_estimate >= alpha
 
 
-def nondegeneracy_map(snapshots: Sequence[tuple[float, Field]], t_star: float,
+def nondegeneracy_map(snapshots: Iterable[tuple[float, Field]], t_star: float,
                       epsilon: float = 0.01) -> NondegeneracyMap:
     """Per-cell max over snapshots of (t_star - t) * n; flag cells >= epsilon.
 
-    A cell whose value stays below epsilon is certified away from the
-    blow-up set; adding later snapshots never decreases any cell value.
+    snapshots may be any iterable, a generator included: each one is folded
+    into the map as it arrives and no reference to it is kept, so the fold
+    holds the map and one scaled copy besides the snapshot in hand.  A cell
+    whose value stays below epsilon is certified away from the blow-up set;
+    adding later snapshots never decreases any cell value.
     """
-    if not snapshots:
-        raise ValueError("need at least one snapshot")
-    grid = snapshots[0][1].grid
-    values = None
+    grid = values = scaled = None
     for t, n in snapshots:
         if t >= t_star:
             raise ValueError(f"snapshot time {t} not before t_star {t_star}")
-        scaled = (t_star - t) * n.values
-        values = scaled if values is None else np.maximum(values, scaled)
+        if values is None:
+            grid, values = n.grid, np.multiply(t_star - t, n.values)
+        else:
+            scaled = np.multiply(t_star - t, n.values, out=scaled)
+            np.maximum(values, scaled, out=values)
+    if values is None:
+        raise ValueError("need at least one snapshot")
     flagged = values >= epsilon
     return NondegeneracyMap(values=Field(grid, values), epsilon=epsilon,
                             flagged=flagged)
-

@@ -11,7 +11,8 @@ Artifacts written per run directory:
     diagnostics.csv   one row per sample, every monitored functional
     criteria.csv      t, sup|grad c| and the L^s norms per criterion pair
     snapshots/        KSF1 field snapshots (cadenced and final)
-    blowup_report.json, nondegeneracy.ksf    when rate fitting is enabled
+    blowup_report.json  when rate fitting is enabled
+    nondegeneracy.ksf   when the fit succeeds: max over samples of (t* - t) n
     mms_errors.csv / scaling_errors.csv      for the convergence scenarios
     summary.json      monitors, pass/fail flags, config echo, version stamp
 
@@ -25,9 +26,11 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, field, make_dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -287,25 +290,27 @@ def load_config(path, overrides: Optional[Sequence[str]] = None) -> RunConfig:
 def _run_fields(cfg: RunConfig, out: Path) -> dict:
     """Step the scenario's initial state, writing the field artifacts.
 
-    Returns the step statistics, the one part of the summary that no
-    artifact other than summary.json records.
+    A fitted run appends each sample's n to an unlinked spill file in out,
+    so its memory does not grow with the sample count; the fit reads it
+    back only to build a nondegeneracy map.  Returns the step statistics,
+    the one part of the summary that no artifact other than summary.json
+    records.
     """
     state0 = SCENARIOS[cfg.scenario].initial(cfg)
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
 
-    records: list[DiagnosticsRecord] = []
-    fit_snaps: list[tuple[float, Field]] = []
+    series: list[tuple[float, float]] = []  # (t, sup n); spill holds its n fields
+    c0_sup = 0.0
     floor_engaged = 0
 
-    writer = DiagnosticsWriter(out / "diagnostics.csv")
-    criteria = TableWriter(out / "criteria.csv", _criteria_header(cfg))
-
     def on_sample(state: State, step_idx: int) -> None:
-        nonlocal floor_engaged
+        nonlocal c0_sup, floor_engaged
         rec = evaluate(state, cfg.kappas, cfg.solver.chi, s=cfg.ls_exponent,
                        floor=cfg.solver.positivity_floor)
-        records.append(rec)
+        if not series:
+            c0_sup = rec.c_sup
+        series.append((rec.t, rec.n_sup))
         writer.write(rec)
         criteria.write_row([rec.t, rec.gradc_inf, *(
             rec.n_ls_norm if s == cfg.ls_exponent else lp_norm(state.n, s)
@@ -313,24 +318,27 @@ def _run_fields(cfg: RunConfig, out: Path) -> dict:
         if float(np.min(state.c.values)) < _clip_level(cfg.solver.positivity_floor,
                                                        rec.c_sup):
             floor_engaged += 1
-        if cfg.fit:
-            fit_snaps.append((state.t, state.n))
+        if spill is not None:
+            spill.write(state.n.values)
 
     def on_snapshot(state: State, step_idx: int) -> None:
         write_snapshot(state.n, state.t, snap_dir / f"n_{step_idx:08d}.ksf")
         write_snapshot(state.c, state.t, snap_dir / f"c_{step_idx:08d}.ksf")
 
-    with writer, criteria:
-        result = run(state0, cfg.solver,
-                     StopRule(t_end=cfg.t_end, max_steps=cfg.max_steps),
-                     on_sample=on_sample, sample_every=cfg.sample_every,
-                     on_snapshot=on_snapshot if cfg.snapshot_every > 0 else None,
-                     snapshot_every=cfg.snapshot_every)
+    with (tempfile.TemporaryFile(dir=out) if cfg.fit else nullcontext()) as spill:
+        with DiagnosticsWriter(out / "diagnostics.csv") as writer, \
+                TableWriter(out / "criteria.csv", _criteria_header(cfg)) as criteria:
+            result = run(state0, cfg.solver,
+                         StopRule(t_end=cfg.t_end, max_steps=cfg.max_steps),
+                         on_sample=on_sample, sample_every=cfg.sample_every,
+                         on_snapshot=on_snapshot if cfg.snapshot_every > 0 else None,
+                         snapshot_every=cfg.snapshot_every)
 
-    write_snapshot(result.state.n, result.state.t, out / "n_final.ksf")
-    write_snapshot(result.state.c, result.state.t, out / "c_final.ksf")
-    if cfg.fit and len(records) >= 2:
-        _fit_blowup(cfg, records, fit_snaps, out)
+        write_snapshot(result.state.n, result.state.t, out / "n_final.ksf")
+        write_snapshot(result.state.c, result.state.t, out / "c_final.ksf")
+        if cfg.fit and len(series) >= 2:
+            _fit_blowup(cfg, series, c0_sup,
+                        _read_spill(spill, series, state0.n.grid), out)
 
     run_info = {"stop_reason": result.stop_reason, "status": result.status,
                 "steps": result.steps, "t_final": result.state.t,
@@ -340,9 +348,23 @@ def _run_fields(cfg: RunConfig, out: Path) -> dict:
     return {"run": run_info, "c_floor_engaged_samples": floor_engaged}
 
 
-def _fit_blowup(cfg: RunConfig, records: list[DiagnosticsRecord],
-                fit_snaps: list[tuple[float, Field]], out: Path) -> None:
-    series = [(r.t, r.n_sup) for r in records]
+def _read_spill(spill, series: list[tuple[float, float]],
+                grid) -> Iterator[tuple[float, Field]]:
+    """(t, n) of each sample in series, n read lazily from the spill into
+    one buffer, so each yielded field is valid only until the next read."""
+    spill.seek(0)
+    buf = np.empty(grid.shape)
+    for t, _n_sup in series:
+        if spill.readinto(buf) != buf.nbytes:
+            raise OSError("the sample spill file is truncated")
+        yield t, Field(grid, buf)
+
+
+def _fit_blowup(cfg: RunConfig, series: list[tuple[float, float]], c0_sup: float,
+                samples: Iterable[tuple[float, Field]], out: Path) -> None:
+    """Write blowup_report.json; when the rate fit succeeds, also fold the
+    sampled n fields into nondegeneracy.ksf (fit_rate's t_star lies beyond
+    the last sample, so every sample is before it)."""
     note = None
     if int(round(cfg.window_fraction * len(series))) < 8:
         fit = RateFit(status=NO_BLOWUP)
@@ -350,18 +372,14 @@ def _fit_blowup(cfg: RunConfig, records: list[DiagnosticsRecord],
     else:
         fit = fit_rate(series, window_fraction=cfg.window_fraction,
                        residual_threshold=cfg.residual_threshold)
-    c0_sup = records[0].c_sup
     alpha, c_tilde, delta0, kappa3 = alpha_lower_bound(max(c0_sup, 1e-300), cfg.c3)
     classification, limsup_estimate, satisfied = NO_BLOWUP, 0.0, False
     if fit.status != NO_BLOWUP:
         classification = classify(fit.gamma)
         limsup_estimate, satisfied = check_lower_bound(
             series, fit.t_star, alpha, window_fraction=cfg.window_fraction)
-        if fit_snaps:
-            usable = [(t, f) for t, f in fit_snaps if t < fit.t_star]
-            if usable:
-                ndmap = nondegeneracy_map(usable, fit.t_star, cfg.epsilon)
-                write_snapshot(ndmap.values, fit.t_star, out / "nondegeneracy.ksf")
+        ndmap = nondegeneracy_map(samples, fit.t_star, cfg.epsilon)
+        write_snapshot(ndmap.values, fit.t_star, out / "nondegeneracy.ksf")
     payload = {"t_star": fit.t_star, "gamma": fit.gamma, "amplitude": fit.amplitude,
                "fit_residual": fit.residual, "classification": classification,
                "alpha": alpha, "limsup_estimate": limsup_estimate,

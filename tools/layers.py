@@ -5,9 +5,11 @@ write_snapshot/read_snapshot of n, on one smooth state per grid, at 16^2,
 source_n and source_c hooks at the same sizes (tori in 2D, the Neumann box
 in 3D).  At 32^3 only, run_sampled is one solver.run of 1,024 steps from
 that state with an evaluate sink every 5 steps, the step-and-sample loop
-the step and evaluate rows take apart.  Under "csv": csv_write is one
-DiagnosticsWriter.write of a record and csv_read one read_diagnostics_csv
-of a 1,000-row diagnostics.csv.
+the step and evaluate rows take apart, and fit_memory is the tracemalloc
+peak of one fitted run_scenario of the same run (custom scenario from that
+state, a sample every 5 steps, fit on, post-processing included).  Under
+"csv": csv_write is one DiagnosticsWriter.write of a record and csv_read
+one read_diagnostics_csv of a 1,000-row diagnostics.csv.
 
     python tools/layers.py --label NAME --out BENCH.json [--src DIR]
 
@@ -35,6 +37,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 GRIDS = ((16, 16), (64, 64), (256, 256), (32, 32, 32))
@@ -44,6 +47,25 @@ WARMUP = 3
 CSV_ROWS = 1000
 RUN_STEPS = 1024
 RUN_SAMPLE_EVERY = 5
+FIT_MEMORY_INI = """[run]
+scenario = custom
+t_end = inf
+max_steps = {steps}
+sample_every = {every}
+n0_snapshot = {work}/n0.ksf
+c0_snapshot = {work}/c0.ksf
+out_dir = {work}/fit_memory
+[grid]
+dim = 3
+cells = {cells}
+extent = 1.0 1.0 1.0
+topology = neumann_box
+[solver]
+chi = {chi}
+cfl_safety = {cfl}
+[blowup]
+fit = true
+"""
 
 
 def _faults() -> int:
@@ -75,6 +97,7 @@ def sweep(work: Path) -> dict:
     from kslab import Field, GridSpec, State, make_grid, read_snapshot, write_snapshot
     from kslab.diagnostics import (DiagnosticsWriter, evaluate, read_diagnostics_csv,
                                    write_diagnostics_csv)
+    from kslab.harness import load_config, run_scenario
     from kslab.manufactured import ManufacturedPair, mms_sources
     from kslab.solver import IMEX, SolverConfig, StopRule, choose_dt, run, step
 
@@ -89,6 +112,27 @@ def sweep(work: Path) -> dict:
         if result.steps != RUN_STEPS:
             raise RuntimeError(f"run_sampled stopped after {result.steps} steps: "
                                f"{result.stop_reason}")
+
+    def fit_memory(state) -> dict:
+        write_snapshot(state.n, 0.0, work / "n0.ksf")
+        write_snapshot(state.c, 0.0, work / "c0.ksf")
+        ini = work / "fit_memory.ini"
+        ini.write_text(FIT_MEMORY_INI.format(
+            steps=RUN_STEPS, every=RUN_SAMPLE_EVERY, work=work, chi=config.chi,
+            cfl=config.cfl_safety, cells=" ".join(map(str, state.grid.shape))))
+        cfg = load_config(ini)
+        tracemalloc.start()
+        try:
+            _code, summary = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if summary["run"]["steps"] != RUN_STEPS:
+            raise RuntimeError(f"fit_memory stopped after {summary['run']['steps']} "
+                               f"steps: {summary['run']['stop_reason']}")
+        return {"tracemalloc_peak_mb": round(peak / 2**20, 2),
+                "samples": summary["metadata"]["samples"],
+                "classification": summary["blowup"]["classification"]}
 
     out = {}
     for cells in GRIDS:
@@ -113,6 +157,7 @@ def sweep(work: Path) -> dict:
         }
         if dim == 3:
             row["run_sampled"] = _measure(lambda _: run_sampled(state))
+            row["fit_memory"] = fit_memory(state)
         topology = "neumann_box" if dim == 3 else "periodic_torus"
         try:
             sources = mms_sources(ManufacturedPair(
@@ -163,7 +208,8 @@ def main(argv=None) -> int:
     for grid, layers in results.items():
         print(grid, " ".join(
             f"{name}={m['median_us']}us/{m['minor_faults_per_call']}f"
-            if "median_us" in m else f"{name}=unsupported"
+            if "median_us" in m else f"{name}={m['tracemalloc_peak_mb']}MB"
+            if "tracemalloc_peak_mb" in m else f"{name}=unsupported"
             for name, m in layers.items()))
     return 0
 
