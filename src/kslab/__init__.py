@@ -4,7 +4,7 @@ system n_t = lap n - chi div(n grad c), c_t = lap c - n c on boxes and tori."""
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, CorruptionError, PositivityError,
-                     StoppedEarlyError)
+                     SnapshotError, StoppedEarlyError)
 from .grid import (Field, Grid, GridSpec, VectorField, constant_field, fill,
                    integrate, lp_norm, make_grid, read_snapshot, write_snapshot)
 from .operators import (chemotactic_flux, divergence, gradient,

@@ -18,7 +18,7 @@ import sys
 
 from .blowup import NO_BLOWUP, alpha_lower_bound, check_lower_bound, classify, fit_rate
 from .diagnostics import read_table
-from .errors import ConfigError
+from .errors import ConfigError, SnapshotError
 from .harness import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK,
                       load_config, regenerate_summary, run_scenario)
 
@@ -47,7 +47,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except (OSError, SnapshotError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     return _print_monitors(code, summary)

@@ -25,10 +25,13 @@ and G is its companion dissipation rate
 with c_t evaluated pointwise from the model as lap c - n c.
 
 evaluate writes every grid-sized intermediate into the grid's scratch
-(Grid.scratch: 17 grid arrays held on the Grid for the calling thread and
+(Grid.scratch: 8 grid arrays held on the Grid for the calling thread and
 reused by that thread's every later call, solver.step's included), taking
 the face terms one axis at a time, with the same floating-point operations
-in the same order as fresh arrays would take.  It is not reentrant within
+in the same order as fresh arrays would take.  It takes the integrals in
+phases, so that a row takes a new role once its last reader is done: the
+n side, the face loop, the integrals of lap c and |grad c|^2, then the
+Hessians and the integrals of c_reg and c_pos.  It is not reentrant within
 one thread; on another thread (solver.run's sink thread) it has a block
 of its own.
 The public functions below it return fresh arrays.
@@ -51,7 +54,8 @@ from .operators import (_cuts, _div_term, _face_grad, _face_grads,
 
 WINKLER_CONSTANT = (2.0 + math.sqrt(3.0)) ** 2  # 13.9282...
 
-_SCRATCH = 17  # grid arrays evaluate keeps in its grid's scratch
+_SCRATCH = 8  # grid arrays evaluate keeps in its grid's scratch: the most
+# it holds at once, in phase 3 and in each Hessian of phase 4
 
 
 @dataclass(frozen=True)
@@ -243,18 +247,12 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
     nv = state.n.values
     cv = state.c.values
     vol = grid.cell_volume
-    (n_reg, log_n, c_reg, log_c, c_pos, gn_sq, gc_sq, glogn_sq, lap_c, grad_sq,
-     face_c, face_l, shift, prod, hess, up, down) = grid.scratch(_SCRATCH)
-    hess_bufs = (hess, up, down, face_c, shift)
+    rows = grid.scratch(_SCRATCH)
+    log_n, gc_sq, glogn_sq, lap_c, grad_sq, face, shift, prod = rows
+    hess_bufs = tuple(rows[2:7])  # free once lap c and glogn_sq are read
 
-    n_sup = _check_nonnegative(nv, "n")
+    n_sup = _check_nonnegative(nv, "n", prod)
     c_sup = float(np.max(np.abs(cv, out=prod))) if cv.size else 0.0
-
-    np.maximum(nv, _clip_level(floor, n_sup), out=n_reg)
-    np.maximum(cv, _clip_level(floor, c_sup), out=c_reg)
-    np.maximum(cv, 0.0, out=c_pos)
-    np.log(n_reg, out=log_n)
-    np.log(c_reg, out=log_c)
 
     def integ(arr) -> float:
         return float(np.sum(arr)) * vol
@@ -268,16 +266,24 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
 
     def cell_sq(values, out=grad_sq) -> np.ndarray:
         """_cell_sq of values' face gradient, one axis at a time."""
-        return _cell_sq((_face_grad(values, grid, axis, face_c, shift)
+        return _cell_sq((_face_grad(values, grid, axis, face, shift)
                          for axis in range(grid.dim)), out, shift)
 
-    cell_sq(nv, gn_sq)
-    # c's and log n's faces, axis by axis: gc_sq, glogn_sq, lap c, kinetic
+    # 1. the n side: n_reg, then log n, in one row; |grad n|^2 in gc_sq's
+    n_reg = np.maximum(nv, _clip_level(floor, n_sup), out=log_n)
+    gn_sq = cell_sq(nv, gc_sq)
+    fisher = integ(np.divide(gn_sq, n_reg, out=prod))
+    gradn_l2_sq = integ(gn_sq)
+    c_gradn_sq = integ(mul(cv, gn_sq))
+    np.log(n_reg, out=log_n)
+    entropy = integ(mul(nv, log_n))
+
+    # 2. c's and log n's faces, axis by axis: gc_sq, glogn_sq, lap c, kinetic
     kinetic = 0.0
     for axis in range(grid.dim):
         first = axis == 0
-        gc = _face_grad(cv, grid, axis, face_c, shift)
-        glog = _face_grad(log_n, grid, axis, face_l, shift)
+        gc = _face_grad(cv, grid, axis, face, shift)
+        glog = _face_grad(log_n, grid, axis, grad_sq, shift)
         _add_cell_sq(gc_sq, gc, axis, first, shift)
         _add_cell_sq(glogn_sq, glog, axis, first, shift)
         if first:
@@ -288,18 +294,35 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
         kinetic += _face_term(nv, w, grid, axis, shift)
     kinetic = 0.5 * (kinetic * vol)
 
-    mass = integ(nv)
-    entropy = integ(mul(nv, log_n))
-    dirichlet_sqrt_c = 2.0 * integ(cell_sq(np.sqrt(c_pos, out=prod)))
-    fisher = integ(np.divide(gn_sq, n_reg, out=prod))
+    # 3. the integrals of lap c and glogn_sq, and those of gc_sq alone
     n_gradlog_sq = integ(mul(nv, glogn_sq))
     n_gradc_sq = integ(mul(nv, gc_sq))
-    n_l2_sq = integ(mul(nv, nv))
-    cross_n2c = integ(mul(nv, nv, cv))
     lap_c_l2_sq = integ(mul(lap_c, lap_c))
     gradc_l4_4 = integ(mul(gc_sq, gc_sq))
+    c_t = np.subtract(lap_c, mul(nv, cv), out=prod)
+    grad_ct_sq = integ(cell_sq(c_t))
+    grad_lapc_sq = integ(cell_sq(lap_c))
+    n_lapc_sq = integ(mul(nv, lap_c, lap_c))
+    grad_gcsq_sq = integ(cell_sq(gc_sq))
+    gradc_inf = math.sqrt(float(np.max(gc_sq)))
+
+    # 4. the Hessians; c_reg takes log n's row, then log c in it, and c_pos
+    #    takes gc_sq's
+    n_hesslog_sq = integ(mul(nv, _hessian_parts(log_n, grid, hess_bufs)[1]))
+    c_reg = np.maximum(cv, _clip_level(floor, c_sup), out=log_n)
+    hessc_gradc = integ(mul(_hessian_parts(cv, grid, hess_bufs)[1], gc_sq))
+    n_gradc_sq_over_c = integ(np.divide(mul(nv, gc_sq), c_reg, out=prod))
+    log_c = np.log(c_reg, out=c_reg)
+    c_pos = np.maximum(cv, 0.0, out=gc_sq)
+    c_hesslog_c_sq = integ(mul(c_pos, _hessian_parts(log_c, grid, hess_bufs)[1]))
+    dirichlet_sqrt_c = 2.0 * integ(cell_sq(np.sqrt(c_pos, out=prod)))
+
+    mass = integ(nv)
+    n_l2_sq = integ(mul(nv, nv))
+    cross_n2c = integ(mul(nv, nv, cv))
     cn3 = integ(mul(cv, nv, nv, nv))
-    c_gradn_sq = integ(mul(cv, gn_sq))
+    c_mass = integ(cv)
+    n_ls_norm = lp_norm(state.n, s)
 
     V = (0.5 * n_gradlog_sq
          + (k1 / (2.0 * chi)) * cross_n2c
@@ -307,15 +330,6 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
          + (0.5 * k1 + k2) * n_gradc_sq
          + k2 * lap_c_l2_sq
          + k3 * gradc_l4_4)
-
-    gradn_l2_sq = integ(gn_sq)
-    c_t = np.subtract(lap_c, mul(nv, cv), out=prod)
-    grad_ct_sq = integ(cell_sq(c_t))
-    grad_lapc_sq = integ(cell_sq(lap_c))
-    grad_gcsq_sq = integ(cell_sq(gc_sq))
-    hessc_gradc = integ(mul(_hessian_parts(cv, grid, hess_bufs)[1], gc_sq))
-    n_lapc_sq = integ(mul(nv, lap_c, lap_c))
-    n_hesslog_sq = integ(mul(nv, _hessian_parts(log_n, grid, hess_bufs)[1]))
 
     G = ((k1 / chi**2) * gradn_l2_sq
          + (k1 / (2.0 * chi)) * cn3
@@ -326,12 +340,6 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
          + k3 * grad_gcsq_sq
          + 4.0 * k3 * hessc_gradc
          + (1.0 / 16.0) * n_hesslog_sq)
-
-    gradc_inf = math.sqrt(float(np.max(gc_sq)))
-    n_ls_norm = lp_norm(state.n, s)
-    c_mass = integ(cv)
-    n_gradc_sq_over_c = integ(np.divide(mul(nv, gc_sq), c_reg, out=prod))
-    c_hesslog_c_sq = integ(mul(c_pos, _hessian_parts(log_c, grid, hess_bufs)[1]))
 
     return DiagnosticsRecord(
         t=float(state.t), mass=mass, n_sup=n_sup, c_sup=c_sup,

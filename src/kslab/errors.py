@@ -9,6 +9,11 @@ class PositivityError(ValueError):
     """A quantity that must stay nonnegative went negative."""
 
 
+class SnapshotError(ValueError):
+    """A file is not a well-formed KSF1 snapshot: a bad magic, a header that
+    is cut short or names no valid grid, or a body of the wrong length."""
+
+
 class StoppedEarlyError(RuntimeError):
     """A solve that has to reach its end time stopped early; carries the
     run's stop_reason and status (CLI exit 2), which solve of its ladder

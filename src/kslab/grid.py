@@ -27,11 +27,11 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CorruptionError, PositivityError
+from .errors import CorruptionError, PositivityError, SnapshotError
 
 NEUMANN_BOX = "neumann_box"
 PERIODIC_TORUS = "periodic_torus"
@@ -63,8 +63,8 @@ class GridSpec:
             )
         if any(c < 4 for c in self.cells):
             raise ValueError(f"every axis needs at least 4 cells, got {self.cells}")
-        if any(e <= 0.0 for e in self.extent):
-            raise ValueError(f"extent must be positive, got {self.extent}")
+        if not all(0.0 < e < math.inf for e in self.extent):
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
 
@@ -138,9 +138,11 @@ def _readonly(values: np.ndarray) -> np.ndarray:
     return view
 
 
-def _check_nonnegative(values: np.ndarray, what: str) -> float:
-    """sup |values|; a cell below -1e-12 * max(sup, 1) is a PositivityError."""
-    sup = float(np.max(np.abs(values)))
+def _check_nonnegative(values: np.ndarray, what: str,
+                       out: Optional[np.ndarray] = None) -> float:
+    """sup |values|; a cell below -1e-12 * max(sup, 1) is a PositivityError.
+    out, when given, receives |values|."""
+    sup = float(np.max(np.abs(values, out=out)))
     if float(np.min(values)) < -1e-12 * max(sup, 1.0):
         raise PositivityError(f"{what} has negative cells")
     return sup
@@ -270,17 +272,33 @@ def write_snapshot(field: Field, time: float, path) -> None:
 
 
 def read_snapshot(path) -> tuple[Field, float]:
+    """The field and the time a KSF1 file holds.  A file that is not a
+    well-formed snapshot raises SnapshotError; non-finite values in a
+    well-formed one raise CorruptionError, as for any Field."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != SNAPSHOT_MAGIC:
-        raise ValueError(f"{path}: not a KSF1 snapshot")
-    (dim,) = struct.unpack_from("<I", raw, 4)
-    layout = f"<{dim}I{dim}ddB"  # cells, extent, time, topology
-    *sizes, time, topo_byte = struct.unpack_from(layout, raw, 8)
+        raise SnapshotError(f"{path}: not a KSF1 snapshot")
+    try:
+        (dim,) = struct.unpack_from("<I", raw, 4)
+        if dim not in (1, 2, 3):
+            raise SnapshotError(f"{path}: dim {dim} is not 1, 2 or 3")
+        layout = f"<{dim}I{dim}ddB"  # cells, extent, time, topology
+        *sizes, time, topo_byte = struct.unpack_from(layout, raw, 8)
+    except struct.error:
+        raise SnapshotError(f"{path}: header cut short") from None
+    if topo_byte not in _BYTE_TOPOLOGY:
+        raise SnapshotError(f"{path}: unknown topology byte {topo_byte}")
     cells, extent = tuple(sizes[:dim]), tuple(sizes[dim:])
+    try:
+        spec = GridSpec(dim=dim, cells=cells, extent=extent,
+                        topology=_BYTE_TOPOLOGY[topo_byte])
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: {exc}") from None
     off = 8 + struct.calcsize(layout)
-    spec = GridSpec(dim=dim, cells=cells, extent=extent, topology=_BYTE_TOPOLOGY[topo_byte])
-    grid = make_grid(spec)
-    n = int(np.prod(cells))
-    values = np.frombuffer(raw, dtype="<f8", count=n, offset=off)
-    return Field(grid, values.astype(np.float64).reshape(cells)), time
+    size = off + 8 * math.prod(cells)
+    if len(raw) != size:
+        raise SnapshotError(f"{path}: {len(raw)} bytes, but its {cells} grid "
+                            f"needs {size}")
+    values = np.frombuffer(raw, dtype="<f8", offset=off)
+    return Field(make_grid(spec), values.astype(np.float64).reshape(cells)), time

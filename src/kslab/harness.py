@@ -41,7 +41,7 @@ from .diagnostics import (CriterionAccumulator, DiagnosticsRecord, DiagnosticsWr
                           TableWriter, _clip_level, energy_inequality_residual,
                           evaluate, read_diagnostics_csv, read_table,
                           update_accumulators)
-from .errors import ConfigError, StoppedEarlyError
+from .errors import ConfigError, CorruptionError, PositivityError, StoppedEarlyError
 from .grid import (Field, GridSpec, fill, lp_norm, make_grid, read_snapshot,
                    write_snapshot)
 from .manufactured import ManufacturedPair, mms_sources
@@ -631,11 +631,19 @@ def _stress_3d_initial(cfg: RunConfig) -> State:
 
 
 def _custom_initial(cfg: RunConfig) -> State:
-    n0, t0 = read_snapshot(cfg.n0_snapshot)
-    c0, _ = read_snapshot(cfg.c0_snapshot)
-    if n0.grid.spec != c0.grid.spec:
-        raise ConfigError("custom snapshots live on different grids")
-    return State(n0, c0, t0)
+    """The state the two snapshots hold.  A malformed file raises
+    SnapshotError; well-formed files whose data cannot start a run (on two
+    grids, non-finite, negative n) raise ConfigError."""
+    try:
+        n0, t0 = read_snapshot(cfg.n0_snapshot)
+        c0, _ = read_snapshot(cfg.c0_snapshot)
+        if n0.grid.spec != c0.grid.spec:
+            raise ConfigError("custom snapshots live on different grids")
+        if not math.isfinite(t0):
+            raise CorruptionError(f"snapshot time {t0}")
+        return State(n0, c0, t0)
+    except (CorruptionError, PositivityError) as exc:
+        raise ConfigError(f"custom initial data: {exc}") from None
 
 
 _W = 2.0 * math.pi
@@ -707,11 +715,11 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
 def regenerate_summary(run_dir) -> tuple[int, dict]:
     """Rebuild summary.json from the artifacts in a run directory."""
     run_dir = Path(run_dir)
-    cfg = load_config(run_dir / "config_echo.ini")
     with open(run_dir / "config_echo.ini", "r", encoding="utf-8") as fh:
-        cfg.defaulted = sorted(
-            line.split("# defaulted:", 1)[1].strip()
-            for line in fh if line.startswith("# defaulted:"))
+        defaulted = sorted(line.split("# defaulted:", 1)[1].strip()
+                           for line in fh if line.startswith("# defaulted:"))
+    cfg = load_config(run_dir / "config_echo.ini")
+    cfg.defaulted = defaulted
     with open(run_dir / "summary.json", "r", encoding="utf-8") as fh:
         old = json.load(fh)
     stats = {"run": old.get("run", {}), "c_floor_engaged_samples": old.get(

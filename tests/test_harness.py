@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -361,6 +362,57 @@ def test_cli_report_malformed_table_exit_code(tmp_path, capsys, csv, cut):
     (out / csv).write_text("\n".join(cut(lines)) + "\n")
     assert cli_main(["report", "--run", str(out)]) == EXIT_IO
     assert f"i/o error: {out / csv}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["config_echo.ini", "summary.json"])
+def test_cli_report_missing_artifact_exit_code(tmp_path, capsys, name):
+    out, _ = _cheap_run(tmp_path, "constant_decay")
+    (out / name).unlink()
+    assert cli_main(["report", "--run", str(out)]) == EXIT_IO
+    assert "i/o error: " in capsys.readouterr().err
+
+
+# a 2D snapshot's header: magic, dim, 2 cells from byte 8, 2 extents from
+# byte 16, the time at byte 32, the topology byte at byte 40; the values from
+# byte 41
+_T_AT, _TOPO_AT, _VALUES_AT = 32, 40, 41
+
+
+def _poke(at: int, data: bytes):
+    return lambda raw: raw[:at] + data + raw[at + len(data):]
+
+
+@pytest.mark.parametrize("damage, code", [
+    (lambda raw: raw[:-8], EXIT_IO),                                # truncated body
+    (lambda raw: raw + bytes(8), EXIT_IO),                          # trailing bytes
+    (lambda raw: b"KSF0" + raw[4:], EXIT_IO),                       # bad magic
+    (lambda raw: raw[:20], EXIT_IO),                                # 20-byte file
+    (lambda raw: raw[:6], EXIT_IO),                                 # no dim
+    (_poke(4, struct.pack("<I", 7)), EXIT_IO),                      # dim 7
+    (_poke(_TOPO_AT, b"\x09"), EXIT_IO),                            # topology 9
+    (_poke(8, struct.pack("<I", 2)), EXIT_IO),                      # 2 cells
+    (_poke(16, struct.pack("<d", math.nan)), EXIT_IO),              # extent nan
+    (_poke(_VALUES_AT, struct.pack("<d", math.nan)), EXIT_CONFIG),
+    (_poke(_VALUES_AT, struct.pack("<d", -1.0)), EXIT_CONFIG),
+    (_poke(_T_AT, struct.pack("<d", math.inf)), EXIT_CONFIG),
+], ids=["truncated", "trailing", "magic", "20_bytes", "6_bytes", "dim_7",
+        "topology_9", "cells_2", "extent_nan", "nan", "negative", "time_inf"])
+def test_cli_custom_malformed_snapshot_exit_code(tmp_path, capsys, damage, code):
+    """A malformed n0 file is an i/o error, well-formed but invalid initial
+    data a config error; either is one line on stderr, never a traceback."""
+    g = make_grid(GridSpec(2, (8, 8), (1.0, 1.0), "periodic_torus"))
+    paths = {name: tmp_path / f"{name}.ksf" for name in ("n0", "c0")}
+    for path in paths.values():
+        write_snapshot(constant_field(g, 1.0), 0.0, path)
+    paths["n0"].write_bytes(damage(paths["n0"].read_bytes()))
+    cfg = _write(tmp_path, "[run]\nscenario = custom\n"
+                           f"n0_snapshot = {paths['n0']}\nc0_snapshot = {paths['c0']}\n")
+    argv = ["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+            "--override", "run.t_end=0.02", "--override", "grid.cells=8 8"]
+    assert cli_main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    prefix = "i/o error: " if code == EXIT_IO else "config error: "
+    assert len(err) == 1 and err[0].startswith(prefix), err
 
 
 def test_criteria_accumulators_reported(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import reference_evaluate as ref
 import reference_step
 from kslab import Field, GridSpec, SolverConfig, State, make_grid
-from kslab.diagnostics import CSV_FIELDS, evaluate
+from kslab.diagnostics import _SCRATCH, CSV_FIELDS, evaluate
 from kslab.errors import CorruptionError, PositivityError
 from kslab.grid import TOPOLOGIES
 from kslab.operators import chemotactic_flux
@@ -68,16 +68,26 @@ def _box_state(cells=16, seed=3):
                  Field(grid, 2.0 + rng.random(grid.shape)), 0.0)
 
 
-def test_second_evaluate_allocates_under_four_grid_arrays():
-    state = _box_state()
-    evaluate(state, (1.0, 1.0, 1.0), 5.0, 2.0)
+def _evaluate_peak(state) -> int:
     tracemalloc.start()
     try:
         evaluate(state, (1.0, 1.0, 1.0), 5.0, 2.0)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * state.n.values.nbytes
+
+
+def test_first_evaluate_peaks_under_eleven_grid_arrays():
+    """The scratch's 8 rows and lp_norm's two temporaries."""
+    state = _box_state()
+    assert _evaluate_peak(state) < 11 * state.n.values.nbytes
+
+
+def test_second_evaluate_allocates_under_three_grid_arrays():
+    """Only lp_norm's two temporaries are fresh."""
+    state = _box_state()
+    evaluate(state, (1.0, 1.0, 1.0), 5.0, 2.0)
+    assert _evaluate_peak(state) < 3 * state.n.values.nbytes
 
 
 def test_record_holds_no_reference_into_the_scratch():
@@ -176,8 +186,8 @@ def test_stepped_state_shares_no_memory_with_the_scratch():
     state = _box_state(cells=8)
     for scheme in (EXPLICIT_EULER, IMEX):
         cfg = SolverConfig(chi=5.0, cfl_safety=1.0 / 7, scheme=scheme)
-        for rows, sink in ((6, lambda: None),
-                           (17, lambda: evaluate(state, (1.0, 1.0, 1.0), 5.0, 2.0))):
+        for rows, sink in ((6, lambda: None), (_SCRATCH, lambda: evaluate(
+                state, (1.0, 1.0, 1.0), 5.0, 2.0))):
             sink()
             new = step(state, choose_dt(state, cfg), cfg)
             block = state.grid.scratch(rows)

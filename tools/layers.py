@@ -9,7 +9,9 @@ the step and evaluate rows take apart, and fit_memory is the tracemalloc
 peak of one fitted run_scenario of the same run (custom scenario from that
 state, a sample every 5 steps, fit on, post-processing included).  Under
 "csv": csv_write is one DiagnosticsWriter.write of a record and csv_read
-one read_diagnostics_csv of a 1,000-row diagnostics.csv.
+one read_diagnostics_csv of a 1,000-row diagnostics.csv.  Under
+"evaluate_memory": the tracemalloc peak of the first evaluate on a fresh
+32^3 and a fresh 64^3 box, its scratch included, in MB and in grid arrays.
 
     python tools/layers.py --label NAME --out BENCH.json [--src DIR]
 
@@ -134,15 +136,30 @@ def sweep(work: Path) -> dict:
                 "samples": summary["metadata"]["samples"],
                 "classification": summary["blowup"]["classification"]}
 
-    out = {}
-    for cells in GRIDS:
+    def smooth_state(cells) -> State:
         dim = len(cells)
         grid = make_grid(GridSpec(dim, cells, (1.0,) * dim, "neumann_box"))
         xs = grid.meshes()
         r2 = sum((x - 0.4 - 0.1 * a) ** 2 for a, x in enumerate(xs))
-        n = Field(grid, 1.0 + 8.0 * np.exp(-r2 / 0.02))
-        c = Field(grid, 5.0 + np.cos(np.pi * xs[0]))
-        state = State(n, c, 0.0)
+        return State(Field(grid, 1.0 + 8.0 * np.exp(-r2 / 0.02)),
+                     Field(grid, 5.0 + np.cos(np.pi * xs[0])), 0.0)
+
+    def evaluate_memory(cells) -> dict:
+        state = smooth_state(cells)  # a fresh grid: no scratch yet
+        tracemalloc.start()
+        try:
+            evaluate(state, (1.0, 1.0, 1.0), config.chi, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return {"tracemalloc_peak_mb": round(peak / 2**20, 2),
+                "grid_arrays": round(peak / state.n.values.nbytes, 2)}
+
+    out = {}
+    for cells in GRIDS:
+        dim = len(cells)
+        state = smooth_state(cells)
+        n, c = state.n, state.c
         dt = choose_dt(state, config)  # caches c's face gradient, as run() does
         row = out["x".join(map(str, cells))] = {
             # on a fresh state, so that c's face gradient is built each call
@@ -174,6 +191,8 @@ def sweep(work: Path) -> dict:
         out["csv"] = {"csv_write": _measure(lambda _: writer.write(record))}
     write_diagnostics_csv([record] * CSV_ROWS, csv)
     out["csv"]["csv_read"] = _measure(lambda _: read_diagnostics_csv(csv))
+    out["evaluate_memory"] = {"x".join(map(str, cells)): evaluate_memory(cells)
+                              for cells in ((32, 32, 32), (64, 64, 64))}
     return out
 
 
