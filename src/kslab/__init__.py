@@ -7,17 +7,15 @@ from .errors import (ConfigError, CorruptionError, PositivityError,
                      SnapshotError, StoppedEarlyError)
 from .grid import (Field, Grid, GridSpec, VectorField, constant_field, fill,
                    integrate, lp_norm, make_grid, read_snapshot, write_snapshot)
-from .operators import (chemotactic_flux, divergence, gradient,
-                        hessian_frobenius_sq, laplacian)
+from .operators import chemotactic_flux, divergence, gradient, laplacian
 from .solver import (RunResult, SolverConfig, State, StopRule, choose_dt,
                      detect_divergence, run, step)
 from .diagnostics import (CriterionAccumulator, DiagnosticsRecord,
-                          WINKLER_CONSTANT, effective_velocity,
-                          energy_inequality_residual, evaluate, kinetic_energy,
+                          WINKLER_CONSTANT, energy_inequality_residual, evaluate,
                           pointwise_hessian_check, update_accumulators,
                           winkler_ratio)
 from .blowup import (NondegeneracyMap, RateFit, alpha_lower_bound, check_lower_bound,
-                     classify, fit_rate, nondegeneracy_map)
+                     classify, fit_rate, nondegeneracy_map, rate_report)
 from .scaling import rescale_state, scaling_invariance_test
 from .manufactured import ManufacturedPair, mms_sources
 from .harness import RunConfig, load_config, regenerate_summary, run_scenario

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .grid import Field
 NO_BLOWUP = "no_blowup"
 TYPE_I = "type_I"
 TYPE_II = "type_II"
+
+MIN_FIT_POINTS = 8  # the fewest samples a fit window may hold
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _WINKLER_ROOT = 2.0 + math.sqrt(3.0)
@@ -96,8 +98,9 @@ def fit_rate(series: Sequence[tuple[float, float]], window_fraction: float = 0.2
     if not np.all(np.diff(ts_all) > 0.0):
         raise ValueError("series times must be strictly increasing")
     count = max(int(round(window_fraction * len(arr))), 2)
-    if count < 8:
-        raise ValueError(f"fit window has {count} points, need at least 8")
+    if count < MIN_FIT_POINTS:
+        raise ValueError(f"fit window has {count} points, "
+                         f"need at least {MIN_FIT_POINTS}")
     ts = ts_all[-count:]
     ns = ns_all[-count:]
     if np.any(ns <= 0.0) or not np.all(np.diff(ns) > 0.0):
@@ -160,6 +163,30 @@ def check_lower_bound(series: Sequence[tuple[float, float]], t_star: float,
     tail = arr[-count:]
     limsup_estimate = float(np.max((t_star - tail[:, 0]) * tail[:, 1]))
     return limsup_estimate, limsup_estimate >= alpha
+
+
+def rate_report(series: Sequence[tuple[float, float]], fit: RateFit, c0_sup: float,
+                C3: float, window_fraction: float, note: Optional[str] = None) -> dict:
+    """The blow-up report of a rate fit on series: the fit, its type, alpha
+    and the tail's limsup estimate against it, an optional note, then the
+    constants.  A declined fit reads limsup_estimate 0.0 and
+    lower_bound_satisfied False.  Raises ValueError unless c0_sup and C3
+    are positive."""
+    alpha, c_tilde, delta0, kappa3 = alpha_lower_bound(c0_sup, C3)
+    classification, limsup_estimate, satisfied = NO_BLOWUP, 0.0, False
+    if fit.status != NO_BLOWUP:
+        classification = classify(fit.gamma)
+        limsup_estimate, satisfied = check_lower_bound(
+            series, fit.t_star, alpha, window_fraction=window_fraction)
+    report = {"t_star": fit.t_star, "gamma": fit.gamma, "amplitude": fit.amplitude,
+              "fit_residual": fit.residual, "classification": classification,
+              "alpha": alpha, "limsup_estimate": limsup_estimate,
+              "lower_bound_satisfied": satisfied}
+    if note:
+        report["note"] = note
+    report["constants"] = {"C_tilde": c_tilde, "delta0": delta0, "kappa3": kappa3,
+                           "C3": C3, "c0_sup": c0_sup}
+    return report
 
 
 def nondegeneracy_map(snapshots: Iterable[tuple[float, Field]], t_star: float,

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from .blowup import NO_BLOWUP, alpha_lower_bound, check_lower_bound, classify, fit_rate
+from .blowup import fit_rate, rate_report
 from .diagnostics import read_table
 from .errors import ConfigError, SnapshotError
 from .harness import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK,
@@ -72,25 +72,8 @@ def _cmd_fit(args) -> int:
         return EXIT_IO
     try:
         fit = fit_rate(series, window_fraction=args.window_fraction)
-        alpha, c_tilde, delta0, kappa3 = alpha_lower_bound(args.c0_sup, args.c3)
-        payload = {
-            "status": fit.status,
-            "t_star": fit.t_star,
-            "gamma": fit.gamma,
-            "amplitude": fit.amplitude,
-            "fit_residual": fit.residual,
-            "alpha": alpha,
-            "constants": {"C_tilde": c_tilde, "delta0": delta0, "kappa3": kappa3,
-                          "C3": args.c3, "c0_sup": args.c0_sup},
-        }
-        if fit.status != NO_BLOWUP:
-            limsup, ok = check_lower_bound(series, fit.t_star, alpha,
-                                           window_fraction=args.window_fraction)
-            payload["classification"] = classify(fit.gamma)
-            payload["limsup_estimate"] = limsup
-            payload["lower_bound_satisfied"] = ok
-        else:
-            payload["classification"] = NO_BLOWUP
+        payload = {"status": fit.status, **rate_report(
+            series, fit, args.c0_sup, args.c3, args.window_fraction)}
         # strict JSON: the NaN fields of a declined fit are null
         text = json.dumps({key: None if isinstance(v, float) and math.isnan(v) else v
                            for key, v in payload.items()}, indent=2, allow_nan=False)

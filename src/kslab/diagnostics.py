@@ -33,8 +33,8 @@ phases, so that a row takes a new role once its last reader is done: the
 n side, the face loop, the integrals of lap c and |grad c|^2, then the
 Hessians and the integrals of c_reg and c_pos.  It is not reentrant within
 one thread; on another thread (solver.run's sink thread) it has a block
-of its own.
-The public functions below it return fresh arrays.
+of its own.  winkler_ratio and pointwise_hessian_check, the acceptance
+criteria's pointwise checks, work on fresh arrays.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PositivityError
-from .grid import Field, Grid, VectorField, _check_nonnegative, lp_norm
+from .grid import Field, Grid, _check_nonnegative, lp_norm
 from .operators import (_cuts, _div_term, _face_grad, _face_grads,
                         _hessian_parts, _lower, _upper_face)
 
@@ -155,42 +155,6 @@ def _face_term(weight: np.ndarray, comp: np.ndarray, grid: Grid, axis: int,
     if not grid.periodic:
         contrib = contrib[_cuts(axis)[0]]
     return float(np.sum(contrib))
-
-
-def _face_quadrature(weight: np.ndarray, faces: Sequence[np.ndarray],
-                     grid: Grid) -> float:
-    """Sum of _face_term over the axes, times the cell volume."""
-    total = 0.0
-    for axis, comp in enumerate(faces):
-        total += _face_term(weight, comp, grid, axis)
-    return total * grid.cell_volume
-
-
-def effective_velocity(n: Field, c: Field, chi: float,
-                       floor: Optional[float] = None) -> VectorField:
-    """Face-centered w = chi * grad c - grad log n.
-
-    log n is taken after clipping n at evaluate's level for it,
-    max(floor, 1e-12 * sup n, 1e-300); with floor=None a nonpositive n is
-    rejected instead of clipped.
-    """
-    grid = n.grid
-    nv = n.values
-    if floor is None:
-        if float(np.min(nv)) <= 0.0:
-            raise PositivityError("effective_velocity needs strictly positive n")
-        n_reg = nv
-    else:
-        n_reg = np.maximum(nv, _clip_level(floor, float(np.max(np.abs(nv)))))
-    gc = _face_grads(c.values, grid)
-    glog = _face_grads(np.log(n_reg), grid)
-    comps = tuple(chi * gc[a] - glog[a] for a in range(grid.dim))
-    return VectorField(grid, comps)
-
-
-def kinetic_energy(n: Field, w: VectorField) -> float:
-    """1/2 integral n |w|^2 by face quadrature with face-averaged n."""
-    return 0.5 * _face_quadrature(n.values, w.components, n.grid)
 
 
 def pointwise_hessian_check(field: Field) -> float:
@@ -471,12 +435,6 @@ class DiagnosticsWriter(TableWriter):
 
     def write(self, record: DiagnosticsRecord) -> None:
         self.write_row(_RECORD_CELLS(record))
-
-
-def write_diagnostics_csv(records: Sequence[DiagnosticsRecord], path) -> None:
-    with DiagnosticsWriter(path) as writer:
-        for rec in records:
-            writer.write(rec)
 
 
 def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:

@@ -35,8 +35,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .blowup import (NO_BLOWUP, RateFit, alpha_lower_bound, check_lower_bound,
-                     classify, fit_rate, nondegeneracy_map)
+from .blowup import (MIN_FIT_POINTS, NO_BLOWUP, RateFit, fit_rate,
+                     nondegeneracy_map, rate_report)
 from .diagnostics import (CriterionAccumulator, DiagnosticsRecord, DiagnosticsWriter,
                           TableWriter, _clip_level, energy_inequality_residual,
                           evaluate, read_diagnostics_csv, read_table,
@@ -366,28 +366,20 @@ def _fit_blowup(cfg: RunConfig, series: list[tuple[float, float]], c0_sup: float
     sampled n fields into nondegeneracy.ksf (fit_rate's t_star lies beyond
     the last sample, so every sample is before it)."""
     note = None
-    if int(round(cfg.window_fraction * len(series))) < 8:
+    if int(round(cfg.window_fraction * len(series))) < MIN_FIT_POINTS:
         fit = RateFit(status=NO_BLOWUP)
-        note = "insufficient samples for the fit window (need >= 8 points)"
+        note = ("insufficient samples for the fit window "
+                f"(need >= {MIN_FIT_POINTS} points)")
     else:
         fit = fit_rate(series, window_fraction=cfg.window_fraction,
                        residual_threshold=cfg.residual_threshold)
-    alpha, c_tilde, delta0, kappa3 = alpha_lower_bound(max(c0_sup, 1e-300), cfg.c3)
-    classification, limsup_estimate, satisfied = NO_BLOWUP, 0.0, False
+    # alpha from a floored c0_sup; the report records the measured one
+    payload = rate_report(series, fit, max(c0_sup, 1e-300), cfg.c3,
+                          cfg.window_fraction, note)
+    payload["constants"]["c0_sup"] = c0_sup
     if fit.status != NO_BLOWUP:
-        classification = classify(fit.gamma)
-        limsup_estimate, satisfied = check_lower_bound(
-            series, fit.t_star, alpha, window_fraction=cfg.window_fraction)
         ndmap = nondegeneracy_map(samples, fit.t_star, cfg.epsilon)
         write_snapshot(ndmap.values, fit.t_star, out / "nondegeneracy.ksf")
-    payload = {"t_star": fit.t_star, "gamma": fit.gamma, "amplitude": fit.amplitude,
-               "fit_residual": fit.residual, "classification": classification,
-               "alpha": alpha, "limsup_estimate": limsup_estimate,
-               "lower_bound_satisfied": satisfied}
-    if note:
-        payload["note"] = note
-    payload["constants"] = {"C_tilde": c_tilde, "delta0": delta0,
-                            "kappa3": kappa3, "C3": cfg.c3, "c0_sup": c0_sup}
     payload["tail_series"] = [[t, v] for t, v in series[-max(2, len(series) // 4):]]
     payload["config"] = cfg.echo
     with open(out / "blowup_report.json", "w", encoding="utf-8") as fh:
@@ -632,13 +624,15 @@ def _stress_3d_initial(cfg: RunConfig) -> State:
 
 def _custom_initial(cfg: RunConfig) -> State:
     """The state the two snapshots hold.  A malformed file raises
-    SnapshotError; well-formed files whose data cannot start a run (on two
-    grids, non-finite, negative n) raise ConfigError."""
+    SnapshotError; well-formed files whose data cannot start a run (on a
+    grid other than [grid]'s, non-finite, negative n) raise ConfigError."""
     try:
         n0, t0 = read_snapshot(cfg.n0_snapshot)
         c0, _ = read_snapshot(cfg.c0_snapshot)
-        if n0.grid.spec != c0.grid.spec:
-            raise ConfigError("custom snapshots live on different grids")
+        for name, snap in (("n0", n0), ("c0", c0)):
+            if snap.grid.spec != cfg.grid:
+                raise ConfigError(f"run.{name}_snapshot is on {snap.grid.spec}, "
+                                  f"but [grid] describes {cfg.grid}")
         if not math.isfinite(t0):
             raise CorruptionError(f"snapshot time {t0}")
         return State(n0, c0, t0)

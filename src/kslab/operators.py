@@ -179,9 +179,3 @@ def _hessian_parts(values: np.ndarray, grid: Grid, bufs=None,
             np.multiply(cross, 2.0, out=tmp)
             np.add(frob, np.multiply(tmp, cross, out=tmp), out=frob)
     return tr, frob
-
-
-def hessian_frobenius_sq(field: Field) -> Field:
-    """Per-cell squared Frobenius norm of the discrete Hessian."""
-    _, frob = _hessian_parts(field.values, field.grid)
-    return Field(field.grid, frob)

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 import oracle as orc
+import reference_evaluate as ref
 from kslab import (CriterionAccumulator, Field, GridSpec, PositivityError,
                    SolverConfig, State, StopRule, WINKLER_CONSTANT,
-                   constant_field, effective_velocity,
-                   energy_inequality_residual, evaluate, fill, kinetic_energy,
+                   constant_field, energy_inequality_residual, evaluate, fill,
                    lp_norm, make_grid, pointwise_hessian_check, run,
                    update_accumulators, winkler_ratio)
-from kslab.diagnostics import (CSV_FIELDS, TableWriter, read_diagnostics_csv, read_table,
-                               write_diagnostics_csv)
+from kslab.diagnostics import (CSV_FIELDS, DiagnosticsWriter, TableWriter,
+                               read_diagnostics_csv, read_table)
 
 KAPPAS = (1.0, 1.0, 1.0)
 
@@ -363,64 +363,57 @@ def test_pointwise_hessian_check_saddle():
     assert pointwise_hessian_check(f) <= 0.0
 
 
-# --- effective velocity -----------------------------------------------------------
+# --- effective velocity: evaluate's kinetic energy ----------------------------
+# kinetic_E = 1/2 sum over faces of the face-averaged n times w^2, times the
+# cell volume, with w = chi * grad c - grad log n on the faces
+
+
+def _kinetic_E(n, c, chi, floor=0.0):
+    return evaluate(State(n, c, 0.0), KAPPAS, chi=chi, s=2.0, floor=floor).kinetic_E
 
 
 def test_effective_velocity_constants():
     g = _torus(8, dim=2)
-    n = constant_field(g, 2.0)
-    c = constant_field(g, 1.0)
-    w = effective_velocity(n, c, chi=1.0)
-    assert all(np.all(comp == 0.0) for comp in w.components)
-    assert kinetic_energy(n, w) == 0.0
+    assert _kinetic_E(constant_field(g, 2.0), constant_field(g, 1.0), chi=1.0) == 0.0
 
 
 def test_effective_velocity_exponential_profile():
+    # c = 1 and n = e^x: w = -1 on every face but the wall face
     g = make_grid(GridSpec(1, (32,), (1.0,), "neumann_box"))
     n = fill(g, lambda x: np.exp(x))
-    c = constant_field(g, 1.0)
-    w = effective_velocity(n, c, chi=0.0)
-    comp = w.components[0]
-    np.testing.assert_allclose(comp[1:], -1.0, rtol=1e-12)
-    assert comp[0] == 0.0  # the wall face
+    nv = n.values
+    exact = 0.5 * g.cell_volume * float(np.sum(0.5 * (nv[:-1] + nv[1:])))
+    assert _kinetic_E(n, constant_field(g, 1.0), chi=1.0) == pytest.approx(
+        exact, rel=1e-12)
 
 
 def test_effective_velocity_cancellation():
+    # chi grad c = grad log n for n = e^x, c = x, chi = 1: w = 0 to rounding
     g = make_grid(GridSpec(1, (32,), (1.0,), "neumann_box"))
     n = fill(g, lambda x: np.exp(x))
-    c = fill(g, lambda x: x)
-    w = effective_velocity(n, c, chi=1.0)
-    comp = w.components[0]
-    assert comp[0] == 0.0  # the wall face
-    np.testing.assert_allclose(comp[1:], 0.0, atol=1e-12)
-    assert kinetic_energy(n, w) <= 1e-24
-
-
-def test_effective_velocity_rejects_nonpositive_n():
-    g = _torus(8)
-    with pytest.raises(PositivityError):
-        effective_velocity(constant_field(g, 0.0), constant_field(g, 1.0), 1.0)
+    assert _kinetic_E(n, fill(g, lambda x: x), chi=1.0) <= 1e-24
 
 
 @pytest.mark.parametrize("topology", ["neumann_box", "periodic_torus"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_evaluate_kinetic_E_is_kinetic_energy_of_effective_velocity(dim, topology):
+    """evaluate's kinetic term equals the frozen reference's, the face
+    quadrature of the effective velocity on fresh arrays."""
     cells = {1: (40,), 2: (12, 9), 3: (6, 5, 4)}[dim]
     g = make_grid(GridSpec(dim, cells, (1.0, 2.0, 1.5)[:dim], topology))
     rng = np.random.default_rng(70 + dim)
     n = Field(g, 0.5 + rng.random(g.shape))
     c = Field(g, rng.random(g.shape))
-    rec = evaluate(State(n, c, 0.0), KAPPAS, chi=2.5, s=2.0)
-    assert rec.kinetic_E > 0.0
-    assert rec.kinetic_E == kinetic_energy(n, effective_velocity(n, c, chi=2.5))
+    kinetic = _kinetic_E(n, c, chi=2.5)
+    assert kinetic > 0.0
+    assert kinetic == ref.evaluate(State(n, c, 0.0), KAPPAS, 2.5, 2.0).kinetic_E
     # n = 1 with one zero cell, floor 0: both clip it at 1e-12 * sup n
     nz = np.ones(g.shape)
     nz.flat[3] = 0.0
     n = Field(g, nz)
     c = fill(g, lambda x, *_: 1.0 + 0.5 * np.cos(2.0 * math.pi * x))
-    rec = evaluate(State(n, c, 0.0), KAPPAS, chi=2.5, s=2.0, floor=0.0)
-    assert rec.kinetic_E == kinetic_energy(
-        n, effective_velocity(n, c, chi=2.5, floor=0.0))
+    assert _kinetic_E(n, c, chi=2.5, floor=0.0) == ref.evaluate(
+        State(n, c, 0.0), KAPPAS, 2.5, 2.0, floor=0.0).kinetic_E
 
 
 # --- V invariants -------------------------------------------------------------------
@@ -450,7 +443,9 @@ def test_diagnostics_csv_roundtrip(tmp_path):
         st = State(constant_field(g, 1.0 + t), constant_field(g, 1.0), t)
         recs.append(evaluate(st, KAPPAS, chi=1.0, s=2.0))
     path = tmp_path / "diag.csv"
-    write_diagnostics_csv(recs, path)
+    with DiagnosticsWriter(path) as writer:
+        for rec in recs:
+            writer.write(rec)
     back = read_diagnostics_csv(path)
     assert len(back) == 3
     for a, b in zip(recs, back):

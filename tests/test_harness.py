@@ -415,6 +415,33 @@ def test_cli_custom_malformed_snapshot_exit_code(tmp_path, capsys, damage, code)
     assert len(err) == 1 and err[0].startswith(prefix), err
 
 
+@pytest.mark.parametrize("grid", [
+    ["grid.dim=3", "grid.cells=8 8 8", "grid.extent=1 1 1"],
+    ["grid.cells=8 16"],
+    ["grid.cells=8 8", "grid.extent=1 2"],
+    ["grid.cells=8 8", "grid.topology=neumann_box"],
+    [],  # the default 16 x 16 torus
+], ids=["dim", "cells", "extent", "topology", "default"])
+def test_cli_custom_grid_must_describe_the_snapshots(tmp_path, capsys, grid):
+    """Snapshots on a grid other than the config's are a config error; a
+    malformed file stays an i/o error."""
+    g = make_grid(GridSpec(2, (8, 8), (1.0, 1.0), "periodic_torus"))
+    paths = {name: tmp_path / f"{name}.ksf" for name in ("n0", "c0")}
+    for path in paths.values():
+        write_snapshot(constant_field(g, 1.0), 0.0, path)
+    cfg = _write(tmp_path, "[run]\nscenario = custom\n"
+                           f"n0_snapshot = {paths['n0']}\nc0_snapshot = {paths['c0']}\n")
+    argv = ["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+            "--override", "run.t_end=0.02"]
+    for item in grid:
+        argv += ["--override", item]
+    assert cli_main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "[grid]" in err[0]
+    paths["c0"].write_bytes(paths["c0"].read_bytes()[:-8])
+    assert cli_main(argv) == EXIT_IO
+
+
 def test_criteria_accumulators_reported(tmp_path):
     out = tmp_path / "run"
     cfg = load_config(
@@ -619,6 +646,23 @@ def test_cli_fit_writes_strict_json(tmp_path, capsys):
     assert [payload[key] for key in ("t_star", "gamma", "amplitude", "fit_residual")] \
         == [None] * 4
     assert payload["alpha"] > 0.0
+
+
+def test_cli_fit_reports_what_the_run_reports(tmp_path, capsys):
+    """kslab fit on a run's diagnostics.csv, with the run's c0_sup, gives the
+    run's blow-up report, declined fit included, with null for NaN."""
+    out, _code = _cheap_run(tmp_path, "stress_3d")
+    report = json.loads((out / "blowup_report.json").read_text())
+    assert report["classification"] == "no_blowup" and "note" not in report
+    argv = ["fit", "--series", str(out / "diagnostics.csv"), "--window-fraction", "1",
+            "--c0-sup", repr(report["constants"]["c0_sup"])]
+    assert cli_main(argv) == EXIT_OK
+    fitted = json.loads(capsys.readouterr().out)
+    assert fitted.pop("status") == "no_blowup"
+    del report["tail_series"], report["config"]
+    expected = {key: None if isinstance(v, float) and math.isnan(v) else v
+                for key, v in report.items()}
+    assert list(fitted.items()) == list(expected.items())
 
 
 def test_run_scenario_stress_3d_artifacts(tmp_path):

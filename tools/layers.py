@@ -97,8 +97,7 @@ def sweep(work: Path) -> dict:
     import numpy as np
 
     from kslab import Field, GridSpec, State, make_grid, read_snapshot, write_snapshot
-    from kslab.diagnostics import (DiagnosticsWriter, evaluate, read_diagnostics_csv,
-                                   write_diagnostics_csv)
+    from kslab.diagnostics import DiagnosticsWriter, evaluate, read_diagnostics_csv
     from kslab.harness import load_config, run_scenario
     from kslab.manufactured import ManufacturedPair, mms_sources
     from kslab.solver import IMEX, SolverConfig, StopRule, choose_dt, run, step
@@ -189,7 +188,9 @@ def sweep(work: Path) -> dict:
     csv = work / "diagnostics.csv"
     with DiagnosticsWriter(csv) as writer:
         out["csv"] = {"csv_write": _measure(lambda _: writer.write(record))}
-    write_diagnostics_csv([record] * CSV_ROWS, csv)
+    with DiagnosticsWriter(csv) as writer:
+        for _ in range(CSV_ROWS):
+            writer.write(record)
     out["csv"]["csv_read"] = _measure(lambda _: read_diagnostics_csv(csv))
     out["evaluate_memory"] = {"x".join(map(str, cells)): evaluate_memory(cells)
                               for cells in ((32, 32, 32), (64, 64, 64))}
