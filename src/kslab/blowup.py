@@ -143,15 +143,22 @@ def classify(gamma: float, tol: float = 0.05) -> str:
     return TYPE_I if gamma <= 1.0 + tol else TYPE_II
 
 
+def _lower_bound_constants(c0_sup: float, C3: float) -> tuple[float, float, float, float]:
+    """(alpha, C_tilde, delta0, kappa3); alpha is inf where C_tilde is 0,
+    that is for c0_sup = 0 and for c0_sup below about 1e-243, whose 4/3
+    power underflows, and where 1 / (4 C_tilde) overflows."""
+    kappa3 = C3 / 4.0
+    delta0 = 1.0 / (16.0 * _WINKLER_ROOT**2 * kappa3)
+    c_tilde = 3.0 * delta0 ** (-1.0 / 3.0) * c0_sup ** (4.0 / 3.0)
+    alpha = 1.0 / (4.0 * c_tilde) if c_tilde > 0.0 else math.inf
+    return alpha, c_tilde, delta0, kappa3
+
+
 def alpha_lower_bound(c0_sup: float, C3: float) -> tuple[float, float, float, float]:
     """(alpha, C_tilde, delta0, kappa3) from the closed-form weight choices."""
     if c0_sup <= 0.0 or C3 <= 0.0:
         raise ValueError("c0_sup and C3 must be positive")
-    kappa3 = C3 / 4.0
-    delta0 = 1.0 / (16.0 * _WINKLER_ROOT**2 * kappa3)
-    c_tilde = 3.0 * delta0 ** (-1.0 / 3.0) * c0_sup ** (4.0 / 3.0)
-    alpha = 1.0 / (4.0 * c_tilde)
-    return alpha, c_tilde, delta0, kappa3
+    return _lower_bound_constants(c0_sup, C3)
 
 
 def check_lower_bound(series: Sequence[tuple[float, float]], t_star: float,
@@ -170,20 +177,30 @@ def rate_report(series: Sequence[tuple[float, float]], fit: RateFit, c0_sup: flo
     """The blow-up report of a rate fit on series: the fit, its type, alpha
     and the tail's limsup estimate against it, an optional note, then the
     constants.  A declined fit reads limsup_estimate 0.0 and
-    lower_bound_satisfied False.  Raises ValueError unless c0_sup and C3
-    are positive."""
-    alpha, c_tilde, delta0, kappa3 = alpha_lower_bound(c0_sup, C3)
+    lower_bound_satisfied False.  alpha grows like c0_sup^(-4/3); where it
+    is not a finite number (c0_sup = 0, initial c zero everywhere, or
+    below about 1e-233) the report holds alpha None, says why in the note,
+    and no limsup satisfies the bound.  Raises ValueError unless c0_sup is
+    nonnegative and C3 positive."""
+    if not (c0_sup >= 0.0 and C3 > 0.0):
+        raise ValueError("c0_sup must be nonnegative and C3 positive")
+    alpha, c_tilde, delta0, kappa3 = _lower_bound_constants(c0_sup, C3)
     classification, limsup_estimate, satisfied = NO_BLOWUP, 0.0, False
     if fit.status != NO_BLOWUP:
         classification = classify(fit.gamma)
         limsup_estimate, satisfied = check_lower_bound(
             series, fit.t_star, alpha, window_fraction=window_fraction)
+    notes = [note] if note else []
+    if math.isinf(alpha):
+        alpha = None
+        notes.append(f"alpha is unbounded: c0_sup = {c0_sup!r} gives "
+                     f"C_tilde = {c_tilde!r}, so no finite limsup reaches it")
     report = {"t_star": fit.t_star, "gamma": fit.gamma, "amplitude": fit.amplitude,
               "fit_residual": fit.residual, "classification": classification,
               "alpha": alpha, "limsup_estimate": limsup_estimate,
               "lower_bound_satisfied": satisfied}
-    if note:
-        report["note"] = note
+    if notes:
+        report["note"] = "; ".join(notes)
     report["constants"] = {"C_tilde": c_tilde, "delta0": delta0, "kappa3": kappa3,
                            "C3": C3, "c0_sup": c0_sup}
     return report

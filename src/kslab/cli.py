@@ -71,6 +71,8 @@ def _cmd_fit(args) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
+        if not args.c0_sup > 0.0:  # a stated sup of c0, unlike a run's measured one
+            raise ValueError("--c0-sup must be positive")
         fit = fit_rate(series, window_fraction=args.window_fraction)
         payload = {"status": fit.status, **rate_report(
             series, fit, args.c0_sup, args.c3, args.window_fraction)}

@@ -27,6 +27,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -106,6 +107,24 @@ class Grid:
             axes = [self.centers(a) for a in range(self.dim)]
             self._meshes = tuple(np.meshgrid(*axes, indexing="ij"))
         return self._meshes
+
+    @cached_property
+    def laplacian_eigenvalues(self) -> tuple[np.ndarray, ...]:
+        """Per axis, the eigenvalues of the 3-point second difference, each
+        shaped to broadcast along its axis of the spectrum, so that their sum
+        over axes is the spectrum of div(grad .): -(4/h^2) sin^2(pi k/N) for
+        the torus's Fourier modes (the last axis keeps rfftn's N//2 + 1) and
+        -(4/h^2) sin^2(pi k/(2N)) for the box's DCT-II modes."""
+        out = []
+        for axis, (cells, h) in enumerate(zip(self.shape, self.h)):
+            if self.periodic:
+                k = np.arange(cells // 2 + 1 if axis == self.dim - 1 else cells)
+                theta = np.pi * k / cells
+            else:
+                theta = np.pi * np.arange(cells) / (2 * cells)
+            lam = -(4.0 / h**2) * np.sin(theta) ** 2
+            out.append(lam.reshape((-1,) + (1,) * (self.dim - 1 - axis)))
+        return tuple(out)
 
     def scratch(self, count: int) -> np.ndarray:
         """count float64 arrays of the grid's shape, the rows of one block

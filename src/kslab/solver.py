@@ -8,13 +8,21 @@ conservative flux form (one telescoping divergence of the combined face
 flux), so total mass of n is conserved to rounding.  The consumption term
 is applied as an exact pointwise exponential c <- c * exp(-dt * n), which
 keeps c nonnegative and its maximum non-increasing unconditionally when
-n >= 0.  Diffusion of c is either explicit or, for scheme "imex", backward
-Euler solved matrix-free by plain conjugate gradients to a 1e-10 relative
-residual.  States are never mutated in place: a step's new n and c, its
-per-axis face density n_face and each state's cached face gradient of c
-are fresh arrays; every other intermediate of the explicit kernel (the
-lower neighbour, the face pair, the divergence accumulator, exp(-dt n))
-lives in the grid's scratch (Grid.scratch), one block per thread, which
+n >= 0.  Diffusion of both equations is either explicit (dt bounded by
+h^2/(2 dim)) or, for scheme "imex", backward Euler, solved exactly: the
+discrete Laplacian is diagonal in the torus's Fourier modes (rfftn) and
+in the Neumann box's DCT-II modes (Makhoul's DCT: one N-point real FFT
+per axis), so a step takes one forward and one inverse transform of the pair
+(n, c), and diffusion sets no dt bound.  numpy.fft is imported on the
+first implicit step, so explicit runs never load it.  The imex step keeps
+advection and consumption explicit; (I - dt lap)^{-1} is entrywise
+positive and keeps the mean, so n >= 0 holds under the advection bound
+alone (cfl_safety <= 1/(2 dim) in the worst case).  States are never
+mutated in place: a step's new n and c, its per-axis face density n_face,
+the transforms' arrays and each state's cached face gradient of c are
+fresh arrays; every other intermediate of the kernel (the lower
+neighbour, the face pair, the divergence accumulator, exp(-dt n)) lives
+in the grid's scratch (Grid.scratch), one block per thread, which
 diagnostics.evaluate on the same thread shares.  step is therefore not
 reentrant on one grid within one thread.
 
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,8 +57,8 @@ import numpy as np
 from .errors import CorruptionError, PositivityError
 from .grid import Field, Grid, _check_nonnegative, _readonly, _trusted
 # chemotactic_flux: fused into step's kernel, bound here for perfbench's tracer
-from .operators import (_chemotactic_faces, _div, _div_term,  # noqa: F401
-                        _face_grads, _lower, chemotactic_flux)
+from .operators import (_chemotactic_faces, _div_term, _face_grads,  # noqa: F401
+                        _lower, chemotactic_flux)
 
 STATUS_OK = "ok"
 STATUS_APPROACHING_BLOWUP = "approaching_blowup"
@@ -59,7 +67,6 @@ STATUS_CORRUPTED = "corrupted"
 EXPLICIT_EULER = "explicit_euler"
 IMEX = "imex"
 
-_CG_TOL = 1e-10
 # run hands its sink calls to a sink thread only on grids of at least this
 # many cells.  On smaller grids the hand-off costs more than the overlap
 # gives back: numpy keeps the interpreter lock over short loops, and where
@@ -144,7 +151,8 @@ class RunResult:
 def _dt_unclamped(state: State, config: SolverConfig) -> float:
     """cfl_safety times the minimum of the active stability constraints."""
     grid = state.grid
-    bounds = [grid.diffusion_dt]  # explicit diffusion of both equations
+    # explicit diffusion of both equations; under imex diffusion sets no bound
+    bounds = [grid.diffusion_dt] if config.scheme == EXPLICIT_EULER else []
     for axis, gc in enumerate(state.c_face_gradient):
         speed = config.chi * float(np.abs(gc).max())
         if speed > 0.0:
@@ -153,7 +161,7 @@ def _dt_unclamped(state: State, config: SolverConfig) -> float:
     if n_sup > 0.0:
         bounds.append(1.0 / n_sup)  # consumption reaction scale
         bounds.append(config.dt_blowup_factor / n_sup)  # refine near blow-up
-    return config.cfl_safety * min(bounds)
+    return config.cfl_safety * min(bounds, default=math.inf)
 
 
 def choose_dt(state: State, config: SolverConfig) -> float:
@@ -166,30 +174,79 @@ def choose_dt(state: State, config: SolverConfig) -> float:
     return min(max(dt, config.dt_min), config.dt_max)
 
 
-def _cg_solve(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
-              tol: float = _CG_TOL, max_iter: Optional[int] = None) -> np.ndarray:
-    """Plain conjugate gradients, matrix-free, deterministic."""
-    b_norm = math.sqrt(float(np.sum(b * b)))
-    if b_norm == 0.0:
-        return np.zeros_like(b)
-    x = b.copy()
-    r = b - apply_op(x)
-    p = r.copy()
-    rs = float(np.sum(r * r))
-    limit = max_iter if max_iter is not None else 20 * b.size
-    for _ in range(limit):
-        if math.sqrt(rs) <= tol * b_norm:
-            return x
-        ap = apply_op(p)
-        alpha = rs / float(np.sum(p * ap))
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(np.sum(r * r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    if math.sqrt(rs) <= tol * b_norm:
-        return x
-    raise CorruptionError("conjugate gradients failed to converge")
+@lru_cache(maxsize=None)
+def _dct_plan(cells: int, trailing: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Makhoul's map of an N-point DCT-II onto an N-point real FFT: the cell
+    order (even cells ascending, then odd cells descending), its inverse,
+    and the twiddles exp(-i pi k / (2N)) of the rfft's N//2 + 1 modes,
+    shaped to broadcast along an axis followed by `trailing` axes."""
+    order = np.concatenate((np.arange(0, cells, 2), np.arange(1, cells, 2)[::-1]))
+    twiddle = np.exp(-0.5j * np.pi * np.arange(cells // 2 + 1) / cells)
+    return order, np.argsort(order), twiddle.reshape((-1,) + (1,) * trailing)
+
+
+def _along(axis: int, *span) -> tuple:
+    """The index of slice(*span) along a negative axis."""
+    return (..., slice(*span)) + (slice(None),) * (-1 - axis)
+
+
+def _dct(x: np.ndarray, axis: int, fft) -> np.ndarray:
+    """X_k = sum_i x_i cos(pi k (2i + 1) / (2N)) along a negative axis: with
+    Y = twiddle * rfft(x in Makhoul's order), X_k = Re Y_k up to k = N//2
+    and X_{N-k} = -Im Y_k below it."""
+    cells = x.shape[axis]
+    order, _, twiddle = _dct_plan(cells, -1 - axis)
+    half = cells // 2 + 1
+    spec = fft.rfft(np.take(x, order, axis=axis), axis=axis)
+    spec *= twiddle
+    out = np.empty(x.shape)
+    out[_along(axis, half)] = spec.real
+    np.negative(spec.imag[_along(axis, cells - half, 0, -1)],
+                out=out[_along(axis, half, None)])
+    return out
+
+
+def _idct(spec: np.ndarray, axis: int, fft) -> np.ndarray:
+    """The inverse of _dct: V_k = conj(twiddle_k) (X_k - i X_{N-k}), X_N = 0,
+    for k up to N//2, is the rfft of x in Makhoul's order, so an inverse
+    real FFT and the cells put back in their order give x."""
+    cells = spec.shape[axis]
+    _, inverse, twiddle = _dct_plan(cells, -1 - axis)
+    half = cells // 2 + 1
+    z = np.empty(spec[_along(axis, half)].shape, dtype=complex)
+    z.real = spec[_along(axis, half)]
+    z.imag[_along(axis, 1)] = 0.0
+    np.negative(spec[_along(axis, cells - 1, cells - half, -1)],
+                out=z.imag[_along(axis, 1, None)])
+    z *= twiddle.conj()
+    return np.take(fft.irfft(z, n=cells, axis=axis), inverse, axis=axis)
+
+
+def _implicit_diffusion(rhs: np.ndarray, dt: float, grid: Grid) -> np.ndarray:
+    """(I - dt div grad)^{-1} rhs, exactly, for each field of the stack rhs
+    (grid axes trailing), in a fresh array.  div grad is diagonal in the
+    torus's Fourier modes (rfftn) and in the box's DCT-II modes (per axis,
+    one real FFT each), with eigenvalues grid.laplacian_eigenvalues.  I - dt
+    div grad is an M-matrix whose rows sum to 1, so its inverse is
+    entrywise positive with rows summing to 1: the solve keeps each field's
+    sum, its sign and its maximum, to rounding."""
+    from numpy import fft  # loaded on the first implicit step, not at import
+
+    lam = grid.laplacian_eigenvalues
+    denom = 1.0 - dt * lam[0]
+    for axis_lam in lam[1:]:
+        denom = denom - dt * axis_lam
+    axes = tuple(range(-grid.dim, 0))
+    if grid.periodic:
+        spec = fft.rfftn(rhs, axes=axes)
+        spec /= denom
+        return fft.irfftn(spec, s=grid.shape, axes=axes)
+    for axis in axes:
+        rhs = _dct(rhs, axis, fft)
+    rhs = rhs / denom
+    for axis in axes:
+        rhs = _idct(rhs, axis, fft)
+    return rhs
 
 
 def step(state: State, dt: float, config: SolverConfig,
@@ -203,41 +260,45 @@ def step(state: State, dt: float, config: SolverConfig,
     cv = state.c.values
     explicit = config.scheme == EXPLICIT_EULER
 
-    # Per axis, n's face flux (diffusive minus chemotactic) goes to pair[0]
-    # and, when c's diffusion is explicit, c's face gradient to pair[1]; one
-    # divergence pass over the pair sums both into div in axis order.  tmp
-    # reuses lo's row once the flux is built.
+    # Per axis, n's face flux goes to pair[0] (diffusive minus chemotactic,
+    # or under imex zero minus chemotactic) and, when diffusion is
+    # explicit, c's face gradient to pair[1]; one divergence pass over the
+    # pair sums both into div in axis order.  tmp reuses lo's row once the
+    # flux is built.
     ws = grid.scratch(6)
     width = 2 if explicit else 1
     lo, flux, grad_c = ws[0], ws[2], ws[3]
     tmp, pair, div = ws[:width], ws[2:2 + width], ws[4:4 + width]
     for axis, gc in enumerate(state.c_face_gradient):
         _lower(nv, grid, axis, lo)
-        np.subtract(nv, lo, out=flux)
-        np.divide(flux, grid.h[axis], out=flux)
+        if explicit:
+            np.subtract(nv, lo, out=flux)
+            np.divide(flux, grid.h[axis], out=flux)
+            np.copyto(grad_c, gc)
+        else:
+            flux.fill(0.0)
         np.subtract(flux, _chemotactic_faces(lo, nv, gc, config.chi, config.upwind),
                     out=flux)
-        if explicit:
-            np.copyto(grad_c, gc)
         if axis == 0:
             _div_term(pair, grid, axis, div)
         else:
             np.add(div, _div_term(pair, grid, axis, tmp), out=div)
     np.multiply(div, dt, out=div)
 
-    # n: conservative flux form
+    # n: conservative flux form (under imex, the explicit right-hand side)
     n_new = np.add(nv, div[0])
     if source_n is not None:
         n_new += dt * source_n(state.t)
 
-    # c: explicit or implicit diffusion, then exact exponential consumption
+    # c: explicit diffusion, or both equations' implicit diffusion in one
+    # solve; then exact exponential consumption
     rhs = cv
     if source_c is not None:
         rhs = rhs + dt * source_c(state.t)
     if explicit:
         c_new = np.add(rhs, div[1])
     else:
-        c_new = _cg_solve(lambda u: u - dt * _div(_face_grads(u, grid), grid), rhs)
+        n_new, c_new = _implicit_diffusion(np.stack((n_new, rhs)), dt, grid)
     c_new *= np.exp(np.multiply(nv, -dt, out=lo), out=lo)
 
     n_min, n_max = float(n_new.min()), float(n_new.max())

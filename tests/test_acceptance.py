@@ -131,6 +131,17 @@ def test_criterion_13_mms_3d_neumann_box(tmp_path):
                     f"runtime {elapsed:.1f}s < 60s")
 
 
+def test_mms_3d_neumann_box_temporal_order_under_imex(tmp_path):
+    """Implicit diffusion keeps the temporal ladder first order.  Its spatial
+    ladder is not gated: there dt no longer shrinks like h^2, so the O(dt)
+    error, not the O(h^2) one, sets each level's error."""
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "mms_box_3d.ini",
+                      overrides=[f"run.out_dir={tmp_path/'mms3d'}", "solver.scheme=imex"])
+    _code, summary = run_scenario(cfg)
+    assert summary["run"]["stop_reason"] == "finished"
+    assert summary["monitors"]["temporal_order"]["value"] >= 0.9
+
+
 # --- 4: conservation and maximum principle ---------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from kslab import (Field, GridSpec, alpha_lower_bound, check_lower_bound,
                    classify, constant_field, fit_rate, make_grid,
-                   nondegeneracy_map)
+                   nondegeneracy_map, rate_report)
 from kslab.blowup import NO_BLOWUP, TYPE_I, TYPE_II
 
 
@@ -200,6 +200,25 @@ def test_nondegeneracy_infinite_epsilon_empty():
     snaps = [(0.5, constant_field(g, 1.0))]
     nd = nondegeneracy_map(snaps, t_star=1.0, epsilon=math.inf)
     assert nd.flagged_count == 0
+
+
+@pytest.mark.parametrize("c0_sup", [0.0, 1e-300, 1e-240])
+def test_rate_report_without_a_finite_alpha(c0_sup):
+    """Below about 1e-233, c0_sup^(-4/3) is not a finite double (at 0, and
+    from about 1e-243 down, C_tilde underflows to 0): alpha is null, the
+    note says why, and no limsup satisfies the bound."""
+    ts = np.linspace(0.5, 0.99, 60)
+    series = list(zip(ts, 1.0 / (1.0 - ts)))
+    fit = fit_rate(series)
+    assert fit.status == "ok"
+    report = rate_report(series, fit, c0_sup, 1.0, 0.25, note="first")
+    assert report["alpha"] is None
+    assert report["lower_bound_satisfied"] is False
+    assert report["limsup_estimate"] == pytest.approx(1.0, rel=1e-3)
+    assert report["note"].startswith(f"first; alpha is unbounded: c0_sup = {c0_sup!r}")
+    assert report["constants"]["c0_sup"] == c0_sup
+    with pytest.raises(ValueError):
+        rate_report(series, fit, -1.0, 1.0, 0.25)
 
 
 def test_nondegeneracy_monotone_in_snapshots():

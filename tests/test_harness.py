@@ -263,6 +263,27 @@ def test_run_scenario_custom_snapshots(tmp_path):
     np.testing.assert_allclose(n_final.values, 1.0, rtol=1e-12)
 
 
+def test_cli_fitted_run_with_zero_c0_reports_an_unbounded_alpha(tmp_path, capsys):
+    """c0 = 0 everywhere makes alpha ~ c0_sup^(-4/3) unbounded: the run writes
+    its summary and a report with alpha null, a note, and the bound unmet."""
+    g = make_grid(GridSpec(2, (8, 8), (1.0, 1.0), "periodic_torus"))
+    for name, value in (("n0", 1.0), ("c0", 0.0)):
+        write_snapshot(constant_field(g, value), 0.0, tmp_path / f"{name}.ksf")
+    out = tmp_path / "zero_c0"
+    config = _write(tmp_path, "[run]\nscenario = custom\nt_end = 0.02\n"
+                              f"n0_snapshot = {tmp_path / 'n0.ksf'}\n"
+                              f"c0_snapshot = {tmp_path / 'c0.ksf'}\n"
+                              f"out_dir = {out}\n[grid]\ncells = 8 8\n"
+                              "[blowup]\nfit = true\n")
+    assert cli_main(["run", "--config", str(config)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    report = json.loads((out / "blowup_report.json").read_text())
+    assert summary["blowup"]["alpha"] is report["alpha"] is None
+    assert report["lower_bound_satisfied"] is False
+    assert report["constants"]["c0_sup"] == 0.0
+    assert "alpha is unbounded: c0_sup = 0.0 gives C_tilde = 0.0" in report["note"]
+
+
 def test_c_floor_engaged_counts_at_evaluates_clip_level(tmp_path):
     # c = 0 with floor 0: evaluate clips c at 1e-300 in every sample
     g = make_grid(GridSpec(2, (8, 8), (1.0, 1.0), "periodic_torus"))

@@ -85,9 +85,10 @@ def test_choose_dt_unchanged_by_cached_c_gradient(topology):
 
 
 @st.composite
-def _setups(draw):
+def _setups(draw, scheme="explicit_euler"):
     """Smooth positive (n, c) on a small grid and an upwind solver config
-    within the worst-case CFL bound cfl_safety <= 1/(1 + 2 dim)."""
+    within the worst-case CFL bound: cfl_safety <= 1/(1 + 2 dim), or under
+    imex, whose diffusion sets no bound, cfl_safety = 1/(2 dim)."""
     dim = draw(st.integers(1, 3))
     topology = draw(st.sampled_from(TOPOLOGIES))
     cells = tuple(draw(st.integers(4, {1: 24, 2: 10, 3: 6}[dim])) for _ in range(dim))
@@ -108,7 +109,10 @@ def _setups(draw):
         return fill(grid, f)
 
     state = State(smooth(draw(st.floats(0.5, 5.0))), smooth(draw(st.floats(0.1, 2.0))), 0.0)
-    cfg = SolverConfig(chi=draw(st.floats(0.1, 20.0)), upwind=True,
+    chi = draw(st.floats(0.1, 20.0))
+    if scheme == "imex":
+        return state, SolverConfig(chi=chi, scheme=scheme, cfl_safety=1.0 / (2 * dim))
+    cfg = SolverConfig(chi=chi, upwind=True,
                        cfl_safety=draw(st.floats(0.05, 1.0 / (1 + 2 * dim))))
     return state, cfg
 
@@ -158,3 +162,16 @@ def test_property_rerun_is_byte_identical(setup):
     for a, b in zip(first, second):
         assert a.n.values.tobytes() == b.n.values.tobytes()
         assert a.c.values.tobytes() == b.c.values.tobytes()
+
+
+@_PROPERTY
+@given(_setups(scheme="imex"))
+def test_property_imex_keeps_mass_positivity_and_max_c(setup):
+    """Implicit diffusion of both equations under the advection bound alone:
+    mass to rounding, n >= 0 and max c non-increasing after every step."""
+    states = _trajectory(*setup)
+    mass0 = integrate(states[0].n)
+    for prev, s in zip(states, states[1:]):
+        assert abs(integrate(s.n) - mass0) <= 1e-13 * mass0
+        assert float(np.min(s.n.values)) >= 0.0
+        assert float(np.max(s.c.values)) <= float(np.max(prev.c.values)) * (1.0 + 1e-14)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from kslab import (Field, GridSpec, SolverConfig, State, StopRule, choose_dt,
                    constant_field, detect_divergence, fill, integrate,
                    lp_norm, make_grid, run, step)
-from kslab.solver import _cg_solve, _dt_unclamped
+from kslab.solver import _dct, _dt_unclamped, _idct, _implicit_diffusion
 from kslab.operators import _div, _face_grads
 
 
@@ -129,11 +132,11 @@ def test_step_imex_matches_explicit():
     cfg_im = SolverConfig(scheme="imex")
     ex = step(st, dt, cfg_ex)
     im = step(st, dt, cfg_im)
-    # forward vs backward Euler diffusion differ at O(dt^2 * |lap^2 c|)
+    # forward vs backward Euler diffusion differ at O(dt^2 * |lap^2 u|)
     lap_scale = 4.0 * np.sum(1.0 / g.h**2)
-    bound = (dt * lap_scale) ** 2 * float(np.max(np.abs(st.c.values)))
-    assert np.max(np.abs(ex.c.values - im.c.values)) <= bound
-    assert np.array_equal(ex.n.values, im.n.values)
+    for u in ("c", "n"):
+        bound = (dt * lap_scale) ** 2 * float(np.max(np.abs(getattr(st, u).values)))
+        assert np.max(np.abs(getattr(ex, u).values - getattr(im, u).values)) <= bound
 
 
 def test_step_imex_unconditional_dmp():
@@ -148,18 +151,83 @@ def test_step_imex_unconditional_dmp():
     assert float(np.min(out.c.values)) >= -1e-12
 
 
-def test_cg_solves_backward_euler():
+SOLVE_SPECS = [((7,), (1.0,)), ((12, 9), (1.0, 2.0)), ((8, 6, 5), (1.0, 1.5, 0.7)),
+               ((32, 32, 32), (1.0, 1.0, 1.0))]
+
+
+@pytest.mark.parametrize("topology", ["periodic_torus", "neumann_box"])
+@pytest.mark.parametrize("cells, extent", SOLVE_SPECS)
+def test_implicit_diffusion_solves_backward_euler(cells, extent, topology):
+    g = make_grid(GridSpec(len(cells), cells, extent, topology))
     rng = np.random.default_rng(25)
-    g = make_grid(GridSpec(2, (12, 12), (1.0, 1.0), "neumann_box"))
-    b = rng.normal(size=g.shape)
-    dt = 0.01
+    b = rng.normal(size=(2, *g.shape))
+    dt = 10.0 * g.diffusion_dt
+    u = _implicit_diffusion(b, dt, g)
+    assert u.shape == b.shape
+    for ui, bi in zip(u, b):
+        resid = ui - dt * _div(_face_grads(ui, g), g) - bi
+        assert np.max(np.abs(resid)) <= 1e-13 * np.max(np.abs(bi))
+        assert abs(np.sum(ui) - np.sum(bi)) <= 1e-14 * np.sum(np.abs(bi))
 
-    def apply_op(u):
-        return u - dt * _div(_face_grads(u, g), g)
 
-    x = _cg_solve(apply_op, b)
-    resid = np.sqrt(np.sum((apply_op(x) - b) ** 2))
-    assert resid <= 1e-9 * np.sqrt(np.sum(b * b))
+@pytest.mark.parametrize("cells", [4, 7, 8, 15, 16])
+def test_dct_matches_cosine_matrix(cells):
+    """_dct along each axis of a 3D stack against sum_i x_i cos(pi k (2i+1)/(2N)),
+    and _idct inverts it."""
+    rng = np.random.default_rng(cells)
+    k = np.arange(cells)
+    cosines = np.cos(np.pi * np.outer(k, 2 * k + 1) / (2 * cells))
+    x = rng.normal(size=(2, cells, 3, 5)).swapaxes(1, -1).copy()  # (2, 5, 3, N)
+    for axis in (-3, -2, -1):
+        x = np.moveaxis(x, -1, axis).copy()  # N cells along axis
+        spec = _dct(x, axis, np.fft)
+        oracle = np.moveaxis(np.tensordot(cosines, np.moveaxis(x, axis, 0), axes=1),
+                             0, axis)
+        np.testing.assert_allclose(spec, oracle, rtol=0, atol=1e-13 * np.abs(x).max())
+        np.testing.assert_allclose(_idct(spec, axis, np.fft), x, rtol=0,
+                                   atol=1e-14 * np.abs(x).max())
+        x = np.moveaxis(x, axis, -1)
+
+
+@pytest.mark.parametrize("topology, k", [("neumann_box", 1), ("periodic_torus", 2)])
+def test_step_imex_decays_a_single_mode_exactly(topology, k):
+    """n = 1 + a cos(pi k x) and constant c: one imex step divides the mode by
+    1 + dt (4/h^2) sin^2(pi k h / 2), at dt = 50x the explicit bound."""
+    g = make_grid(GridSpec(1, (32,), (1.0,), topology))
+    h = g.h[0]
+    st = State(fill(g, lambda x: 1.0 + 0.5 * np.cos(np.pi * k * x)),
+               constant_field(g, 0.7), 0.0)
+    dt = 50.0 * g.diffusion_dt
+    out = step(st, dt, SolverConfig(scheme="imex", chi=3.0))
+    factor = 1.0 + dt * (4.0 / h**2) * math.sin(np.pi * k * h / 2.0) ** 2
+    x = g.centers(0)
+    np.testing.assert_allclose(out.n.values, 1.0 + 0.5 * np.cos(np.pi * k * x) / factor,
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out.c.values, 0.7 * np.exp(-dt * st.n.values),
+                               rtol=1e-14, atol=0)
+
+
+def test_imex_dt_ignores_the_diffusion_bound():
+    g = make_grid(GridSpec(2, (10, 10), (1.0, 1.0), "periodic_torus"))
+    cfg = SolverConfig(scheme="imex", cfl_safety=0.25, dt_max=1.0)
+    assert _dt_unclamped(_state(g, 0.0, 1.0), cfg) == math.inf
+    assert choose_dt(_state(g, 0.0, 1.0), cfg) == 1.0
+    assert choose_dt(_state(g, 4.0, 1.0), cfg) == pytest.approx(0.25 * 0.1 / 4.0,
+                                                                  rel=1e-14)
+
+
+def test_explicit_runs_never_load_numpy_fft():
+    code = ("import sys\n"
+            "from kslab import GridSpec, SolverConfig, State, StopRule, constant_field,"
+            " make_grid, run\n"
+            "g = make_grid(GridSpec(2, (8, 8), (1.0, 1.0), 'neumann_box'))\n"
+            "st = State(constant_field(g, 1.0), constant_field(g, 1.0), 0.0)\n"
+            "run(st, SolverConfig(), StopRule(t_end=1e-3))\n"
+            "assert 'numpy.fft' not in sys.modules\n"
+            "run(st, SolverConfig(scheme='imex'), StopRule(t_end=1e-3))\n"
+            "assert 'numpy.fft' in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_step_source_hook_applied():

@@ -14,10 +14,19 @@ one read_diagnostics_csv of a 1,000-row diagnostics.csv.  Under
 32^3 and a fresh 64^3 box, its scratch included, in MB and in grid arrays.
 
     python tools/layers.py --label NAME --out BENCH.json [--src DIR]
+    python tools/layers.py --configs --label NAME --out BENCH.json [--src DIR]
 
-The results are stored under NAME in the "columns" of --out; columns
-already in the file are kept, so running it once on each of two checkouts
-(--src points at a checkout's src/) gives a side-by-side table.  Minor
+With --configs it times the sample configs instead: each .ini in the
+checkout's configs/ runs CONFIG_RUNS times through kslab.cli.main
+in a fresh child process, timed from just before that call to its return,
+so the interpreter's start-up and imports are left out; it records the
+median and every wall time, the exit code, and summary.json's run.steps
+(null for a convergence ladder, whose solves record no single count).
+
+The results are stored under NAME in the "columns" of --out, and a sweep
+replaces only its own keys there (the grids, or "configs"); columns already
+in the file are kept, so running it once on each of two checkouts (--src
+points at a checkout's src/) gives a side-by-side table.  Minor
 faults are this process's getrusage(RUSAGE_SELF).ru_minflt around each
 timed call, averaged.  Each layer is warmed up with 3 calls, then
 timed for at least 0.5 s and 5 calls.  Files go to a temporary directory.
@@ -36,6 +45,7 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -47,6 +57,7 @@ MIN_SECONDS = 0.5
 MIN_CALLS = 5
 WARMUP = 3
 CSV_ROWS = 1000
+CONFIG_RUNS = 5
 RUN_STEPS = 1024
 RUN_SAMPLE_EVERY = 5
 FIT_MEMORY_INI = """[run]
@@ -197,6 +208,38 @@ def sweep(work: Path) -> dict:
     return out
 
 
+# run in a child process: argv is src, config, out_dir; prints one JSON line
+CONFIG_CHILD = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from kslab.cli import main
+t0 = time.perf_counter()
+code = main(["run", "--config", sys.argv[2], "--out-dir", sys.argv[3]])
+wall = time.perf_counter() - t0
+with open(sys.argv[3] + "/summary.json", encoding="utf-8") as fh:
+    steps = json.load(fh)["run"].get("steps")
+print(json.dumps({"wall_s": wall, "exit": code, "steps": steps}))
+"""
+
+
+def config_sweep(src: Path, work: Path) -> dict:
+    """Wall time, exit code and step count of every sample config."""
+    out = {}
+    for ini in sorted((src.parent / "configs").glob("*.ini")):
+        runs = []
+        for k in range(CONFIG_RUNS):
+            proc = subprocess.run(
+                [sys.executable, "-c", CONFIG_CHILD, str(src), str(ini),
+                 str(work / f"{ini.stem}-{k}")],
+                check=True, capture_output=True, text=True)
+            runs.append(json.loads(proc.stdout.splitlines()[-1]))
+        walls = [run["wall_s"] for run in runs]
+        out[ini.stem] = {"median_s": round(statistics.median(walls), 3),
+                         "wall_s": [round(w, 3) for w in walls],
+                         "exit": runs[0]["exit"], "steps": runs[0]["steps"]}
+    return out
+
+
 def _machine() -> dict:
     import numpy as np
 
@@ -217,14 +260,24 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--src", type=Path,
                         default=Path(__file__).resolve().parent.parent / "src")
+    parser.add_argument("--configs", action="store_true",
+                        help="time the sample configs instead of the layers")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
     with tempfile.TemporaryDirectory() as work:
-        results = sweep(Path(work))
+        if args.configs:
+            results = {"configs": config_sweep(src, Path(work))}
+        else:
+            results = sweep(Path(work))
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["machine"] = _machine()
-    doc.setdefault("columns", {})[args.label] = results
+    doc.setdefault("columns", {}).setdefault(args.label, {}).update(results)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    if args.configs:
+        for name, m in results["configs"].items():
+            print(f"{name}: {m['median_s']} s, {m['steps']} steps, exit {m['exit']}")
+        return 0
     for grid, layers in results.items():
         print(grid, " ".join(
             f"{name}={m['median_us']}us/{m['minor_faults_per_call']}f"
