@@ -82,9 +82,11 @@ def fit_rate(series: Sequence[tuple[float, float]], window_fraction: float = 0.2
     golden-section search shrinks it to search_tol relative.  Returns
     status "no_blowup" when n_sup is not increasing over the window, the
     fitted exponent is not positive, or the fit residual exceeds
-    residual_threshold.  A non-finite sample raises ValueError naming its
-    row.
+    residual_threshold.  A non-finite sample, or a window_fraction outside
+    (0, 1], raises ValueError naming it.
     """
+    if not 0.0 < window_fraction <= 1.0:
+        raise ValueError(f"window fraction must lie in (0, 1], got {window_fraction!r}")
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("series must be a sequence of (t, n_sup) pairs")

@@ -1,10 +1,10 @@
 """Run configuration, scenario registry, convergence drivers and artifacts.
 
 ``_SCHEMA`` holds every config key with its default and parser,
-``SCENARIOS`` every scenario's presets, grid requirement, initial data or
-runner and monitors, and ``_summarize`` builds every summary.json.  A
-minimal config file only needs [run] scenario = <name>; unset inequality
-constants are echoed with a "config-default" provenance label.
+``SCENARIOS`` every scenario's presets, grid requirement, initial data (or
+a ladder's error rows) and monitors, and ``_summarize`` builds every
+summary.json.  A minimal config file only needs [run] scenario = <name>;
+unset inequality constants are echoed with a "config-default" provenance label.
 
 Artifacts written per run directory:
     config_echo.ini   effective configuration (defaults applied)
@@ -13,7 +13,7 @@ Artifacts written per run directory:
     snapshots/        KSF1 field snapshots (cadenced and final)
     blowup_report.json  when rate fitting is enabled
     nondegeneracy.ksf   when the fit succeeds: max over samples of (t* - t) n
-    mms_errors.csv / scaling_errors.csv      for the convergence scenarios
+    <scenario>_errors.csv  a convergence ladder's error table (mms, scaling_test)
     summary.json      monitors, pass/fail flags, config echo, version stamp
 
 A summary is a function of those artifacts (and, for a time-stepped run,
@@ -24,11 +24,13 @@ of the step statistics it records), so regenerate_summary() (the CLI
 from __future__ import annotations
 
 import configparser
+import inspect
 import json
 import math
 import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass, field, make_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -45,8 +47,8 @@ from .errors import ConfigError, CorruptionError, PositivityError, StoppedEarlyE
 from .grid import (Field, GridSpec, fill, lp_norm, make_grid, read_snapshot,
                    write_snapshot)
 from .manufactured import ManufacturedPair, mms_sources
-from .scaling import (_ERROR_KEYS, SCALING_HEADER, ErrorRow, ErrorTable, _errors,
-                      _finished, _orders, read_scaling_csv, scaling_rows)
+from .scaling import (_ERROR_KEYS, LADDER_HEADER, _errors, _finished, _orders,
+                      ladder_rows, read_ladders, rescaled_finals)
 from .solver import SolverConfig, State, StopRule, run
 
 EXIT_OK = 0
@@ -221,9 +223,10 @@ def load_config(path, overrides: Optional[Sequence[str]] = None) -> RunConfig:
             raise ConfigError(f"override targets unknown key {dotted!r}")
         given.append((sec, key, value.strip()))
 
-    scenario = next((value.strip() for sec, key, value in reversed(given)
-                     if (sec, key) == ("run", "scenario")), "")
-    presets = SCENARIOS[scenario].presets if scenario in SCENARIOS else {}
+    name = next((value.strip() for sec, key, value in reversed(given)
+                 if (sec, key) == ("run", "scenario")), "")
+    scenario = SCENARIOS.get(name)
+    presets = scenario.presets if scenario else {}
     effective = {sec: {key: entry[0] for key, entry in keys.items()}
                  for sec, keys in _SCHEMA.items()}
     for sec, key, value in [(*k.split("."), v) for k, v in presets.items()] + given:
@@ -259,8 +262,6 @@ def load_config(path, overrides: Optional[Sequence[str]] = None) -> RunConfig:
     if math.isinf(run_sec["t_end"]) and run_sec["max_steps"] is None:
         errors.append("run.t_end: inf needs run.max_steps")
 
-    name = run_sec["scenario"]
-    scenario = SCENARIOS.get(name)
     if scenario is None:
         errors.append(f"run.scenario: unknown or missing scenario {name!r}; "
                       f"choose from {', '.join(SCENARIOS)}")
@@ -475,19 +476,12 @@ def _stress_3d_monitors(cfg, records, out) -> dict:
 
 # --- convergence ladders ------------------------------------------------------
 
-_MMS_HEADER = ("kind", "level", "cells_or_dt", *_ERROR_KEYS)
-
-
-def _mms_grid(cfg: RunConfig, cells: int):
-    """The config's grid (dim, extent, topology) with cells per axis."""
-    return make_grid(replace(cfg.grid, cells=(cells,) * cfg.grid.dim))
-
 
 def _solve_mms(cfg: RunConfig, cells: int, t_end: float, level: int = 0,
                dt_force: Optional[float] = None) -> tuple[State, State]:
     """Solve the forced system; returns (numerical final, manufactured final).
     A forced dt names the solve in the ladder, else its level and cells."""
-    grid = _mms_grid(cfg, cells)
+    grid = make_grid(replace(cfg.grid, cells=(cells,) * cfg.grid.dim))
     pair = ManufacturedPair(grid, cfg.solver.chi)
     src_n, src_c = mms_sources(pair)
     solver_cfg = cfg.solver
@@ -507,36 +501,30 @@ def _solve_mms(cfg: RunConfig, cells: int, t_end: float, level: int = 0,
 def _mms_dts(cfg: RunConfig) -> list[float]:
     """Forced steps of the temporal self-convergence runs on the base grid:
     half its explicit diffusion bound, then halved twice."""
-    dt0 = 0.5 * _mms_grid(cfg, cfg.grid.cells[0]).diffusion_dt
+    dt0 = 0.5 * make_grid(cfg.grid).diffusion_dt
     return [dt0 / (2**k) for k in range(3)]
 
 
-def _run_mms(cfg: RunConfig, out: Path) -> None:
-    """The spatial ladder, then the forced-dt runs on the base grid.  Each
-    row is written as soon as its solves finish, so a ladder that stops
-    early keeps the rows of the levels before the stop."""
+def _mms_rows(cfg: RunConfig) -> Iterator[list]:
+    """The spatial ladder against the manufactured solution, then the
+    differences of successive forced-dt runs on the base grid."""
     base = cfg.grid.cells[0]
+    spatial = ladder_rows(base, cfg.refinements,
+                          lambda level, cells: _solve_mms(cfg, cells, cfg.t_end, level))
+    yield from (["spatial", *row] for row in spatial)
     dts = _mms_dts(cfg)
-    with TableWriter(out / "mms_errors.csv", _MMS_HEADER) as table:
-        for level in range(cfg.refinements):
-            cells = base * (2**level)
-            table.write_row(["spatial", level, cells,
-                             *_errors(*_solve_mms(cfg, cells, cfg.t_end, level))])
-        finals = []
-        for k, dt in enumerate(dts):
-            finals.append(_solve_mms(cfg, base, min(cfg.t_end, 0.03), dt_force=dt)[0])
-            if k:
-                _, e_n, _, e_c = _errors(finals[k - 1], finals[k])
-                table.write_row(["temporal_diff", k - 1, dts[k - 1], None, e_n, None, e_c])
+    finals = []
+    for k, dt in enumerate(dts):
+        finals.append(_solve_mms(cfg, base, min(cfg.t_end, 0.03), dt_force=dt)[0])
+        if k:
+            _, e_n, _, e_c = _errors(finals[k - 1], finals[k])
+            yield ["temporal_diff", k - 1, dts[k - 1], None, e_n, None, e_c]
 
 
-def _mms_monitors(cfg: RunConfig, out: Path) -> tuple[dict, dict, dict]:
-    rows = read_table(out / "mms_errors.csv", _MMS_HEADER)[1]
-    table = ErrorTable([ErrorRow(int(r[1]), int(r[2]), *map(float, r[3:]))
-                        for r in rows if r[0] == "spatial"])
-    temporal = [r for r in rows if r[0] == "temporal_diff"]
-    temporal_orders = {"n": _orders([float(r[4]) for r in temporal])[0],
-                       "c": _orders([float(r[6]) for r in temporal])[0]}
+def _mms_monitors(cfg: RunConfig, ladders: dict) -> tuple[dict, dict, dict]:
+    table, temporal = ladders["spatial"], ladders["temporal_diff"]
+    temporal_orders = {"n": _orders(temporal.column("linf_n"))[0],
+                       "c": _orders(temporal.column("linf_c"))[0]}
     monitors = {
         "spatial_order": _monitor(table.min_order, 1.9, kind="min"),
         "temporal_order": _monitor(min(temporal_orders.values()), 0.9, kind="min"),
@@ -547,33 +535,37 @@ def _mms_monitors(cfg: RunConfig, out: Path) -> tuple[dict, dict, dict]:
     return {"levels": [r.cells for r in table.rows]}, monitors, metadata
 
 
-def _run_scaling_test(cfg: RunConfig, out: Path) -> None:
-    """The lam ladder, then the lam = 1 identity run that must be exact.  Each
-    row, with its orders against the level before, is written as soon as its
-    solves finish, so a ladder that stops early keeps the rows before the stop."""
-    with TableWriter(out / "scaling_errors.csv", SCALING_HEADER) as table:
-        for lam, levels in ((cfg.lam, cfg.refinements), (1, 1)):
-            ladder = ErrorTable([])
-            for row in scaling_rows(
-                    lambda x, y: 1.0 + 0.4 * np.cos(_W * x) * np.cos(_W * y),
-                    lambda x, y: 0.8 + 0.3 * np.cos(_W * x),
-                    base_cells=cfg.grid.cells[0], dim=2, lam=lam,
-                    T=cfg.t_end, config=cfg.solver, refinements=levels,
-                    extent=cfg.grid.extent[0]):
-                ladder.rows.append(row)
-                table.write_row([lam, *row, *(f"{col[-1]:.6g}" if col else None
-                                              for col in ladder.orders.values())])
+def _scaling_test_rows(cfg: RunConfig) -> Iterator[list]:
+    """The lam ladder, then the lam = 1 identity run that must be exact."""
+    for kind, lam, levels in (("scaling", cfg.lam, cfg.refinements), ("identity", 1, 1)):
+        finals = partial(rescaled_finals,
+                         lambda x, y: 1.0 + 0.4 * np.cos(_W * x) * np.cos(_W * y),
+                         lambda x, y: 0.8 + 0.3 * np.cos(_W * x),
+                         2, lam, cfg.t_end, cfg.solver, cfg.grid.extent[0])
+        for row in ladder_rows(cfg.grid.cells[0], levels, finals):
+            yield [kind, *row]
 
 
-def _scaling_monitors(cfg: RunConfig, out: Path) -> tuple[dict, dict, dict]:
-    (lam, table), (_, identity) = read_scaling_csv(out / "scaling_errors.csv")
+def _scaling_monitors(cfg: RunConfig, ladders: dict) -> tuple[dict, dict, dict]:
+    table, identity = ladders["scaling"], ladders["identity"]
     monitors = {
         "scaling_order": _monitor(table.min_order, 1.5, kind="min"),
-        "lambda1_error": _monitor(max(getattr(identity.rows[0], key)
-                                      for key in _ERROR_KEYS), 0.0),
+        "lambda1_error": _monitor(max(identity.column(k)[0] for k in _ERROR_KEYS), 0.0),
     }
     metadata = {"errors": [r._asdict() for r in table.rows], "orders": table.orders}
-    return {"lam": lam, "levels": [r.cells for r in table.rows]}, monitors, metadata
+    return {"lam": cfg.lam, "levels": [r.cells for r in table.rows]}, monitors, metadata
+
+
+def _run_ladder(cfg: RunConfig, out: Path) -> Optional[dict]:
+    """Write the ladder's rows to <scenario>_errors.csv as their solves
+    finish, so a ladder that stops early keeps the rows before the stop;
+    returns the stop of the solve that stopped early, if one did."""
+    with TableWriter(out / f"{cfg.scenario}_errors.csv", LADDER_HEADER) as table:
+        try:
+            for row in SCENARIOS[cfg.scenario].initial(cfg):
+                table.write_row(row)
+        except StoppedEarlyError as exc:
+            return {"run": exc.run_info}
 
 
 # --- scenario registry --------------------------------------------------------
@@ -583,22 +575,25 @@ def _scaling_monitors(cfg: RunConfig, out: Path) -> tuple[dict, dict, dict]:
 class Scenario:
     """Everything the harness knows about one scenario.
 
-    A time-stepped scenario has ``initial`` (cfg -> State), which the
-    default runner steps, and ``monitors`` (cfg, samples, run dir ->
-    monitors).  A convergence ladder has its own ``runner`` (cfg, run dir),
-    which writes an error table, and ``monitors`` (cfg, run dir -> run
-    info, monitors, metadata), which read that table back.
+    A time-stepped scenario's ``initial`` (cfg -> State) is the state that
+    _run_fields steps; its ``monitors`` take (cfg, samples, run dir).  A
+    convergence ladder's ``initial`` is a generator function (cfg -> rows)
+    of the table _run_ladder writes, and its ``monitors`` take (cfg, an
+    ErrorTable per kind) and return (run info, monitors, metadata).
     """
 
     presets: dict[str, str]  # section.key -> value text over the defaults
     monitors: Callable
-    initial: Optional[Callable] = None
-    runner: Callable = _run_fields
+    initial: Callable
     grid: Optional[tuple[Optional[int], str]] = None  # (dim or None, topology)
     requires: tuple[str, ...] = ()  # [run] keys that must be set
     uniform: tuple[str, ...] = ()  # [grid] keys equal on every axis
     # the entropy/Dirichlet inequality presumes positive c
     energy: bool = True
+
+    @property
+    def ladder(self) -> bool:
+        return inspect.isgeneratorfunction(self.initial)
 
 
 def _sampled(n0: Callable, c0: Callable) -> Callable:
@@ -660,7 +655,7 @@ SCENARIOS: dict[str, Scenario] = {
     "mms": Scenario(
         presets={"run.t_end": "0.05", "grid.cells": "32 32",
                  "solver.upwind": "false"},
-        runner=_run_mms, monitors=_mms_monitors, uniform=("cells",)),
+        initial=_mms_rows, monitors=_mms_monitors, uniform=("cells",)),
     "equilibrium_2d": Scenario(
         presets={"run.t_end": "50.0", "run.sample_every": "10",
                  "solver.scheme": "imex", "solver.cfl_safety": "0.9",
@@ -679,7 +674,7 @@ SCENARIOS: dict[str, Scenario] = {
         initial=_stress_3d_initial, monitors=_stress_3d_monitors),
     "scaling_test": Scenario(
         presets={"run.t_end": "0.04", "solver.upwind": "false"},
-        grid=_TORUS_2D, runner=_run_scaling_test, monitors=_scaling_monitors,
+        grid=_TORUS_2D, initial=_scaling_test_rows, monitors=_scaling_monitors,
         uniform=("cells", "extent")),
     "custom": Scenario(
         presets={}, requires=("n0_snapshot", "c0_snapshot"),
@@ -695,13 +690,15 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
     """Execute a scenario, write artifacts, return (exit_code, summary)."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_config_echo(cfg, out)
-    try:
-        stats = SCENARIOS[cfg.scenario].runner(cfg, out)
-    except StoppedEarlyError as exc:  # a convergence ladder's solve stopped
-        stats = {"run": {"stop_reason": exc.stop_reason, "status": exc.status,
-                         "stopped_in": exc.stopped_in, "t_stop": exc.t_stop}}
-    return _finish(cfg, out, stats)
+    parser = configparser.ConfigParser()
+    parser.read_dict(cfg.echo)
+    with open(out / "config_echo.ini", "w", encoding="utf-8") as fh:
+        fh.write("# effective configuration (defaults applied)\n")
+        for name in cfg.defaulted:
+            fh.write(f"# defaulted: {name}\n")
+        parser.write(fh)
+    runner = _run_ladder if SCENARIOS[cfg.scenario].ladder else _run_fields
+    return _finish(cfg, out, runner(cfg, out))
 
 
 def regenerate_summary(run_dir) -> tuple[int, dict]:
@@ -717,16 +714,6 @@ def regenerate_summary(run_dir) -> tuple[int, dict]:
     stats = {"run": old.get("run", {}), "c_floor_engaged_samples": old.get(
         "metadata", {}).get("c_floor_engaged_samples", 0)}
     return _finish(cfg, run_dir, stats)
-
-
-def _write_config_echo(cfg: RunConfig, out: Path) -> None:
-    parser = configparser.ConfigParser()
-    parser.read_dict(cfg.echo)
-    with open(out / "config_echo.ini", "w", encoding="utf-8") as fh:
-        fh.write("# effective configuration (defaults applied)\n")
-        for name in cfg.defaulted:
-            fh.write(f"# defaulted: {name}\n")
-        parser.write(fh)
 
 
 def _finish(cfg: RunConfig, out: Path, stats: Optional[dict]) -> tuple[int, dict]:
@@ -746,11 +733,12 @@ def _summarize(cfg: RunConfig, out: Path, stats: Optional[dict]) -> dict:
     scenario = SCENARIOS[cfg.scenario]
     criteria: list[dict] = []
     blowup = None
-    if scenario.initial is None:
+    if scenario.ladder:
         run_info = (stats or {}).get("run", {})
         monitors, metadata = {}, {}
         if run_info.get("stop_reason", "finished") == "finished":
-            info, monitors, metadata = scenario.monitors(cfg, out)
+            info, monitors, metadata = scenario.monitors(
+                cfg, read_ladders(out / f"{cfg.scenario}_errors.csv"))
             run_info = {"stop_reason": "finished", "status": "ok", **info}
     else:
         records = read_diagnostics_csv(out / "diagnostics.csv")

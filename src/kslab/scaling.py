@@ -1,4 +1,4 @@
-"""Self-similar rescaling on the torus and the invariance refinement test.
+"""Self-similar rescaling, its refinement test, and every ladder's error table.
 
 The rescaling maps a state (n, c, t) to
 
@@ -17,8 +17,10 @@ mass of n transforms as lambda^2 * integral n.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,22 +65,21 @@ def rescale_state(state: State, lam: int) -> State:
 
 _ERROR_KEYS = ("l2_n", "linf_n", "l2_c", "linf_c")
 
-# scaling_errors.csv: one row per lam and level, each ladder from its level
-# 0; an order cell holds log2 of the previous level's error over this one's,
-# as text to 6 significant digits
-SCALING_HEADER = ("lam", "level", "cells", *_ERROR_KEYS,
-                  *(f"order_{key}" for key in _ERROR_KEYS))
+# a convergence ladder's <scenario>_errors.csv: one row per solve pair, in
+# the order they ran; cells_or_dt holds the cells per axis or a forced dt
+LADDER_HEADER = ("kind", "level", "cells_or_dt", *_ERROR_KEYS)
 
 
 class ErrorRow(NamedTuple):
-    """One level of a ladder: cells per axis, L2 and Linf errors of n and c."""
+    """One level of a ladder: cells per axis (or a forced dt), L2 and Linf
+    errors of n and c; an error a row does not have is None."""
 
     level: int
-    cells: int
-    l2_n: float
-    linf_n: float
-    l2_c: float
-    linf_c: float
+    cells: int | float
+    l2_n: Optional[float]
+    linf_n: Optional[float]
+    l2_c: Optional[float]
+    linf_c: Optional[float]
 
 
 @dataclass
@@ -87,11 +88,18 @@ class ErrorTable:
 
     rows: list[ErrorRow]
 
+    def column(self, key: str) -> list[float]:
+        """One error column; no rows, or an error missing or not finite, is
+        a malformed table."""
+        values = [getattr(r, key) for r in self.rows]
+        if not values or not all(v is not None and math.isfinite(v) for v in values):
+            raise ValueError(f"a ladder has no rows or lacks a finite {key} error")
+        return values
+
     @property
     def orders(self) -> dict[str, list[float]]:
         """Per error column, the orders between successive levels."""
-        return {key: _orders([getattr(r, key) for r in self.rows])
-                for key in _ERROR_KEYS}
+        return {key: _orders(self.column(key)) for key in _ERROR_KEYS}
 
     @property
     def min_order(self) -> float:
@@ -100,9 +108,8 @@ class ErrorTable:
 
 
 def _finished(result: RunResult, what: str, **where) -> State:
-    """The final state of a solve that has to reach its end time; a solve
-    that stopped early raises StoppedEarlyError with its stop, what and
-    where in its ladder it is (level and cells, or a forced dt)."""
+    """The final state of a solve that has to reach its end time, else
+    StoppedEarlyError naming what stopped and where in its ladder."""
     if result.stop_reason != "finished":
         raise StoppedEarlyError(what, result.stop_reason, result.status,
                                 where, result.state.t)
@@ -135,27 +142,28 @@ def _orders(errors: Sequence[float]) -> list[float]:
     return out
 
 
-def scaling_rows(n0_fn: Callable, c0_fn: Callable, base_cells: int, dim: int,
-                 lam: int, T: float, config: SolverConfig, refinements: int = 3,
-                 extent: float = 1.0) -> Iterator[ErrorRow]:
-    """The rows of scaling_invariance_test, each yielded as soon as its two
-    solves have finished."""
-    for level in range(refinements):
+def ladder_rows(base_cells: int, levels: int, finals: Callable) -> Iterator[ErrorRow]:
+    """One row per level, base_cells * 2**level cells per axis, yielded as
+    soon as finals(level, cells), the pair of states it compares, returns."""
+    for level in range(levels):
         cells = base_cells * (2**level)
-        spec = GridSpec(dim=dim, cells=(cells,) * dim, extent=(extent,) * dim,
-                        topology="periodic_torus")
-        grid = make_grid(spec)
-        n0 = fill(grid, n0_fn)
-        c0 = fill(grid, c0_fn)
-        state0 = State(n0, c0, 0.0)
+        yield ErrorRow(level, cells, *_errors(*finals(level, cells)))
 
-        where = {"lam": lam, "level": level, "cells": cells}
-        scaled_first = _finished(run(rescale_state(state0, lam), config,
-                                     StopRule(t_end=T / lam**2)),
-                                 "rescale-then-solve", **where)
-        scaled_last = rescale_state(_finished(run(state0, config, StopRule(t_end=T)),
-                                              "solve-then-rescale", **where), lam)
-        yield ErrorRow(level, cells, *_errors(scaled_first, scaled_last))
+
+def rescaled_finals(n0_fn: Callable, c0_fn: Callable, dim: int, lam: int, T: float,
+                    config: SolverConfig, extent: float, level: int,
+                    cells: int) -> tuple[State, State]:
+    """solve(T/lam^2, rescale(u0)) and rescale(solve(T, u0)) at one level of
+    the scaling ladder: cells per axis on a torus of the given extent."""
+    grid = make_grid(GridSpec(dim, (cells,) * dim, (extent,) * dim, "periodic_torus"))
+    state0 = State(fill(grid, n0_fn), fill(grid, c0_fn), 0.0)
+    where = {"lam": lam, "level": level, "cells": cells}
+    scaled_first = _finished(run(rescale_state(state0, lam), config,
+                                 StopRule(t_end=T / lam**2)),
+                             "rescale-then-solve", **where)
+    solved = _finished(run(state0, config, StopRule(t_end=T)),
+                       "solve-then-rescale", **where)
+    return scaled_first, rescale_state(solved, lam)
 
 
 def scaling_invariance_test(n0_fn: Callable, c0_fn: Callable, base_cells: int,
@@ -168,17 +176,17 @@ def scaling_invariance_test(n0_fn: Callable, c0_fn: Callable, base_cells: int,
     || solve(T/lam^2, rescale(u0)) - rescale(solve(T, u0)) || in L2 and
     Linf per component; observed orders are log2 of successive ratios.
     """
-    return ErrorTable(list(scaling_rows(n0_fn, c0_fn, base_cells, dim, lam, T,
-                                        config, refinements, extent)))
+    return ErrorTable(list(ladder_rows(base_cells, refinements, partial(
+        rescaled_finals, n0_fn, c0_fn, dim, lam, T, config, extent))))
 
 
-def read_scaling_csv(path) -> list[tuple[int, ErrorTable]]:
-    """The (lam, table) ladders of a scaling_errors.csv; orders are
-    recomputed from the errors, which the file holds to 17 digits."""
-    ladders: list[tuple[int, ErrorTable]] = []
-    for lam, level, cells, *errors in read_table(path, SCALING_HEADER)[1]:
-        row = ErrorRow(int(level), int(cells), *map(float, errors[:len(_ERROR_KEYS)]))
-        if row.level == 0:
-            ladders.append((int(lam), ErrorTable([])))
-        ladders[-1][1].rows.append(row)
+def read_ladders(path) -> dict[str, ErrorTable]:
+    """The ladder of each kind of row in a <scenario>_errors.csv, in the
+    rows' order; a kind with no rows reads as an empty ErrorTable.  The
+    errors are held to 17 digits, so they read back exactly."""
+    ladders: dict[str, ErrorTable] = defaultdict(lambda: ErrorTable([]))
+    for kind, level, cells, *errors in read_table(path, LADDER_HEADER)[1]:
+        row = ErrorRow(int(level), int(cells) if cells.isdigit() else float(cells),
+                       *(float(e) if e else None for e in errors))
+        ladders[kind].rows.append(row)
     return ladders

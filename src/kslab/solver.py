@@ -122,8 +122,10 @@ class SolverConfig:
             raise ValueError("chi must be positive")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.dt_min > self.dt_max:
-            raise ValueError("dt_min must not exceed dt_max")
+        if not 0.0 < self.dt_min <= self.dt_max:  # else time cannot advance
+            raise ValueError("dt_min must be positive and not exceed dt_max")
+        if not self.dt_blowup_factor > 0.0:
+            raise ValueError("dt_blowup_factor must be positive")
         if self.positivity_floor < 0.0:
             raise ValueError("positivity_floor must be nonnegative")
         if self.scheme not in (EXPLICIT_EULER, IMEX):

@@ -59,6 +59,13 @@ def test_fit_rejects_short_window():
         fit_rate(series, window_fraction=0.25)  # 5 points < 8
 
 
+@pytest.mark.parametrize("fraction", [math.inf, math.nan, 5.0, 0.0, -1.0])
+def test_fit_rejects_window_fraction_outside_unit_interval(fraction):
+    series = _synthetic(1.0, 1.0, 1.0, 0.5, 0.99, count=40)
+    with pytest.raises(ValueError, match="window fraction"):
+        fit_rate(series, window_fraction=fraction)
+
+
 def test_fit_rejects_unordered_times():
     series = [(0.0, 1.0), (0.5, 2.0), (0.4, 3.0)] + _synthetic(1, 1, 1, 0.6, 0.9, 40)
     with pytest.raises(ValueError):

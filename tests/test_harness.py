@@ -64,6 +64,35 @@ def test_config_collects_all_violations(tmp_path):
     assert "t_end" in msg and "chi" in msg and "cfl_safety" in msg
 
 
+# dt bounds under which time cannot advance (dt = 0, or negative), and a
+# blow-up refinement that would clamp every step to dt_min
+_NO_ADVANCE = {
+    "dt-zero": ["solver.dt_min=0", "solver.dt_max=0"],
+    "dt-negative": ["solver.dt_min=-5", "solver.dt_max=-1"],
+    "blowup-factor-zero": ["solver.dt_blowup_factor=0"],
+    "blowup-factor-negative": ["solver.dt_blowup_factor=-1"],
+}
+
+
+@pytest.mark.parametrize("case", list(_NO_ADVANCE))
+def test_config_rejects_dt_bounds_that_cannot_advance(tmp_path, case):
+    path = _write(tmp_path, "[run]\nscenario = constant_decay\n")
+    key = "dt_blowup_factor" if case.startswith("blowup") else "dt_min"
+    with pytest.raises(ConfigError, match=f"solver: {key} must be positive"):
+        load_config(path, overrides=_NO_ADVANCE[case])
+
+
+@pytest.mark.parametrize("case", list(_NO_ADVANCE))
+def test_cli_dt_bounds_that_cannot_advance_exit_code(tmp_path, capsys, case):
+    # --max-steps bounds the run should such a config ever be accepted
+    argv = ["run", "--config", str(_write(tmp_path, "[run]\nscenario = constant_decay\n")),
+            "--out-dir", str(tmp_path / "out"), "--max-steps", "20"]
+    overrides = [arg for item in _NO_ADVANCE[case] for arg in ("--override", item)]
+    assert cli_main(argv + overrides) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_missing_scenario(tmp_path):
     with pytest.raises(ConfigError, match="scenario"):
         load_config(_write(tmp_path, "[run]\nt_end = 1\n"))
@@ -344,7 +373,8 @@ def test_regenerate_summary_is_idempotent(tmp_path):
     # an error that grows from exactly 0 gives order -inf
     ("mms", "mms_errors.csv", ("temporal_diff,0,", 4, "0"), "temporal_order"),
     ("mms", "mms_errors.csv", ("spatial,1,", 3, "1"), "spatial_order"),
-    ("scaling_test", "scaling_errors.csv", ("1,0,", 3, "1e-3"), "lambda1_error"),
+    ("scaling_test", "scaling_test_errors.csv", ("identity,0,", 3, "1e-3"),
+     "lambda1_error"),
     ("equilibrium_2d", "diagnostics.csv", ("0.", 3, "5"), "dmp_slack"),
 ])
 def test_report_recomputes_from_edited_csv(tmp_path, scenario, csv, edit, monitor):
@@ -366,8 +396,33 @@ def test_report_recomputes_from_edited_csv(tmp_path, scenario, csv, edit, monito
 
 def test_cli_report_malformed_artifact_exit_code(tmp_path):
     out, _ = _cheap_run(tmp_path, "scaling_test")
-    (out / "scaling_errors.csv").write_text("lam,level\nnot,a,table\n")
+    (out / "scaling_test_errors.csv").write_text("kind,level\nnot,a,table\n")
     assert cli_main(["report", "--run", str(out)]) == EXIT_IO
+
+
+@pytest.mark.parametrize("scenario, edit", [
+    # a ladder table that lost every row of one kind
+    ("mms", lambda rows: [r for r in rows if not r.startswith("temporal_diff,")]),
+    ("scaling_test", lambda rows: [r for r in rows if not r.startswith("identity,")]),
+    # a level that is not an integer
+    ("mms", lambda rows: [rows[0], rows[1].replace(",0,", ",0.5,", 1), *rows[2:]]),
+    ("scaling_test", lambda rows: [rows[0], rows[1].replace(",0,", ",x,", 1),
+                                   *rows[2:]]),
+    # an error that is not a finite number, or missing where a monitor reads it
+    ("mms", lambda rows: [*rows[:2], rows[2].rsplit(",", 1)[0] + ",nan", *rows[3:]]),
+    ("scaling_test", lambda rows: [*rows[:-1], rows[-1].rsplit(",", 1)[0] + ","]),
+], ids=["mms-no-temporal_diff", "scaling_test-no-identity", "mms-level",
+        "scaling_test-level", "mms-nan-error", "scaling_test-empty-error"])
+def test_cli_report_malformed_ladder_table_exit_code(tmp_path, capsys, scenario, edit):
+    out, _ = _cheap_run(tmp_path, scenario)
+    csv = out / f"{scenario}_errors.csv"
+    rows = csv.read_text().splitlines()
+    edited = edit(rows)
+    assert edited != rows
+    csv.write_text("\n".join(edited) + "\n")
+    capsys.readouterr()
+    assert cli_main(["report", "--run", str(out)]) == EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("csv, cut", [
@@ -574,7 +629,7 @@ def test_ladder_stopped_early_writes_summary_and_report_rebuilds_it(tmp_path, sc
 def test_ladder_stopped_early_keeps_the_rows_that_finished(tmp_path, scenario,
                                                             threshold, stopped_in):
     cfg_path = _write(tmp_path, f"[run]\nscenario = {scenario}\n")
-    csv = {"mms": "mms_errors.csv", "scaling_test": "scaling_errors.csv"}[scenario]
+    csv = f"{scenario}_errors.csv"
     tables = {}
     for tag, extra in (("full", []), ("stop", [f"solver.blowup_sup_threshold={threshold}"])):
         args = ["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / tag),
@@ -625,6 +680,16 @@ def test_cli_fit_bad_input_exit_code(tmp_path, capsys, args):
             fh.write(f"{t},{1.0 / (1.0 - t)}\n")
     assert cli_main(["fit", "--series", str(series_path)] + args) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fraction", ["inf", "nan", "5", "0", "-1"])
+def test_cli_fit_window_fraction_outside_unit_interval_exit_code(tmp_path, capsys,
+                                                                 fraction):
+    series_path = tmp_path / "series.csv"
+    series_path.write_text(_inverse_law(60))
+    assert cli_main(["fit", "--series", str(series_path),
+                     "--window-fraction", fraction]) == EXIT_CONFIG
+    assert "window fraction must lie in (0, 1]" in capsys.readouterr().err
 
 
 def _inverse_law(rows):
@@ -705,7 +770,7 @@ def test_run_scenario_scaling_test(tmp_path):
                       overrides=[f"run.out_dir={out}", "scaling.refinements=2",
                                  "run.t_end=0.02"])
     code, summary = run_scenario(cfg)
-    assert (out / "scaling_errors.csv").exists()
+    assert (out / "scaling_test_errors.csv").exists()
     assert summary["monitors"]["lambda1_error"]["value"] == 0.0
     assert "scaling_order" in summary["monitors"]
 

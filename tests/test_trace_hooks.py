@@ -71,3 +71,35 @@ def test_solve_mms_fetches_its_sources_through_the_module_global(monkeypatch, tm
     assert calls["mms_sources"] == 1
     assert calls["step"] > 0
     assert calls["source_n"] == calls["source_c"] == calls["step"]
+
+
+def test_mms_scenario_makes_every_solve_through_the_module_global(monkeypatch, tmp_path):
+    # perfbench's setup probe ends an mms run at its first call into
+    # kslab.harness.run, so no step may come before that call, and every
+    # step of the ladder must be inside one
+    real_run, real_step = kslab.harness.run, kslab.solver.step
+    steps, solves = [], []
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return real_step(*args, **kwargs)
+
+    def probed_run(state, config, stop, **kwargs):
+        before = len(steps)
+        result = real_run(state, config, stop, **kwargs)
+        solves.append((before, state.grid.shape, sorted(kwargs), len(steps) - before))
+        return result
+
+    monkeypatch.setattr(kslab.solver, "step", counting_step)
+    monkeypatch.setattr(kslab.harness, "run", probed_run)
+    path = tmp_path / "mms.ini"
+    path.write_text("[run]\nscenario = mms\n")
+    cfg = kslab.harness.load_config(path, overrides=[
+        f"run.out_dir={tmp_path / 'out'}", "grid.cells=8 8", "run.t_end=0.002",
+        "scaling.refinements=2"])
+    kslab.harness.run_scenario(cfg)
+    # two spatial levels, then three forced-dt runs on the base grid
+    assert [shape for _, shape, _, _ in solves] == [(8, 8), (16, 16), (8, 8), (8, 8), (8, 8)]
+    assert solves[0][0] == 0
+    assert all(kwargs == ["source_c", "source_n"] for _, _, kwargs, _ in solves)
+    assert sum(n for *_, n in solves) == len(steps) > 0
