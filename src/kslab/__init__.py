@@ -10,13 +10,12 @@ from .grid import (Field, Grid, GridSpec, VectorField, constant_field, fill,
 from .operators import chemotactic_flux, divergence, gradient, laplacian
 from .solver import (RunResult, SolverConfig, State, StopRule, choose_dt,
                      detect_divergence, run, step)
-from .diagnostics import (CriterionAccumulator, DiagnosticsRecord,
-                          WINKLER_CONSTANT, energy_inequality_residual, evaluate,
-                          pointwise_hessian_check, update_accumulators,
-                          winkler_ratio)
+from .diagnostics import (DiagnosticsRecord, WINKLER_CONSTANT,
+                          energy_inequality_residual, evaluate,
+                          pointwise_hessian_check, winkler_ratio)
 from .blowup import (NondegeneracyMap, RateFit, alpha_lower_bound, check_lower_bound,
                      classify, fit_rate, nondegeneracy_map, rate_report)
-from .scaling import rescale_state, scaling_invariance_test
+from .scaling import rescale_state
 from .manufactured import ManufacturedPair, mms_sources
 from .harness import RunConfig, load_config, regenerate_summary, run_scenario
 

@@ -32,6 +32,10 @@ TYPE_I = "type_I"
 TYPE_II = "type_II"
 
 MIN_FIT_POINTS = 8  # the fewest samples a fit window may hold
+_SEARCH_TOL = 1e-12  # the golden-section search's relative bracket width
+# the C3 a report accepts: delta0 and C_tilde's delta0^(-1/3) are then normal
+# doubles (delta0 underflows to 0 from about C3 = 3.2e306)
+C3_RANGE = (1e-300, 1e300)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _WINKLER_ROOT = 2.0 + math.sqrt(3.0)
@@ -54,10 +58,6 @@ class NondegeneracyMap:
     epsilon: float
     flagged: np.ndarray  # boolean mask of blow-up candidate cells
 
-    @property
-    def flagged_count(self) -> int:
-        return int(np.count_nonzero(self.flagged))
-
 
 def _loglog_fit(ts: np.ndarray, log_ns: np.ndarray, t_star: float):
     """Least squares of log n_sup = log A - gamma * log(t_star - t)."""
@@ -74,12 +74,11 @@ def _loglog_fit(ts: np.ndarray, log_ns: np.ndarray, t_star: float):
 
 
 def fit_rate(series: Sequence[tuple[float, float]], window_fraction: float = 0.25,
-             residual_threshold: float = 0.25,
-             search_tol: float = 1e-12) -> RateFit:
+             residual_threshold: float = 0.25) -> RateFit:
     """Fit (t_star, gamma, A) on the tail window of a (t, n_sup) series.
 
     The search bracket is (t_last, t_last + 10 * sampled span); the
-    golden-section search shrinks it to search_tol relative.  Returns
+    golden-section search shrinks it to _SEARCH_TOL relative.  Returns
     status "no_blowup" when n_sup is not increasing over the window, the
     fitted exponent is not positive, or the fit residual exceeds
     residual_threshold.  A non-finite sample, or a window_fraction outside
@@ -122,7 +121,7 @@ def fit_rate(series: Sequence[tuple[float, float]], window_fraction: float = 0.2
     d = a + _GOLDEN * (b - a)
     fc, fd = rms_at(c), rms_at(d)
     scale = max(abs(hi), 1.0)
-    while (b - a) > search_tol * scale:
+    while (b - a) > _SEARCH_TOL * scale:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -148,18 +147,23 @@ def classify(gamma: float, tol: float = 0.05) -> str:
 def _lower_bound_constants(c0_sup: float, C3: float) -> tuple[float, float, float, float]:
     """(alpha, C_tilde, delta0, kappa3); alpha is inf where C_tilde is 0,
     that is for c0_sup = 0 and for c0_sup below about 1e-243, whose 4/3
-    power underflows, and where 1 / (4 C_tilde) overflows."""
+    power underflows, and where 1 / (4 C_tilde) overflows.  C_tilde is inf
+    where it overflows (c0_sup above about 1e231 at C3 = 1), and alpha 0."""
     kappa3 = C3 / 4.0
     delta0 = 1.0 / (16.0 * _WINKLER_ROOT**2 * kappa3)
-    c_tilde = 3.0 * delta0 ** (-1.0 / 3.0) * c0_sup ** (4.0 / 3.0)
+    try:
+        c_tilde = 3.0 * delta0 ** (-1.0 / 3.0) * c0_sup ** (4.0 / 3.0)
+    except OverflowError:  # c0_sup^(4/3) beyond the largest double
+        c_tilde = math.inf
     alpha = 1.0 / (4.0 * c_tilde) if c_tilde > 0.0 else math.inf
     return alpha, c_tilde, delta0, kappa3
 
 
 def alpha_lower_bound(c0_sup: float, C3: float) -> tuple[float, float, float, float]:
-    """(alpha, C_tilde, delta0, kappa3) from the closed-form weight choices."""
-    if c0_sup <= 0.0 or C3 <= 0.0:
-        raise ValueError("c0_sup and C3 must be positive")
+    """(alpha, C_tilde, delta0, kappa3) from the closed-form weight choices;
+    raises ValueError unless c0_sup is positive and C3 in C3_RANGE."""
+    if not (c0_sup > 0.0 and C3_RANGE[0] <= C3 <= C3_RANGE[1]):
+        raise ValueError("c0_sup must be positive and C3 in C3_RANGE")
     return _lower_bound_constants(c0_sup, C3)
 
 
@@ -181,11 +185,12 @@ def rate_report(series: Sequence[tuple[float, float]], fit: RateFit, c0_sup: flo
     constants.  A declined fit reads limsup_estimate 0.0 and
     lower_bound_satisfied False.  alpha grows like c0_sup^(-4/3); where it
     is not a finite number (c0_sup = 0, initial c zero everywhere, or
-    below about 1e-233) the report holds alpha None, says why in the note,
+    below about 1e-233), or where C_tilde overflows (c0_sup above about
+    1e231 at C3 = 1), the report holds alpha None, says why in the note,
     and no limsup satisfies the bound.  Raises ValueError unless c0_sup is
-    nonnegative and C3 positive."""
-    if not (c0_sup >= 0.0 and C3 > 0.0):
-        raise ValueError("c0_sup must be nonnegative and C3 positive")
+    nonnegative and C3 in C3_RANGE."""
+    if not (c0_sup >= 0.0 and C3_RANGE[0] <= C3 <= C3_RANGE[1]):
+        raise ValueError("c0_sup must be nonnegative and C3 in C3_RANGE")
     alpha, c_tilde, delta0, kappa3 = _lower_bound_constants(c0_sup, C3)
     classification, limsup_estimate, satisfied = NO_BLOWUP, 0.0, False
     if fit.status != NO_BLOWUP:
@@ -197,6 +202,10 @@ def rate_report(series: Sequence[tuple[float, float]], fit: RateFit, c0_sup: flo
         alpha = None
         notes.append(f"alpha is unbounded: c0_sup = {c0_sup!r} gives "
                      f"C_tilde = {c_tilde!r}, so no finite limsup reaches it")
+    elif math.isinf(c_tilde):  # alpha is 0, which any limsup would reach
+        alpha, satisfied = None, False
+        notes.append(f"C_tilde overflows: c0_sup = {c0_sup!r} and C3 = {C3!r} "
+                     f"give C_tilde = inf, so alpha = 1/(4 C_tilde) bounds nothing")
     report = {"t_star": fit.t_star, "gamma": fit.gamma, "amplitude": fit.amplitude,
               "fit_residual": fit.residual, "classification": classification,
               "alpha": alpha, "limsup_estimate": limsup_estimate,

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from .blowup import fit_rate, rate_report
+from .blowup import C3_RANGE, alpha_lower_bound, fit_rate, rate_report
 from .diagnostics import read_table
 from .errors import ConfigError, SnapshotError
 from .harness import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK,
@@ -71,8 +71,13 @@ def _cmd_fit(args) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        if not args.c0_sup > 0.0:  # a stated sup of c0, unlike a run's measured one
-            raise ValueError("--c0-sup must be positive")
+        if not C3_RANGE[0] <= args.c3 <= C3_RANGE[1]:
+            raise ValueError(f"--c3 must be in {list(C3_RANGE)}, got {args.c3!r}")
+        # a stated sup of c0, unlike a run's measured one, must give a finite alpha
+        if not (args.c0_sup > 0.0
+                and math.isfinite(alpha_lower_bound(args.c0_sup, args.c3)[1])):
+            raise ValueError("--c0-sup must be positive and keep C_tilde finite (up "
+                             f"to about 1e231 at --c3 1), got {args.c0_sup!r}")
         fit = fit_rate(series, window_fraction=args.window_fraction)
         payload = {"status": fit.status, **rate_report(
             series, fit, args.c0_sup, args.c3, args.window_fraction)}

@@ -1,4 +1,4 @@
-"""Functional evaluation, inequality monitors and criterion accumulators.
+"""Functional evaluation, inequality monitors and criterion integrals.
 
 Quadrature conventions (applied uniformly, mirrored by the brute-force
 test oracle):
@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -88,32 +88,6 @@ class DiagnosticsRecord:
 
 
 CSV_FIELDS = [f.name for f in dataclasses.fields(DiagnosticsRecord)]
-
-
-@dataclass(frozen=True)
-class CriterionAccumulator:
-    """Running space-time criterion integrals for one (s, r) pair.
-
-    value_ns tracks integral_0^t ||n||_{L^s}^r dtau (running max of the
-    norm when r is infinite); value_gc tracks integral_0^t ||grad c||_inf^2.
-    """
-
-    s: float
-    r: float
-    value_ns: float = 0.0
-    value_gc: float = 0.0
-
-    def __post_init__(self):
-        if not self.s > 1.5:
-            raise ValueError(f"s must exceed 3/2, got {self.s}")
-        if self.r < 1.0:
-            raise ValueError(f"r must be at least 1, got {self.r}")
-
-    @property
-    def admissible(self) -> bool:
-        three_over_s = 0.0 if math.isinf(self.s) else 3.0 / self.s
-        two_over_r = 0.0 if math.isinf(self.r) else 2.0 / self.r
-        return three_over_s + two_over_r <= 2.0
 
 
 def _clip_level(floor: float, sup: float) -> float:
@@ -316,21 +290,26 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
     )
 
 
-def update_accumulators(acc: CriterionAccumulator,
-                        t0: float, n_ls0: float, gradc0: float,
-                        t1: float, n_ls1: float, gradc1: float
-                        ) -> CriterionAccumulator:
-    """Trapezoidal update over [t0, t1] from each endpoint's L^s norm of n
-    (for acc's s) and sup |grad c|."""
-    if not t0 < t1:
-        raise ValueError(f"records out of time order: {t0} !< {t1}")
-    dt = t1 - t0
-    if math.isinf(acc.r):
-        value_ns = max(acc.value_ns, n_ls0, n_ls1)
-    else:
-        value_ns = acc.value_ns + 0.5 * dt * (n_ls0**acc.r + n_ls1**acc.r)
-    value_gc = acc.value_gc + 0.5 * dt * (gradc0**2 + gradc1**2)
-    return replace(acc, value_ns=value_ns, value_gc=value_gc)
+def admissible(s: float, r: float) -> bool:
+    """Whether (s, r) is a pair of the blow-up criterion: 3/s + 2/r <= 2
+    (an infinite exponent contributes 0)."""
+    return 3.0 / s + 2.0 / r <= 2.0
+
+
+def criterion_integral(ts: Sequence[float], values: Sequence[float],
+                       r: float) -> float:
+    """The trapezoid rule for the integral of values^r over the times ts,
+    or the running max of values (from 0) when r is infinite; raises
+    ValueError at the first pair of times out of order."""
+    total = 0.0
+    for t0, t1, v0, v1 in zip(ts, ts[1:], values, values[1:]):
+        if not t0 < t1:
+            raise ValueError(f"records out of time order: {t0} !< {t1}")
+        if math.isinf(r):
+            total = max(total, v0, v1)
+        else:
+            total = total + 0.5 * (t1 - t0) * (v0**r + v1**r)
+    return total
 
 
 def energy_inequality_residual(window: Sequence[DiagnosticsRecord],

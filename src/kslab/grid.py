@@ -89,10 +89,6 @@ class Grid:
         return self.spec.dim
 
     @property
-    def topology(self) -> str:
-        return self.spec.topology
-
-    @property
     def periodic(self) -> bool:
         return self.spec.topology == PERIODIC_TORUS
 

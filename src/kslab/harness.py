@@ -37,12 +37,12 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .blowup import (MIN_FIT_POINTS, NO_BLOWUP, RateFit, fit_rate,
+from .blowup import (C3_RANGE, MIN_FIT_POINTS, NO_BLOWUP, RateFit, fit_rate,
                      nondegeneracy_map, rate_report)
-from .diagnostics import (CriterionAccumulator, DiagnosticsRecord, DiagnosticsWriter,
-                          TableWriter, _clip_level, energy_inequality_residual,
-                          evaluate, read_diagnostics_csv, read_table,
-                          update_accumulators)
+from .diagnostics import (DiagnosticsRecord, DiagnosticsWriter, TableWriter,
+                          _clip_level, admissible, criterion_integral,
+                          energy_inequality_residual, evaluate,
+                          read_diagnostics_csv, read_table)
 from .errors import ConfigError, CorruptionError, PositivityError, StoppedEarlyError
 from .grid import (Field, GridSpec, fill, lp_norm, make_grid, read_snapshot,
                    write_snapshot)
@@ -64,7 +64,8 @@ _GUESS = "config-default (no canonical value; supply your own)"
 # A parser maps the value text to its typed value or raises ValueError with
 # a message that follows the dotted key name.  Non-finite values are errors,
 # except inf as a Lebesgue exponent (criterion pairs, ls_exponent) and as
-# run.t_end when run.max_steps bounds the run.
+# run.t_end when run.max_steps bounds a time-stepped run (a ladder's solves
+# run to t_end, which must be positive and finite).
 
 
 def _number(kind=float, ok: Optional[Callable] = None, need: str = "",
@@ -168,7 +169,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
                                               need="greater than 3/2", inf=True))),
     },
     "blowup": {
-        "c3": ("1.0", _number(ok=lambda v: v > 0, need="positive"), _GUESS),
+        "c3": ("1.0", _number(ok=lambda v: C3_RANGE[0] <= v <= C3_RANGE[1],
+                              need=f"in {list(C3_RANGE)}"), _GUESS),
         "epsilon": ("0.01", _real, _GUESS),
         "window_fraction": ("0.25", _number(ok=lambda v: 0 < v <= 1,
                                             need="in (0, 1]")),
@@ -271,6 +273,9 @@ def load_config(path, overrides: Optional[Sequence[str]] = None) -> RunConfig:
             if grid_spec.topology != topology or dim not in (None, grid_spec.dim):
                 errors.append(f"{name} needs a {f'{dim}D ' if dim else ''}"
                               f"{topology} grid")
+        if scenario.ladder and not 0.0 < run_sec["t_end"] < math.inf:
+            errors.append(f"run.t_end: the {name} ladder needs 0 < t_end < inf, "
+                          f"got {run_sec['t_end']!r}")
         for key in scenario.requires:
             if not run_sec[key]:
                 errors.append(f"{name} scenario requires run.{key}")
@@ -390,18 +395,20 @@ def _criteria_header(cfg: RunConfig) -> list[str]:
 
 
 def _criteria(cfg: RunConfig, path: Path) -> list[dict]:
-    """The criterion accumulators, integrated over the rows of criteria.csv."""
+    """Per criterion pair, the time integrals over criteria.csv's rows of
+    n's L^s norm to the power r and of sup |grad c|^2; rows out of time
+    order raise ValueError naming the file."""
     rows = [[float(v) for v in row]
             for row in read_table(path, _criteria_header(cfg))[1]]
-    out = []
-    for idx, (s, r) in enumerate(cfg.criterion_pairs):
-        acc = CriterionAccumulator(s=s, r=r)
-        ends = [(row[0], row[2 + idx], row[1]) for row in rows]  # t, L^s, grad c
-        for prev, nxt in zip(ends, ends[1:]):
-            acc = update_accumulators(acc, *prev, *nxt)
-        out.append({"s": s, "r": r, "admissible": acc.admissible,
-                    "value_ns": acc.value_ns, "value_gc": acc.value_gc})
-    return out
+    ts = [row[0] for row in rows]
+    try:
+        value_gc = criterion_integral(ts, [row[1] for row in rows], 2.0)
+        return [{"s": s, "r": r, "admissible": admissible(s, r),
+                 "value_ns": criterion_integral(ts, [row[2 + idx] for row in rows], r),
+                 "value_gc": value_gc}
+                for idx, (s, r) in enumerate(cfg.criterion_pairs)]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --- monitors -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Self-similar rescaling, its refinement test, and every ladder's error table.
+"""Self-similar rescaling, its refinement ladder, and every ladder's error table.
 
 The rescaling maps a state (n, c, t) to
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -164,20 +163,6 @@ def rescaled_finals(n0_fn: Callable, c0_fn: Callable, dim: int, lam: int, T: flo
     solved = _finished(run(state0, config, StopRule(t_end=T)),
                        "solve-then-rescale", **where)
     return scaled_first, rescale_state(solved, lam)
-
-
-def scaling_invariance_test(n0_fn: Callable, c0_fn: Callable, base_cells: int,
-                            dim: int, lam: int, T: float, config: SolverConfig,
-                            refinements: int = 3, extent: float = 1.0) -> ErrorTable:
-    """Compare rescale-then-solve against solve-then-rescale under refinement.
-
-    Initial data is given as vectorized position functions so every level
-    samples it at its own resolution.  Per level the reported error is
-    || solve(T/lam^2, rescale(u0)) - rescale(solve(T, u0)) || in L2 and
-    Linf per component; observed orders are log2 of successive ratios.
-    """
-    return ErrorTable(list(ladder_rows(base_cells, refinements, partial(
-        rescaled_finals, n0_fn, c0_fn, dim, lam, T, config, extent))))
 
 
 def read_ladders(path) -> dict[str, ErrorTable]:

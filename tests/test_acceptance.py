@@ -17,8 +17,7 @@ from kslab import (Field, GridSpec, SolverConfig, State, StopRule,
                    WINKLER_CONSTANT, alpha_lower_bound, classify,
                    constant_field, energy_inequality_residual, evaluate, fill,
                    fit_rate, integrate, load_config, make_grid,
-                   pointwise_hessian_check, run, run_scenario,
-                   scaling_invariance_test, winkler_ratio)
+                   pointwise_hessian_check, run, run_scenario, winkler_ratio)
 
 
 def _report(num, ok, detail):
@@ -253,24 +252,19 @@ def test_criterion_07_energy_monitor():
 # --- 8: scaling invariance --------------------------------------------------------------
 
 
-def test_criterion_08_scaling_invariance():
-    w = 2 * np.pi
-    cfg = SolverConfig(cfl_safety=0.4, upwind=False)
-
-    def n0(x, y):
-        return 1.0 + 0.4 * np.cos(w * x) * np.cos(w * y)
-
-    def c0(x, y):
-        return 0.8 + 0.3 * np.cos(w * x)
-
-    table = scaling_invariance_test(n0, c0, base_cells=16, dim=2, lam=2,
-                                    T=0.04, config=cfg, refinements=3)
-    identity = scaling_invariance_test(n0, c0, base_cells=16, dim=2, lam=1,
-                                       T=0.04, config=cfg, refinements=1)
-    lam1 = max(identity.rows[0].l2_n, identity.rows[0].linf_n,
-               identity.rows[0].l2_c, identity.rows[0].linf_c)
-    ok = table.min_order >= 1.5 and lam1 == 0.0
-    _report(8, ok, f"lambda=2 observed order {table.min_order:.3f} >= 1.5 "
+def test_criterion_08_scaling_invariance(tmp_path):
+    # the scaling_test scenario: n0 = 1 + 0.4 cos(2 pi x) cos(2 pi y),
+    # c0 = 0.8 + 0.3 cos(2 pi x) on the unit torus, central fluxes
+    cfg = load_config(_cfg_file(tmp_path, "scaling_test"),
+                      overrides=[f"run.out_dir={tmp_path / 'scaling'}"])
+    assert (cfg.grid.cells, cfg.grid.extent, cfg.t_end, cfg.lam, cfg.refinements) == (
+        (16, 16), (1.0, 1.0), 0.04, 2, 3)
+    assert cfg.solver == SolverConfig(cfl_safety=0.4, upwind=False)
+    code, summary = run_scenario(cfg)
+    order = summary["monitors"]["scaling_order"]["value"]
+    lam1 = summary["monitors"]["lambda1_error"]["value"]
+    ok = code == 0 and order >= 1.5 and lam1 == 0.0
+    _report(8, ok, f"lambda=2 observed order {order:.3f} >= 1.5 "
                    f"over three refinements; lambda=1 error = {lam1} (exact 0)")
 
 

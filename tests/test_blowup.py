@@ -6,7 +6,7 @@ import pytest
 from kslab import (Field, GridSpec, alpha_lower_bound, check_lower_bound,
                    classify, constant_field, fit_rate, make_grid,
                    nondegeneracy_map, rate_report)
-from kslab.blowup import NO_BLOWUP, TYPE_I, TYPE_II
+from kslab.blowup import C3_RANGE, NO_BLOWUP, TYPE_I, TYPE_II
 
 
 def _synthetic(t_star, gamma, amplitude, t0, t1, count=50):
@@ -206,7 +206,7 @@ def test_nondegeneracy_infinite_epsilon_empty():
     g = _grid2()
     snaps = [(0.5, constant_field(g, 1.0))]
     nd = nondegeneracy_map(snaps, t_star=1.0, epsilon=math.inf)
-    assert nd.flagged_count == 0
+    assert not nd.flagged.any()
 
 
 @pytest.mark.parametrize("c0_sup", [0.0, 1e-300, 1e-240])
@@ -226,6 +226,40 @@ def test_rate_report_without_a_finite_alpha(c0_sup):
     assert report["constants"]["c0_sup"] == c0_sup
     with pytest.raises(ValueError):
         rate_report(series, fit, -1.0, 1.0, 0.25)
+
+
+@pytest.mark.parametrize("c0_sup", [1e232, 1e300, 1.7e308])
+def test_rate_report_where_C_tilde_overflows(c0_sup):
+    """A measured c0_sup whose C_tilde overflows (c0_sup^(4/3) beyond the
+    largest double from about 1e231) gives alpha null and a note, never a
+    traceback, and no limsup satisfies the bound."""
+    ts = np.linspace(0.5, 0.99, 60)
+    series = list(zip(ts, 1.0 / (1.0 - ts)))
+    report = rate_report(series, fit_rate(series), c0_sup, 1.0, 0.25)
+    assert report["alpha"] is None
+    assert report["lower_bound_satisfied"] is False
+    assert report["note"].startswith(f"C_tilde overflows: c0_sup = {c0_sup!r}")
+    assert report["constants"]["C_tilde"] == math.inf
+
+
+@pytest.mark.parametrize("C3", [math.inf, 1e307, 4e306, 1.01e300, 0.99e-300,
+                                5e-324, 0.0, -1.0, math.nan])
+def test_lower_bound_constants_reject_C3_outside_its_range(C3):
+    """delta0 = 1/(4 (2+sqrt 3)^2 C3) underflows to 0 from about C3 = 3.2e306
+    (and 0.0 ** (-1/3) raises ZeroDivisionError); C3_RANGE keeps it and
+    delta0^(-1/3) normal doubles."""
+    ts = np.linspace(0.5, 0.99, 60)
+    series = list(zip(ts, 1.0 / (1.0 - ts)))
+    with pytest.raises(ValueError, match="C3 in C3_RANGE"):
+        rate_report(series, fit_rate(series), 1.0, C3, 0.25)
+    with pytest.raises(ValueError, match="C3 in C3_RANGE"):
+        alpha_lower_bound(1.0, C3)
+
+
+@pytest.mark.parametrize("C3", C3_RANGE)
+def test_lower_bound_constants_at_the_ends_of_C3_RANGE(C3):
+    alpha, c_tilde, delta0, kappa3 = alpha_lower_bound(1.0, C3)
+    assert all(0.0 < v < math.inf for v in (alpha, c_tilde, delta0, kappa3))
 
 
 def test_nondegeneracy_monotone_in_snapshots():

@@ -6,12 +6,12 @@ import pytest
 
 import oracle as orc
 import reference_evaluate as ref
-from kslab import (CriterionAccumulator, Field, GridSpec, PositivityError,
-                   SolverConfig, State, StopRule, WINKLER_CONSTANT,
-                   constant_field, energy_inequality_residual, evaluate, fill,
-                   lp_norm, make_grid, pointwise_hessian_check, run,
-                   update_accumulators, winkler_ratio)
+from kslab import (Field, GridSpec, PositivityError, SolverConfig, State, StopRule,
+                   WINKLER_CONSTANT, constant_field, energy_inequality_residual,
+                   evaluate, fill, lp_norm, make_grid, pointwise_hessian_check,
+                   run, winkler_ratio)
 from kslab.diagnostics import (CSV_FIELDS, DiagnosticsWriter, TableWriter,
+                               admissible, criterion_integral,
                                read_diagnostics_csv, read_table)
 
 KAPPAS = (1.0, 1.0, 1.0)
@@ -162,7 +162,7 @@ def test_evaluate_matches_brute_force_oracle():
             assert rel <= 1e-12, (spec.topology, name, rel)
 
 
-# --- accumulators ---------------------------------------------------------------
+# --- criterion integrals ---------------------------------------------------------
 
 
 def _mini(t, ns, gc=0.0):
@@ -172,74 +172,57 @@ def _mini(t, ns, gc=0.0):
     return rec
 
 
-def _update(acc, prev, nxt):
-    """update_accumulators between two records' t, L^2 norm and sup |grad c|."""
-    return update_accumulators(acc, prev.t, prev.n_ls_norm, prev.gradc_inf,
-                               nxt.t, nxt.n_ls_norm, nxt.gradc_inf)
+def _fold(records, r):
+    """criterion_integral over records' t of their L^2 norm to the r, and of
+    their sup |grad c| squared."""
+    ts = [rec.t for rec in records]
+    return (criterion_integral(ts, [rec.n_ls_norm for rec in records], r),
+            criterion_integral(ts, [rec.gradc_inf for rec in records], 2.0))
 
 
 def test_accumulator_constant_integrand():
-    acc = CriterionAccumulator(s=2.0, r=4.0)
     n_bar = 3.0
-    prev = _mini(0.0, n_bar)
-    nxt = _mini(2.5, n_bar)
-    acc = _update(acc, prev, nxt)
+    value_ns, value_gc = _fold([_mini(0.0, n_bar), _mini(2.5, n_bar)], 4.0)
     # unit volume: ||n||_{L^2} = n_bar, integrand n_bar^4
-    assert acc.value_ns == pytest.approx(2.5 * n_bar**4, rel=1e-12)
-    assert acc.value_gc == 0.0
+    assert value_ns == pytest.approx(2.5 * n_bar**4, rel=1e-12)
+    assert value_gc == 0.0
 
 
 def test_accumulator_three_point_trapezoid_oracle():
-    acc = CriterionAccumulator(s=2.0, r=2.0)
     values = [(0.0, 1.0), (0.5, 2.0), (2.0, 5.0)]
-    recs = [_mini(t, v) for t, v in values]
-    for prev, nxt in zip(recs, recs[1:]):
-        acc = _update(acc, prev, nxt)
+    value_ns, _ = _fold([_mini(t, v) for t, v in values], 2.0)
     expected = 0.5 * 0.5 * (1.0 + 4.0) + 0.5 * 1.5 * (4.0 + 25.0)
-    assert acc.value_ns == pytest.approx(expected, rel=1e-12)
+    assert value_ns == pytest.approx(expected, rel=1e-12)
 
 
 def test_accumulator_running_sup_for_infinite_r():
-    acc = CriterionAccumulator(s=2.0, r=math.inf)
     recs = [_mini(0.0, 1.0), _mini(1.0, 4.0), _mini(2.0, 2.0)]
-    for prev, nxt in zip(recs, recs[1:]):
-        acc = _update(acc, prev, nxt)
-    assert acc.value_ns == pytest.approx(4.0, rel=1e-12)
+    assert _fold(recs, math.inf)[0] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_accumulator_rejects_bad_time_order():
-    acc = CriterionAccumulator(s=2.0, r=2.0)
-    with pytest.raises(ValueError):
-        _update(acc, _mini(1.0, 1.0), _mini(0.5, 1.0))
+    with pytest.raises(ValueError, match="records out of time order: 1.0 !< 0.5"):
+        _fold([_mini(1.0, 1.0), _mini(0.5, 1.0)], 2.0)
 
 
 def test_accumulator_admissibility():
-    assert CriterionAccumulator(s=2.0, r=4.0).admissible          # 3/2 + 1/2 = 2
-    assert CriterionAccumulator(s=math.inf, r=1.0).admissible     # 0 + 2 = 2
-    assert not CriterionAccumulator(s=2.0, r=2.0).admissible      # 3/2 + 1 > 2
-    assert CriterionAccumulator(s=1.6, r=math.inf).admissible     # 1.875 <= 2
-    with pytest.raises(ValueError):
-        CriterionAccumulator(s=1.5, r=4.0)
-    with pytest.raises(ValueError):
-        CriterionAccumulator(s=2.0, r=0.5)
+    # s > 3/2 and r >= 1 are config rules (harness._pairs)
+    assert admissible(2.0, 4.0)            # 3/2 + 1/2 = 2
+    assert admissible(math.inf, 1.0)       # 0 + 2 = 2
+    assert not admissible(2.0, 2.0)        # 3/2 + 1 > 2
+    assert admissible(1.6, math.inf)       # 1.875 <= 2
 
 
 def test_accumulator_monotone():
     rng = np.random.default_rng(12)
-    acc = CriterionAccumulator(s=2.0, r=4.0)
     t = 0.0
-    prev = _mini(t, 1.0)
-    values_ns = [acc.value_ns]
-    values_gc = [acc.value_gc]
+    recs = [_mini(t, 1.0)]
     for _ in range(10):
         t += rng.uniform(0.1, 1.0)
-        nxt = _mini(t, rng.uniform(0.5, 3.0))
-        acc = _update(acc, prev, nxt)
-        values_ns.append(acc.value_ns)
-        values_gc.append(acc.value_gc)
-        prev = nxt
-    assert all(a <= b + 1e-15 for a, b in zip(values_ns, values_ns[1:]))
-    assert all(a <= b + 1e-15 for a, b in zip(values_gc, values_gc[1:]))
+        recs.append(_mini(t, rng.uniform(0.5, 3.0)))
+    folds = [_fold(recs[:k], 4.0) for k in range(1, len(recs) + 1)]
+    for column in zip(*folds):  # value_ns, then value_gc
+        assert all(a <= b + 1e-15 for a, b in zip(column, column[1:]))
 
 
 # --- energy inequality monitor ---------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -6,11 +7,12 @@ import struct
 import numpy as np
 import pytest
 
-from kslab import (ConfigError, GridSpec, ManufacturedPair, load_config, make_grid,
-                   mms_sources, read_snapshot, regenerate_summary, run_scenario,
-                   write_snapshot, constant_field)
+from kslab import (ConfigError, GridSpec, ManufacturedPair, SolverConfig, load_config,
+                   make_grid, mms_sources, read_snapshot, regenerate_summary,
+                   run_scenario, write_snapshot, constant_field)
 from kslab.cli import main as cli_main
-from kslab.harness import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK
+from kslab.diagnostics import admissible
+from kslab.harness import _SCHEMA, EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK
 
 
 def _write(tmp_path, text, name="cfg.ini"):
@@ -43,10 +45,15 @@ def test_config_admissible_pair(tmp_path):
     path = _write(tmp_path, "[run]\nscenario = constant_decay\n"
                             "[diagnostics]\ncriterion_pairs = 2/4\n")
     cfg = load_config(path)
-    from kslab import CriterionAccumulator
-    acc = CriterionAccumulator(s=cfg.criterion_pairs[0][0],
-                               r=cfg.criterion_pairs[0][1])
-    assert acc.admissible
+    assert admissible(*cfg.criterion_pairs[0])
+
+
+def test_solver_schema_defaults_are_solver_config_defaults():
+    """[solver]'s default texts in the schema parse to SolverConfig()."""
+    parsed = {key: parse(default)
+              for key, (default, parse, *_) in _SCHEMA["solver"].items()}
+    assert set(parsed) == {f.name for f in dataclasses.fields(SolverConfig)}
+    assert SolverConfig(**parsed) == SolverConfig()
 
 
 def test_config_unknown_key(tmp_path):
@@ -90,6 +97,28 @@ def test_cli_dt_bounds_that_cannot_advance_exit_code(tmp_path, capsys, case):
     overrides = [arg for item in _NO_ADVANCE[case] for arg in ("--override", item)]
     assert cli_main(argv + overrides) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario", ["mms", "scaling_test"])
+def test_config_ladder_rejects_an_infinite_t_end(tmp_path, scenario):
+    # max_steps would let a time-stepped run accept inf; a ladder's solves
+    # run to t_end and would never end
+    with pytest.raises(ConfigError, match=f"run.t_end: the {scenario} ladder needs "
+                                          "0 < t_end < inf, got inf"):
+        load_config(_write(tmp_path, f"[run]\nscenario = {scenario}\n"),
+                    overrides=["run.t_end=inf", "run.max_steps=5"])
+
+
+@pytest.mark.parametrize("scenario", ["mms", "scaling_test"])
+def test_cli_ladder_with_a_zero_t_end_exit_code(tmp_path, capsys, scenario):
+    # every solve would return its initial state: errors 0, orders inf, PASS
+    argv = ["run", "--config", str(_write(tmp_path, f"[run]\nscenario = {scenario}\n")),
+            "--out-dir", str(tmp_path / "out"), "--override", "grid.cells=8 8",
+            "--override", "run.t_end=0"]
+    assert cli_main(argv) == EXIT_CONFIG
+    assert (f"run.t_end: the {scenario} ladder needs 0 < t_end < inf, got 0.0"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -140,6 +169,10 @@ def test_config_inf_values(tmp_path):
     ("solver.blowup_sup_threshold=inf", "solver.blowup_sup_threshold"),
     ("grid.extent=1 inf", "grid.extent"),
     ("diagnostics.criterion_pairs=2/nan", "diagnostics.criterion_pairs"),
+    # the criterion's exponent rules: s > 3/2 (3/2 itself is out) and r >= 1
+    ("diagnostics.criterion_pairs=2/4 1.5/4",
+     "diagnostics.criterion_pairs: s must exceed 3/2"),
+    ("diagnostics.criterion_pairs=2/0.5", "diagnostics.criterion_pairs: r must be at least 1"),
 ])
 def test_config_rejects_nonfinite_and_out_of_range(tmp_path, override, key):
     path = _write(tmp_path, "[run]\nscenario = constant_decay\n")
@@ -292,21 +325,36 @@ def test_run_scenario_custom_snapshots(tmp_path):
     np.testing.assert_allclose(n_final.values, 1.0, rtol=1e-12)
 
 
-def test_cli_fitted_run_with_zero_c0_reports_an_unbounded_alpha(tmp_path, capsys):
-    """c0 = 0 everywhere makes alpha ~ c0_sup^(-4/3) unbounded: the run writes
-    its summary and a report with alpha null, a note, and the bound unmet."""
+def _fitted_run_from_constant_c0(tmp_path, c0):
+    """kslab run of a fitted custom run on the 8x8 torus from n0 = 1 and a
+    constant c0; returns its summary and its blow-up report."""
     g = make_grid(GridSpec(2, (8, 8), (1.0, 1.0), "periodic_torus"))
-    for name, value in (("n0", 1.0), ("c0", 0.0)):
+    for name, value in (("n0", 1.0), ("c0", c0)):
         write_snapshot(constant_field(g, value), 0.0, tmp_path / f"{name}.ksf")
-    out = tmp_path / "zero_c0"
+    out = tmp_path / "fitted"
     config = _write(tmp_path, "[run]\nscenario = custom\nt_end = 0.02\n"
                               f"n0_snapshot = {tmp_path / 'n0.ksf'}\n"
                               f"c0_snapshot = {tmp_path / 'c0.ksf'}\n"
                               f"out_dir = {out}\n[grid]\ncells = 8 8\n"
                               "[blowup]\nfit = true\n")
     assert cli_main(["run", "--config", str(config)]) == EXIT_OK
-    summary = json.loads((out / "summary.json").read_text())
-    report = json.loads((out / "blowup_report.json").read_text())
+    return (json.loads((out / "summary.json").read_text()),
+            json.loads((out / "blowup_report.json").read_text()))
+
+
+def test_cli_fitted_run_whose_C_tilde_overflows_reports_no_alpha(tmp_path):
+    """c0 = 1e300 everywhere: c0_sup^(4/3) overflows, so the run writes its
+    summary and a report with alpha null, a note, and the bound unmet."""
+    summary, report = _fitted_run_from_constant_c0(tmp_path, 1e300)
+    assert summary["blowup"]["alpha"] is report["alpha"] is None
+    assert report["lower_bound_satisfied"] is False
+    assert "C_tilde overflows: c0_sup = 1e+300 and C3 = 1.0" in report["note"]
+
+
+def test_cli_fitted_run_with_zero_c0_reports_an_unbounded_alpha(tmp_path, capsys):
+    """c0 = 0 everywhere makes alpha ~ c0_sup^(-4/3) unbounded: the run writes
+    its summary and a report with alpha null, a note, and the bound unmet."""
+    summary, report = _fitted_run_from_constant_c0(tmp_path, 0.0)
     assert summary["blowup"]["alpha"] is report["alpha"] is None
     assert report["lower_bound_satisfied"] is False
     assert report["constants"]["c0_sup"] == 0.0
@@ -430,6 +478,9 @@ def test_cli_report_malformed_ladder_table_exit_code(tmp_path, capsys, scenario,
     ("diagnostics.csv", lambda lines: lines[:-1] + [lines[-1][:len(lines[-1]) // 2]]),
     # a criteria row that lost its last cell
     ("criteria.csv", lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]),
+    # two criteria rows swapped: records out of time order
+    pytest.param("criteria.csv", lambda lines: [*lines[:2], lines[3], lines[2], *lines[4:]],
+                 id="criteria.csv-swapped-rows"),
 ])
 def test_cli_report_malformed_table_exit_code(tmp_path, capsys, csv, cut):
     out, _ = _cheap_run(tmp_path, "constant_decay")
@@ -680,6 +731,32 @@ def test_cli_fit_bad_input_exit_code(tmp_path, capsys, args):
             fh.write(f"{t},{1.0 / (1.0 - t)}\n")
     assert cli_main(["fit", "--series", str(series_path)] + args) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--c3", "inf"),
+    ("--c3", "1e307"),    # delta0 underflows to 0 from about 3.2e306
+    ("--c3", "4e306"),
+    ("--c3", "5e-324"),   # C3/4 underflows to 0
+    ("--c0-sup", "1e300"),  # c0_sup^(4/3) overflows
+    ("--c0-sup", "inf"),
+])
+def test_cli_fit_constant_out_of_range_exit_code(tmp_path, capsys, flag, value):
+    series_path = tmp_path / "series.csv"
+    series_path.write_text(_inverse_law(60))
+    assert cli_main(["fit", "--series", str(series_path), flag, value]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}"), err
+
+
+def test_cli_run_c3_out_of_range_exit_code(tmp_path, capsys):
+    argv = ["run", "--config", str(_write(tmp_path, "[run]\nscenario = stress_3d\n")),
+            "--out-dir", str(tmp_path / "out")]
+    for item in _CHEAP["stress_3d"] + ["blowup.c3=1e308"]:
+        argv += ["--override", item]
+    assert cli_main(argv) == EXIT_CONFIG
+    assert "blowup.c3: must be in [1e-300, 1e+300], got '1e308'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("fraction", ["inf", "nan", "5", "0", "-1"])

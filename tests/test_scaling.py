@@ -1,11 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from kslab import (Field, GridSpec, SolverConfig, State, constant_field, fill,
-                   integrate, make_grid, rescale_state, scaling_invariance_test)
-from kslab.scaling import _orders
+                   integrate, make_grid, rescale_state)
+from kslab.scaling import ErrorTable, _orders, ladder_rows, rescaled_finals
 
 
 def _torus(cells, dim=1):
@@ -88,13 +89,18 @@ def test_rescale_rejects_nonpositive_lambda():
         rescale_state(st, 0)
 
 
+def _lambda_ladder(n0, c0, lam, T, levels):
+    """The scaling ladder on the 16/32/... unit torus, as scaling_test runs it."""
+    cfg = SolverConfig(cfl_safety=0.4, upwind=False)
+    return ErrorTable(list(ladder_rows(16, levels, partial(
+        rescaled_finals, n0, c0, 2, lam, T, cfg, 1.0))))
+
+
 def test_invariance_lambda_one_exact():
     w = 2 * np.pi
-    cfg = SolverConfig(cfl_safety=0.4, upwind=False)
-    table = scaling_invariance_test(
-        lambda x, y: 1 + 0.4 * np.cos(w * x) * np.cos(w * y),
-        lambda x, y: 0.8 + 0.3 * np.cos(w * x),
-        base_cells=16, dim=2, lam=1, T=0.02, config=cfg, refinements=1)
+    table = _lambda_ladder(lambda x, y: 1 + 0.4 * np.cos(w * x) * np.cos(w * y),
+                           lambda x, y: 0.8 + 0.3 * np.cos(w * x), lam=1, T=0.02,
+                           levels=1)
     row = table.rows[0]
     assert row.l2_n == 0.0 and row.linf_n == 0.0
     assert row.l2_c == 0.0 and row.linf_c == 0.0
@@ -102,11 +108,9 @@ def test_invariance_lambda_one_exact():
 
 def test_invariance_errors_decrease_under_refinement():
     w = 2 * np.pi
-    cfg = SolverConfig(cfl_safety=0.4, upwind=False)
-    table = scaling_invariance_test(
-        lambda x, y: 1 + 0.4 * np.cos(w * x) * np.cos(w * y),
-        lambda x, y: 0.8 + 0.3 * np.cos(w * x),
-        base_cells=16, dim=2, lam=2, T=0.04, config=cfg, refinements=3)
+    table = _lambda_ladder(lambda x, y: 1 + 0.4 * np.cos(w * x) * np.cos(w * y),
+                           lambda x, y: 0.8 + 0.3 * np.cos(w * x), lam=2, T=0.04,
+                           levels=3)
     errs = [r.linf_n for r in table.rows]
     assert errs[0] > errs[1] > errs[2]
     assert table.min_order >= 1.5
@@ -115,11 +119,10 @@ def test_invariance_errors_decrease_under_refinement():
 def test_invariance_pure_heat_second_order():
     # chi has no effect when n = 0: pure heat evolution for c
     w = 2 * np.pi
-    cfg = SolverConfig(cfl_safety=0.4, upwind=False)
-    table = scaling_invariance_test(
+    table = _lambda_ladder(
         lambda x, y: np.zeros_like(x),
         lambda x, y: 0.8 + 0.3 * np.cos(w * x) + 0.1 * np.sin(w * y),
-        base_cells=16, dim=2, lam=2, T=0.04, config=cfg, refinements=3)
+        lam=2, T=0.04, levels=3)
     orders = table.orders["l2_c"] + table.orders["linf_c"]
     assert min(orders) >= 1.9
 
