@@ -50,15 +50,6 @@ class RateFit:
     residual: float = math.nan  # RMS of the log-log fit
 
 
-@dataclass
-class NondegeneracyMap:
-    """Per-cell sup over every sample before t_star of (t_star - t) * n(x, t)."""
-
-    values: Field
-    epsilon: float
-    flagged: np.ndarray  # boolean mask of blow-up candidate cells
-
-
 def _loglog_fit(ts: np.ndarray, log_ns: np.ndarray, t_star: float):
     """Least squares of log n_sup = log A - gamma * log(t_star - t)."""
     x = np.log(t_star - ts)
@@ -217,15 +208,14 @@ def rate_report(series: Sequence[tuple[float, float]], fit: RateFit, c0_sup: flo
     return report
 
 
-def nondegeneracy_map(snapshots: Iterable[tuple[float, Field]], t_star: float,
-                      epsilon: float = 0.01) -> NondegeneracyMap:
-    """Per-cell max over snapshots of (t_star - t) * n; flag cells >= epsilon.
+def nondegeneracy_map(snapshots: Iterable[tuple[float, Field]], t_star: float) -> Field:
+    """Per-cell max over snapshots of (t_star - t) * n.
 
     snapshots may be any iterable, a generator included: each one is folded
     into the map as it arrives and no reference to it is kept, so the fold
     holds the map and one scaled copy besides the snapshot in hand.  A cell
-    whose value stays below epsilon is certified away from the blow-up set;
-    adding later snapshots never decreases any cell value.
+    whose value stays below the paper's epsilon is certified away from the
+    blow-up set; adding later snapshots never decreases any cell value.
     """
     grid = values = scaled = None
     for t, n in snapshots:
@@ -238,6 +228,4 @@ def nondegeneracy_map(snapshots: Iterable[tuple[float, Field]], t_star: float,
             np.maximum(values, scaled, out=values)
     if values is None:
         raise ValueError("need at least one snapshot")
-    flagged = values >= epsilon
-    return NondegeneracyMap(values=Field(grid, values), epsilon=epsilon,
-                            flagged=flagged)
+    return Field(grid, values)

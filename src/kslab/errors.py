@@ -16,14 +16,13 @@ class SnapshotError(ValueError):
 
 class StoppedEarlyError(RuntimeError):
     """A solve that has to reach its end time stopped early.  run_info is
-    the summary's record of the stop: the run's stop_reason and status (CLI
-    exit 2), which solve of its ladder stopped (stopped_in: the solve's name
-    and its level and cells, or its forced dt) and when (t_stop)."""
+    the summary's record of the stop: the run's stop_reason, which solve of
+    its ladder stopped (stopped_in: the solve's name and its level and
+    cells, or its forced dt) and when (t_stop)."""
 
-    def __init__(self, what: str, stop_reason: str, status: str,
-                 where: dict, t_stop: float):
+    def __init__(self, what: str, stop_reason: str, where: dict, t_stop: float):
         super().__init__(f"{what} stopped: {stop_reason}")
-        self.run_info = {"stop_reason": stop_reason, "status": status,
+        self.run_info = {"stop_reason": stop_reason,
                          "stopped_in": {"solve": what, **where}, "t_stop": t_stop}
 
 

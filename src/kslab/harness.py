@@ -57,6 +57,17 @@ EXIT_DIVERGENCE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 
+# How a run ended, by its stop_reason: the summary's run.status and the exit
+# code of a run whose monitors pass.  A run passes if its monitors pass and
+# this code is 0; otherwise a code of 0 becomes 1.
+_STOPS = {
+    "finished": ("ok", EXIT_OK),
+    "max_steps": ("ok", EXIT_OK),
+    "positivity": ("ok", EXIT_DIVERGENCE),
+    "blowup_threshold": ("approaching_blowup", EXIT_DIVERGENCE),
+    "corrupted": ("corrupted", EXIT_DIVERGENCE),
+}
+
 # provenance of a defaulted inequality constant, an existence-type number
 _GUESS = "config-default (no canonical value; supply your own)"
 
@@ -346,10 +357,9 @@ def _run_fields(cfg: RunConfig, out: Path) -> dict:
             _fit_blowup(cfg, series, c0_sup,
                         _read_spill(spill, series, state0.n.grid), out)
 
-    run_info = {"stop_reason": result.stop_reason, "status": result.status,
-                "steps": result.steps, "t_final": result.state.t,
-                "dt_last": result.dt_last, "dt_smallest": result.dt_smallest,
-                "dt_largest": result.dt_largest,
+    run_info = {"stop_reason": result.stop_reason, "steps": result.steps,
+                "t_final": result.state.t, "dt_last": result.dt_last,
+                "dt_smallest": result.dt_smallest, "dt_largest": result.dt_largest,
                 "dt_clamp_events": result.dt_clamp_events}
     return {"run": run_info, "c_floor_engaged_samples": floor_engaged}
 
@@ -381,8 +391,8 @@ def _fit_blowup(cfg: RunConfig, series: list[tuple[float, float]], c0_sup: float
                        residual_threshold=cfg.residual_threshold)
     payload = rate_report(series, fit, c0_sup, cfg.c3, cfg.window_fraction, note)
     if fit.status != NO_BLOWUP:
-        ndmap = nondegeneracy_map(samples, fit.t_star, cfg.epsilon)
-        write_snapshot(ndmap.values, fit.t_star, out / "nondegeneracy.ksf")
+        write_snapshot(nondegeneracy_map(samples, fit.t_star), fit.t_star,
+                       out / "nondegeneracy.ksf")
     payload["tail_series"] = [[t, v] for t, v in series[-max(2, len(series) // 4):]]
     payload["config"] = cfg.echo
     with open(out / "blowup_report.json", "w", encoding="utf-8") as fh:
@@ -728,10 +738,21 @@ def _finish(cfg: RunConfig, out: Path, stats: Optional[dict]) -> tuple[int, dict
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, default=float)
         fh.write("\n")
-    if summary["run"].get("stop_reason") in ("corrupted", "blowup_threshold",
-                                             "positivity"):
-        return EXIT_DIVERGENCE, summary
-    return (EXIT_OK if summary["pass"] else EXIT_MONITOR_FAILURE), summary
+    code = _STOPS[summary["run"]["stop_reason"]][1]
+    if code == EXIT_OK and not summary["pass"]:
+        code = EXIT_MONITOR_FAILURE
+    return code, summary
+
+
+def _run_record(info: dict) -> dict:
+    """The summary's run record: info's stop_reason, the run.status it maps
+    to in _STOPS, then the rest of info.  A stop_reason that _STOPS does not
+    hold (or none) is a malformed record: ValueError."""
+    reason = info.get("stop_reason")
+    if not isinstance(reason, str) or reason not in _STOPS:
+        raise ValueError(f"summary.json: unknown run.stop_reason {reason!r}")
+    return {"stop_reason": reason, "status": _STOPS[reason][0],
+            **{key: v for key, v in info.items() if key not in ("stop_reason", "status")}}
 
 
 def _summarize(cfg: RunConfig, out: Path, stats: Optional[dict]) -> dict:
@@ -741,12 +762,12 @@ def _summarize(cfg: RunConfig, out: Path, stats: Optional[dict]) -> dict:
     criteria: list[dict] = []
     blowup = None
     if scenario.ladder:
-        run_info = (stats or {}).get("run", {})
+        run_info = {"stop_reason": "finished"} if stats is None else stats["run"]
         monitors, metadata = {}, {}
-        if run_info.get("stop_reason", "finished") == "finished":
+        if run_info.get("stop_reason") == "finished":
             info, monitors, metadata = scenario.monitors(
                 cfg, read_ladders(out / f"{cfg.scenario}_errors.csv"))
-            run_info = {"stop_reason": "finished", "status": "ok", **info}
+            run_info = {"stop_reason": "finished", **info}
     else:
         records = read_diagnostics_csv(out / "diagnostics.csv")
         monitors = scenario.monitors(cfg, records, out) if records else {}
@@ -774,7 +795,7 @@ def _summarize(cfg: RunConfig, out: Path, stats: Optional[dict]) -> dict:
         "provenance": {f"{sec}.{key}": entry[2] for sec, keys in _SCHEMA.items()
                        for key, entry in keys.items()
                        if entry[2:] and f"{sec}.{key}" in cfg.defaulted},
-        "run": run_info,
+        "run": _run_record(run_info),
         "monitors": monitors,
         "criteria": criteria,
         "metadata": metadata,
@@ -782,6 +803,5 @@ def _summarize(cfg: RunConfig, out: Path, stats: Optional[dict]) -> dict:
     if blowup is not None:
         summary["blowup"] = blowup
     summary["pass"] = (all(m["pass"] for m in monitors.values())
-                       and run_info.get("status", "ok") == "ok"
-                       and run_info.get("stop_reason") in ("finished", "max_steps"))
+                       and _STOPS[run_info["stop_reason"]][1] == EXIT_OK)
     return summary

@@ -110,8 +110,7 @@ def _finished(result: RunResult, what: str, **where) -> State:
     """The final state of a solve that has to reach its end time, else
     StoppedEarlyError naming what stopped and where in its ladder."""
     if result.stop_reason != "finished":
-        raise StoppedEarlyError(what, result.stop_reason, result.status,
-                                where, result.state.t)
+        raise StoppedEarlyError(what, result.stop_reason, where, result.state.t)
     return result.state
 
 

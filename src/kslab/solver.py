@@ -60,10 +60,6 @@ from .grid import Field, Grid, _check_nonnegative, _readonly, _trusted
 from .operators import (_chemotactic_faces, _div_term, _face_grads,  # noqa: F401
                         _lower, chemotactic_flux)
 
-STATUS_OK = "ok"
-STATUS_APPROACHING_BLOWUP = "approaching_blowup"
-STATUS_CORRUPTED = "corrupted"
-
 EXPLICIT_EULER = "explicit_euler"
 IMEX = "imex"
 
@@ -147,7 +143,6 @@ class RunResult:
     dt_smallest: float = math.inf
     dt_largest: float = 0.0
     dt_clamp_events: int = 0  # times the constraints asked for less than dt_min
-    status: str = STATUS_OK
 
 
 def _dt_unclamped(state: State, config: SolverConfig) -> float:
@@ -156,7 +151,7 @@ def _dt_unclamped(state: State, config: SolverConfig) -> float:
     # explicit diffusion of both equations; under imex diffusion sets no bound
     bounds = [grid.diffusion_dt] if config.scheme == EXPLICIT_EULER else []
     for axis, gc in enumerate(state.c_face_gradient):
-        speed = config.chi * float(np.abs(gc).max())
+        speed = config.chi * max(float(gc.max()), -float(gc.min()))  # no |gc| array
         if speed > 0.0:
             bounds.append(grid.h[axis] / speed)
     n_sup = state.n_max
@@ -314,14 +309,6 @@ def step(state: State, dt: float, config: SolverConfig,
                     c=_trusted(Field, grid=grid, values=_readonly(c_new)))
 
 
-def detect_divergence(state: State, config: SolverConfig) -> str:
-    if not (np.isfinite(state.n.values).all() and np.isfinite(state.c.values).all()):
-        return STATUS_CORRUPTED
-    if state.n_max > config.blowup_sup_threshold:
-        return STATUS_APPROACHING_BLOWUP
-    return STATUS_OK
-
-
 def _call_each(sinks, state: State, steps: int) -> None:
     for sink in sinks:
         sink(state, steps)
@@ -387,11 +374,12 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
                 pending.result()
             return result
 
-        status = detect_divergence(state, config)
-        if status != STATUS_OK:
-            result.status = status
-            result.stop_reason = ("blowup_threshold"
-                                  if status == STATUS_APPROACHING_BLOWUP else status)
+        # a caller may still write into the arrays of a validated start state
+        if not (np.isfinite(state.n.values).all() and np.isfinite(state.c.values).all()):
+            result.stop_reason = "corrupted"
+            return finish()
+        if state.n_max > config.blowup_sup_threshold:
+            result.stop_reason = "blowup_threshold"
             return finish()
 
         hand_off(True, False)
@@ -407,7 +395,6 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
                 state = step(state, dt, config, source_n=source_n, source_c=source_c)
             except CorruptionError:
                 result.stop_reason = "corrupted"
-                result.status = STATUS_CORRUPTED
                 break
             except PositivityError:
                 result.stop_reason = "positivity"
@@ -419,7 +406,6 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
 
             # step has checked finiteness; only the blow-up threshold is left
             if state.n_max > config.blowup_sup_threshold:
-                result.status = STATUS_APPROACHING_BLOWUP
                 result.stop_reason = "blowup_threshold"
                 break
 

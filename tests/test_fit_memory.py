@@ -80,8 +80,8 @@ def test_focusing_run_writes_the_map_of_its_sampled_fields(tmp_path, monkeypatch
 
     out = tmp_path / "run"
     report = json.loads((out / "blowup_report.json").read_text())
-    expected = nondegeneracy_map(kept, report["t_star"], cfg.epsilon)
-    write_snapshot(expected.values, report["t_star"], tmp_path / "expected.ksf")
+    expected = nondegeneracy_map(kept, report["t_star"])
+    write_snapshot(expected, report["t_star"], tmp_path / "expected.ksf")
     assert (out / "nondegeneracy.ksf").read_bytes() == (tmp_path / "expected.ksf").read_bytes()
     assert sorted(p.name for p in out.iterdir()) == [
         "blowup_report.json", "c_final.ksf", "config_echo.ini", "criteria.csv",

@@ -7,11 +7,13 @@ import struct
 import numpy as np
 import pytest
 
+import kslab.solver
 from kslab import (ConfigError, GridSpec, ManufacturedPair, SolverConfig, load_config,
                    make_grid, mms_sources, read_snapshot, regenerate_summary,
                    run_scenario, write_snapshot, constant_field)
 from kslab.cli import main as cli_main
 from kslab.diagnostics import admissible
+from kslab.errors import CorruptionError, PositivityError
 from kslab.harness import _SCHEMA, EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK
 
 
@@ -696,6 +698,79 @@ def test_ladder_stopped_early_keeps_the_rows_that_finished(tmp_path, scenario,
     assert tables["stop"] == tables["full"][:2]
     assert tables["stop"][1].split(",")[1:3] == ["0", "8"]
     assert cli_main(["report", "--run", str(out)]) == EXIT_DIVERGENCE
+    assert (out / "summary.json").read_bytes() == recorded
+
+
+# --- how a run ended: stop_reason -> run.status, pass, exit code ---------------
+
+_DECAY = ["run.t_end=0.05", "grid.cells=8 8"]
+_LADDER = ["run.t_end=0.005", "grid.cells=8 8", "scaling.refinements=2"]
+
+
+@pytest.mark.parametrize("scenario, overrides, fault, reason, status, passed, code", [
+    ("constant_decay", _DECAY, None, "finished", "ok", True, EXIT_OK),
+    ("constant_decay", _DECAY + ["run.max_steps=3"], None, "max_steps", "ok", True,
+     EXIT_OK),
+    ("constant_decay", _DECAY + ["solver.blowup_sup_threshold=0.5"], None,
+     "blowup_threshold", "approaching_blowup", False, EXIT_DIVERGENCE),
+    ("constant_decay", _DECAY, PositivityError, "positivity", "ok", False,
+     EXIT_DIVERGENCE),
+    ("constant_decay", _DECAY, CorruptionError, "corrupted", "corrupted", False,
+     EXIT_DIVERGENCE),
+    ("mms", _LADDER, PositivityError, "positivity", "ok", False, EXIT_DIVERGENCE),
+    ("mms", _LADDER, CorruptionError, "corrupted", "corrupted", False,
+     EXIT_DIVERGENCE),
+], ids=["finished", "max_steps", "blowup_threshold", "positivity", "corrupted",
+        "ladder-positivity", "ladder-corrupted"])
+def test_each_stop_reason_gives_its_status_pass_and_exit_code(
+        tmp_path, monkeypatch, scenario, overrides, fault, reason, status, passed, code):
+    """Every stop a run can make, through run_scenario and then the
+    report: a faulted stop comes from a step that raises on its third call."""
+    if fault is not None:
+        real_step, calls = kslab.solver.step, []
+
+        def faulty_step(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise fault("injected")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(kslab.solver, "step", faulty_step)
+    out = tmp_path / "run"
+    cfg = load_config(_write(tmp_path, f"[run]\nscenario = {scenario}\n"),
+                      overrides=[f"run.out_dir={out}"] + overrides)
+    got, summary = run_scenario(cfg)
+    assert (summary["run"]["stop_reason"], summary["run"]["status"],
+            summary["pass"], got) == (reason, status, passed, code)
+    assert list(summary["run"])[:2] == ["stop_reason", "status"]
+    recorded = (out / "summary.json").read_bytes()
+    assert cli_main(["report", "--run", str(out)]) == code
+    assert (out / "summary.json").read_bytes() == recorded
+
+
+@pytest.mark.parametrize("scenario", ["constant_decay", "mms"])
+@pytest.mark.parametrize("reason", ["exploded", None])
+def test_cli_report_unknown_or_missing_stop_reason_exit_code(tmp_path, capsys,
+                                                             scenario, reason):
+    """A stop_reason the harness does not know is a malformed artifact: the
+    report exits 4 and leaves summary.json as it found it."""
+    out = tmp_path / "run"
+    cfg = load_config(_write(tmp_path, f"[run]\nscenario = {scenario}\n"),
+                      overrides=[f"run.out_dir={out}", "run.t_end=0.01"]
+                      + (_LADDER[1:] if scenario == "mms" else []))
+    run_scenario(cfg)
+    summary = json.loads((out / "summary.json").read_text())
+    if reason is None:
+        del summary["run"]["stop_reason"]
+    else:
+        summary["run"]["stop_reason"] = reason
+    (out / "summary.json").write_text(json.dumps(summary))
+    recorded = (out / "summary.json").read_bytes()
+    capsys.readouterr()
+    assert cli_main(["report", "--run", str(out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert f"unknown run.stop_reason {reason!r}" in captured.err
+    assert "overall=" not in captured.out
     assert (out / "summary.json").read_bytes() == recorded
 
 

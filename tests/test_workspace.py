@@ -209,3 +209,22 @@ def test_second_step_allocates_under_three_grid_arrays():
         finally:
             tracemalloc.stop()
         assert peak < 3 * state.n.values.nbytes
+
+
+def test_second_choose_dt_allocates_under_one_grid_array():
+    """The first call builds c's face gradient, which the state keeps; the
+    next takes each axis's max |grad c| from its max and min, with no
+    |grad c| array."""
+    grid = make_grid(GridSpec(2, (256, 256), (1.0, 1.0), "periodic_torus"))
+    rng = np.random.default_rng(5)
+    state = State(Field(grid, 1.0 + rng.random(grid.shape)),
+                  Field(grid, 2.0 + rng.random(grid.shape)), 0.0)
+    cfg = SolverConfig(chi=5.0)
+    dt = choose_dt(state, cfg)
+    tracemalloc.start()
+    try:
+        assert choose_dt(state, cfg) == dt
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < state.n.values.nbytes
