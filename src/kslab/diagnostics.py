@@ -10,9 +10,9 @@ test oracle):
     times the average of its two cells; the box wall face, where w is 0,
     is left out.
   - log/division diagnostics clip n (and c where divided) at a positivity
-    floor, max(config floor, 1e-12 * sup); the floor never feeds back into
-    the dynamics.  sqrt(c) clamps negative c at zero so signed verification
-    fields remain evaluable.
+    floor, max(floor, 1e-12 * sup), with evaluate's floor argument 0 in a
+    run; the floor never feeds back into the dynamics.  sqrt(c) clamps
+    negative c at zero so signed verification fields remain evaluable.
 
 V is the weighted nonnegative functional
     integral of [ n/2 |grad log n|^2 + k1/(2 chi) n^2 c + k1/chi^2 n^2
@@ -81,7 +81,7 @@ class DiagnosticsRecord:
     V: float                    # weighted functional, see module docstring
     G: float                    # companion dissipation rate
     gradc_inf: float            # sup |grad c|
-    n_ls_norm: float            # L^s norm of n for the configured s
+    n_ls_norm: float            # L^s norm of n, s the first criterion pair's s
     c_mass: float               # integral c
     n_gradc_sq_over_c: float    # integral n |grad c|^2 / c
     c_hesslog_c_sq: float       # integral c |hess log c|^2

@@ -57,15 +57,15 @@ EXIT_DIVERGENCE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 
-# How a run ended, by its stop_reason: the summary's run.status and the exit
-# code of a run whose monitors pass.  A run passes if its monitors pass and
-# this code is 0; otherwise a code of 0 becomes 1.
+# How a run ended, by its stop_reason: the exit code of a run whose monitors
+# pass.  A run passes if its monitors pass and this code is 0; otherwise a
+# code of 0 becomes 1.
 _STOPS = {
-    "finished": ("ok", EXIT_OK),
-    "max_steps": ("ok", EXIT_OK),
-    "positivity": ("ok", EXIT_DIVERGENCE),
-    "blowup_threshold": ("approaching_blowup", EXIT_DIVERGENCE),
-    "corrupted": ("corrupted", EXIT_DIVERGENCE),
+    "finished": EXIT_OK,
+    "max_steps": EXIT_OK,
+    "positivity": EXIT_DIVERGENCE,
+    "blowup_threshold": EXIT_DIVERGENCE,
+    "corrupted": EXIT_DIVERGENCE,
 }
 
 # provenance of a defaulted inequality constant, an existence-type number
@@ -74,9 +74,9 @@ _GUESS = "config-default (no canonical value; supply your own)"
 # --- config schema ------------------------------------------------------------
 # A parser maps the value text to its typed value or raises ValueError with
 # a message that follows the dotted key name.  Non-finite values are errors,
-# except inf as a Lebesgue exponent (criterion pairs, ls_exponent) and as
-# run.t_end when run.max_steps bounds a time-stepped run (a ladder's solves
-# run to t_end, which must be positive and finite).
+# except inf as a criterion pair's Lebesgue exponent and as run.t_end when
+# run.max_steps bounds a time-stepped run (a ladder's solves run to t_end,
+# which must be positive and finite).
 
 
 def _number(kind=float, ok: Optional[Callable] = None, need: str = "",
@@ -148,7 +148,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "sample_every": ("100", _at_least_1),
         "snapshot_every": ("0", _count),
         "out_dir": ("out", str.strip),
-        "seed": ("1234", _int),
         "max_steps": ("", _optional(_count)),
         "n0_snapshot": ("", str.strip),
         "c0_snapshot": ("", str.strip),
@@ -165,7 +164,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "cfl_safety": ("0.4", _real),
         "dt_min": ("1e-12", _real),
         "dt_max": ("0.1", _real),
-        "positivity_floor": ("0.0", _real),
         "upwind": ("true", _bool),
         "blowup_sup_threshold": ("1e6", _real),
         "dt_blowup_factor": ("0.1", _real),
@@ -176,8 +174,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "kappa3": ("1.0", _nonnegative, _GUESS),
         "c_monitor": ("100.0", _real, _GUESS),
         "criterion_pairs": ("2/4 1.6/inf", _pairs),
-        "ls_exponent": ("", _optional(_number(ok=lambda v: v > 1.5,
-                                              need="greater than 3/2", inf=True))),
     },
     "blowup": {
         "c3": ("1.0", _number(ok=lambda v: C3_RANGE[0] <= v <= C3_RANGE[1],
@@ -189,7 +185,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "residual_threshold": ("0.25", _real, _GUESS),
     },
     "scaling": {
-        "lam": ("2", _at_least_1),
+        "lam": ("2", _number(int, lambda v: v >= 2, "at least 2")),
         "refinements": ("3", _at_least_1),
     },
 }
@@ -270,8 +266,6 @@ def load_config(path, overrides: Optional[Sequence[str]] = None) -> RunConfig:
     grid_spec = construct(GridSpec, "grid")
     solver_cfg = construct(SolverConfig, "solver")
     run_sec, diag = values["run"], values["diagnostics"]
-    if diag["ls_exponent"] is None:
-        diag["ls_exponent"] = diag["criterion_pairs"][0][0]
     if math.isinf(run_sec["t_end"]) and run_sec["max_steps"] is None:
         errors.append("run.t_end: inf needs run.max_steps")
 
@@ -323,17 +317,14 @@ def _run_fields(cfg: RunConfig, out: Path) -> dict:
 
     def on_sample(state: State, step_idx: int) -> None:
         nonlocal c0_sup, floor_engaged
-        rec = evaluate(state, cfg.kappas, cfg.solver.chi, s=cfg.ls_exponent,
-                       floor=cfg.solver.positivity_floor)
+        rec = evaluate(state, cfg.kappas, cfg.solver.chi, s=cfg.criterion_pairs[0][0])
         if not series:
             c0_sup = rec.c_sup
         series.append((rec.t, rec.n_sup))
         writer.write(rec)
-        criteria.write_row([rec.t, rec.gradc_inf, *(
-            rec.n_ls_norm if s == cfg.ls_exponent else lp_norm(state.n, s)
-            for s, _r in cfg.criterion_pairs)])
-        if float(np.min(state.c.values)) < _clip_level(cfg.solver.positivity_floor,
-                                                       rec.c_sup):
+        criteria.write_row([rec.t, rec.gradc_inf, rec.n_ls_norm, *(
+            lp_norm(state.n, s) for s, _r in cfg.criterion_pairs[1:])])
+        if float(np.min(state.c.values)) < _clip_level(0.0, rec.c_sup):
             floor_engaged += 1
         if spill is not None:
             spill.write(state.n.values)
@@ -738,21 +729,19 @@ def _finish(cfg: RunConfig, out: Path, stats: Optional[dict]) -> tuple[int, dict
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, default=float)
         fh.write("\n")
-    code = _STOPS[summary["run"]["stop_reason"]][1]
+    code = _STOPS[summary["run"]["stop_reason"]]
     if code == EXIT_OK and not summary["pass"]:
         code = EXIT_MONITOR_FAILURE
     return code, summary
 
 
 def _run_record(info: dict) -> dict:
-    """The summary's run record: info's stop_reason, the run.status it maps
-    to in _STOPS, then the rest of info.  A stop_reason that _STOPS does not
+    """info with its stop_reason first; a stop_reason that _STOPS does not
     hold (or none) is a malformed record: ValueError."""
     reason = info.get("stop_reason")
     if not isinstance(reason, str) or reason not in _STOPS:
         raise ValueError(f"summary.json: unknown run.stop_reason {reason!r}")
-    return {"stop_reason": reason, "status": _STOPS[reason][0],
-            **{key: v for key, v in info.items() if key not in ("stop_reason", "status")}}
+    return {"stop_reason": reason, **info}
 
 
 def _summarize(cfg: RunConfig, out: Path, stats: Optional[dict]) -> dict:
@@ -789,7 +778,6 @@ def _summarize(cfg: RunConfig, out: Path, stats: Optional[dict]) -> dict:
         "package": "kslab",
         "version": __version__,
         "scenario": cfg.scenario,
-        "seed": cfg.seed,
         "config": cfg.echo,
         "defaulted": cfg.defaulted,
         "provenance": {f"{sec}.{key}": entry[2] for sec, keys in _SCHEMA.items()
@@ -803,5 +791,5 @@ def _summarize(cfg: RunConfig, out: Path, stats: Optional[dict]) -> dict:
     if blowup is not None:
         summary["blowup"] = blowup
     summary["pass"] = (all(m["pass"] for m in monitors.values())
-                       and _STOPS[run_info["stop_reason"]][1] == EXIT_OK)
+                       and _STOPS[run_info["stop_reason"]] == EXIT_OK)
     return summary

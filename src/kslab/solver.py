@@ -108,7 +108,6 @@ class SolverConfig:
     cfl_safety: float = 0.4
     dt_min: float = 1e-12
     dt_max: float = 0.1
-    positivity_floor: float = 0.0  # diagnostics-only clip; never touches dynamics
     upwind: bool = True
     blowup_sup_threshold: float = 1e6
     dt_blowup_factor: float = 0.1
@@ -122,8 +121,6 @@ class SolverConfig:
             raise ValueError("dt_min must be positive and not exceed dt_max")
         if not self.dt_blowup_factor > 0.0:
             raise ValueError("dt_blowup_factor must be positive")
-        if self.positivity_floor < 0.0:
-            raise ValueError("positivity_floor must be nonnegative")
         if self.scheme not in (EXPLICIT_EULER, IMEX):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 

@@ -136,9 +136,9 @@ def test_config_missing_file(tmp_path):
 
 def test_config_overrides(tmp_path):
     path = _write(tmp_path, "[run]\nscenario = constant_decay\n")
-    cfg = load_config(path, overrides=["solver.chi=2.5", "run.seed=99"])
+    cfg = load_config(path, overrides=["solver.chi=2.5", "run.sample_every=99"])
     assert cfg.solver.chi == 2.5
-    assert cfg.seed == 99
+    assert cfg.sample_every == 99
     assert "solver.chi" not in cfg.defaulted
 
 
@@ -493,6 +493,25 @@ def test_cli_report_malformed_table_exit_code(tmp_path, capsys, csv, cut):
     assert f"i/o error: {out / csv}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("chi = 1.0", "chi = abc", "solver.chi"),
+    ("[run]\n", "[run]\nseed = 1234\n", "run.seed"),  # an echo from before its removal
+], ids=["bad-value", "removed-key"])
+def test_cli_report_config_error_exit_code(tmp_path, capsys, old, new, named):
+    """A config_echo.ini that no longer loads (edited, or written before a
+    key was removed) is a config error; summary.json is left as it was."""
+    out, _ = _cheap_run(tmp_path, "constant_decay")
+    echo = out / "config_echo.ini"
+    text = echo.read_text()
+    assert old in text
+    echo.write_text(text.replace(old, new))
+    recorded = (out / "summary.json").read_bytes()
+    assert cli_main(["report", "--run", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err, err
+    assert (out / "summary.json").read_bytes() == recorded
+
+
 @pytest.mark.parametrize("name", ["config_echo.ini", "summary.json"])
 def test_cli_report_missing_artifact_exit_code(tmp_path, capsys, name):
     out, _ = _cheap_run(tmp_path, "constant_decay")
@@ -614,6 +633,43 @@ def test_cli_missing_config_file(tmp_path):
     assert cli_main(["run", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
 
+_DECAY_INI = "[run]\nscenario = constant_decay\n"
+
+
+@pytest.mark.parametrize("text, overrides, named", [
+    (_DECAY_INI + "[bogus]\nx = 1\n", [], "[bogus]"),
+    (_DECAY_INI, ["chi"], "'chi'"),
+    (_DECAY_INI, ["solver.bogus=1"], "solver.bogus"),
+    (_DECAY_INI + "scenario = mms\n", [], "'scenario'"),  # a duplicate key
+    ("[run]\nscenario = custom\nc0_snapshot = c0.ksf\n", [], "run.n0_snapshot"),
+    (_DECAY_INI, ["solver.upwind=maybe"], "solver.upwind"),
+    (_DECAY_INI, ["diagnostics.criterion_pairs=2"], "diagnostics.criterion_pairs"),
+    (_DECAY_INI, ["diagnostics.criterion_pairs="], "diagnostics.criterion_pairs"),
+    # keys no run reads, by file and by override
+    (_DECAY_INI + "seed = 1234\n", [], "run.seed"),
+    (_DECAY_INI, ["run.seed=1234"], "run.seed"),
+    (_DECAY_INI + "[diagnostics]\nls_exponent = 2\n", [], "diagnostics.ls_exponent"),
+    (_DECAY_INI, ["diagnostics.ls_exponent=2"], "diagnostics.ls_exponent"),
+    (_DECAY_INI + "[solver]\npositivity_floor = 0\n", [], "solver.positivity_floor"),
+    (_DECAY_INI, ["solver.positivity_floor=0"], "solver.positivity_floor"),
+    # the lam = 1 ladder compares each solve with itself: errors 0, PASS
+    ("[run]\nscenario = scaling_test\n", ["scaling.lam=1", "grid.cells=8 8"],
+     "scaling.lam: must be at least 2, got '1'"),
+], ids=["unknown-section", "malformed-override", "override-unknown-key",
+        "parse-error", "custom-without-n0", "upwind-maybe", "pair-without-slash",
+        "no-pairs", "seed-file", "seed-override", "ls_exponent-file",
+        "ls_exponent-override", "positivity_floor-file", "positivity_floor-override",
+        "lam-one"])
+def test_cli_run_config_error_exit_code(tmp_path, capsys, text, overrides, named):
+    argv = ["run", "--config", str(_write(tmp_path, text)),
+            "--out-dir", str(tmp_path / "out")]
+    assert cli_main(argv + [arg for item in overrides
+                            for arg in ("--override", item)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_mms_rejects_unequal_cells(tmp_path, capsys):
     # the ladder refines one cell count on every axis; 8 16 used to run 8x8
     cfg_path = _write(tmp_path, "[run]\nscenario = mms\n")
@@ -701,29 +757,25 @@ def test_ladder_stopped_early_keeps_the_rows_that_finished(tmp_path, scenario,
     assert (out / "summary.json").read_bytes() == recorded
 
 
-# --- how a run ended: stop_reason -> run.status, pass, exit code ---------------
+# --- how a run ended: stop_reason -> pass, exit code ---------------------------
 
 _DECAY = ["run.t_end=0.05", "grid.cells=8 8"]
 _LADDER = ["run.t_end=0.005", "grid.cells=8 8", "scaling.refinements=2"]
 
 
-@pytest.mark.parametrize("scenario, overrides, fault, reason, status, passed, code", [
-    ("constant_decay", _DECAY, None, "finished", "ok", True, EXIT_OK),
-    ("constant_decay", _DECAY + ["run.max_steps=3"], None, "max_steps", "ok", True,
-     EXIT_OK),
+@pytest.mark.parametrize("scenario, overrides, fault, reason, passed, code", [
+    ("constant_decay", _DECAY, None, "finished", True, EXIT_OK),
+    ("constant_decay", _DECAY + ["run.max_steps=3"], None, "max_steps", True, EXIT_OK),
     ("constant_decay", _DECAY + ["solver.blowup_sup_threshold=0.5"], None,
-     "blowup_threshold", "approaching_blowup", False, EXIT_DIVERGENCE),
-    ("constant_decay", _DECAY, PositivityError, "positivity", "ok", False,
-     EXIT_DIVERGENCE),
-    ("constant_decay", _DECAY, CorruptionError, "corrupted", "corrupted", False,
-     EXIT_DIVERGENCE),
-    ("mms", _LADDER, PositivityError, "positivity", "ok", False, EXIT_DIVERGENCE),
-    ("mms", _LADDER, CorruptionError, "corrupted", "corrupted", False,
-     EXIT_DIVERGENCE),
+     "blowup_threshold", False, EXIT_DIVERGENCE),
+    ("constant_decay", _DECAY, PositivityError, "positivity", False, EXIT_DIVERGENCE),
+    ("constant_decay", _DECAY, CorruptionError, "corrupted", False, EXIT_DIVERGENCE),
+    ("mms", _LADDER, PositivityError, "positivity", False, EXIT_DIVERGENCE),
+    ("mms", _LADDER, CorruptionError, "corrupted", False, EXIT_DIVERGENCE),
 ], ids=["finished", "max_steps", "blowup_threshold", "positivity", "corrupted",
         "ladder-positivity", "ladder-corrupted"])
 def test_each_stop_reason_gives_its_status_pass_and_exit_code(
-        tmp_path, monkeypatch, scenario, overrides, fault, reason, status, passed, code):
+        tmp_path, monkeypatch, scenario, overrides, fault, reason, passed, code):
     """Every stop a run can make, through run_scenario and then the
     report: a faulted stop comes from a step that raises on its third call."""
     if fault is not None:
@@ -740,9 +792,9 @@ def test_each_stop_reason_gives_its_status_pass_and_exit_code(
     cfg = load_config(_write(tmp_path, f"[run]\nscenario = {scenario}\n"),
                       overrides=[f"run.out_dir={out}"] + overrides)
     got, summary = run_scenario(cfg)
-    assert (summary["run"]["stop_reason"], summary["run"]["status"],
-            summary["pass"], got) == (reason, status, passed, code)
-    assert list(summary["run"])[:2] == ["stop_reason", "status"]
+    assert (summary["run"]["stop_reason"], summary["pass"], got) == (reason, passed, code)
+    assert list(summary["run"])[0] == "stop_reason"
+    assert "status" not in summary["run"]
     recorded = (out / "summary.json").read_bytes()
     assert cli_main(["report", "--run", str(out)]) == code
     assert (out / "summary.json").read_bytes() == recorded
@@ -868,6 +920,21 @@ def test_cli_fit_malformed_series_exit_code(tmp_path, capsys, cut, message):
     assert cli_main(["fit", "--series", str(series_path)]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and message in err
+
+
+@pytest.mark.parametrize("series, out, named", [
+    ("t,a,b\n0.5,1,2\n0.6,1,2\n", None, "need an n_sup column or a two-column file"),
+    (None, "missing/report.json", "missing/report.json"),
+], ids=["no-n_sup-column", "out-in-a-missing-dir"])
+def test_cli_fit_io_error_exit_code(tmp_path, capsys, series, out, named):
+    series_path = tmp_path / "series.csv"
+    series_path.write_text(series or _inverse_law(60))
+    argv = ["fit", "--series", str(series_path)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    assert cli_main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and named in err, err
 
 
 def test_cli_fit_writes_strict_json(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from kslab import (Field, GridSpec, SolverConfig, State, StopRule, choose_dt,
                    constant_field, fill, integrate, lp_norm, make_grid, run, step)
+from kslab.errors import CorruptionError, PositivityError
 from kslab.solver import _dct, _dt_unclamped, _idct, _implicit_diffusion
 from kslab.operators import _div, _face_grads
 
@@ -339,6 +340,30 @@ def test_run_stops_on_a_start_state_corrupted_through_its_own_array():
     res = run(st, SolverConfig(), StopRule(t_end=0.0))
     assert res.stop_reason == "corrupted"
     assert res.steps == 0
+
+
+def _spiked_box(spike):
+    """A 1D box of 8 Neumann cells, n = spike in cell 3 and 0 elsewhere,
+    c = 1; with dt forced to 1, 64 times the explicit diffusion bound."""
+    g = make_grid(GridSpec(1, (8,), (1.0,), "neumann_box"))
+    n = np.zeros(g.shape)
+    n[3] = spike
+    return State(Field(g, n), constant_field(g, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("spike, threshold, error, reason", [
+    (10.0, 1e6, PositivityError, "positivity"),
+    (1e307, math.inf, CorruptionError, "corrupted"),  # the update overflows
+], ids=["positivity", "corrupted"])
+def test_step_rejects_an_unstable_update(spike, threshold, error, reason):
+    cfg = SolverConfig(dt_min=1.0, dt_max=1.0, blowup_sup_threshold=threshold)
+    st = _spiked_box(spike)
+    with np.errstate(over="ignore"):
+        with pytest.raises(error):
+            step(st, 1.0, cfg)
+        res = run(st, cfg, StopRule(t_end=1.0))
+    assert (res.stop_reason, res.steps) == (reason, 0)
+    assert res.state is st
 
 
 # --- invariants over longer horizons -------------------------------------------
