@@ -82,7 +82,9 @@ class Grid:
         # explicit diffusion's dt bound, 1 / (2 * sum 1/h_a^2)
         self.diffusion_dt = 1.0 / (2.0 * float(np.sum(1.0 / self.h**2)))
         self._meshes: tuple[np.ndarray, ...] | None = None
-        self._scratch = threading.local()  # .block: this thread's scratch
+        # .block: this thread's scratch; .spectral: its implicit-solve
+        # workspace (solver._spectral)
+        self._scratch = threading.local()
 
     @property
     def dim(self) -> int:

@@ -186,7 +186,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "scaling": {
         "lam": ("2", _number(int, lambda v: v >= 2, "at least 2")),
-        "refinements": ("3", _at_least_1),
+        "refinements": ("3", _number(int, lambda v: v >= 2, "at least 2")),
     },
 }
 

@@ -655,11 +655,17 @@ _DECAY_INI = "[run]\nscenario = constant_decay\n"
     # the lam = 1 ladder compares each solve with itself: errors 0, PASS
     ("[run]\nscenario = scaling_test\n", ["scaling.lam=1", "grid.cells=8 8"],
      "scaling.lam: must be at least 2, got '1'"),
+    # one level gives no observed order: the ladder ran, then failed with nan
+    ("[run]\nscenario = scaling_test\n", ["scaling.refinements=1", "grid.cells=8 8"],
+     "scaling.refinements: must be at least 2, got '1'"),
+    ("[run]\nscenario = mms\n",
+     ["scaling.refinements=1", "grid.cells=8 8", "run.t_end=0.005"],
+     "scaling.refinements: must be at least 2, got '1'"),
 ], ids=["unknown-section", "malformed-override", "override-unknown-key",
         "parse-error", "custom-without-n0", "upwind-maybe", "pair-without-slash",
         "no-pairs", "seed-file", "seed-override", "ls_exponent-file",
         "ls_exponent-override", "positivity_floor-file", "positivity_floor-override",
-        "lam-one"])
+        "lam-one", "scaling-refinements-one", "mms-refinements-one"])
 def test_cli_run_config_error_exit_code(tmp_path, capsys, text, overrides, named):
     argv = ["run", "--config", str(_write(tmp_path, text)),
             "--out-dir", str(tmp_path / "out")]

@@ -1,11 +1,15 @@
-"""evaluate and step on their grid's shared scratch: bit-identical to the
-frozen references, no grid-sized allocation after the first call beyond
-their results, results independent of the scratch."""
+"""evaluate and step on their grid's shared scratch, and the implicit solve
+in its spectral workspace: bit-identical to the frozen references, no
+grid-sized allocation after the first call beyond their results, results
+independent of the scratch and the workspace."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +20,8 @@ from kslab.diagnostics import _SCRATCH, CSV_FIELDS, evaluate
 from kslab.errors import CorruptionError, PositivityError
 from kslab.grid import TOPOLOGIES
 from kslab.operators import chemotactic_flux
-from kslab.solver import EXPLICIT_EULER, IMEX, choose_dt, step
+from kslab.solver import (EXPLICIT_EULER, IMEX, _implicit_diffusion, _spectral,
+                          choose_dt, step)
 
 
 def _bits(record) -> list[bytes]:
@@ -61,11 +66,18 @@ def test_property_evaluate_is_bit_identical_to_frozen_reference(calls):
         assert _bits(evaluate(state, kappas, chi, s, floor)) == expected
 
 
-def _box_state(cells=16, seed=3):
-    grid = make_grid(GridSpec(3, (cells,) * 3, (1.0, 1.0, 1.0), "neumann_box"))
+def _random_state(grid, seed) -> State:
     rng = np.random.default_rng(seed)
     return State(Field(grid, 1.0 + rng.random(grid.shape)),
                  Field(grid, 2.0 + rng.random(grid.shape)), 0.0)
+
+
+def _unit_grid(cells, topology):
+    return make_grid(GridSpec(len(cells), cells, (1.0,) * len(cells), topology))
+
+
+def _box_state(cells=16, seed=3):
+    return _random_state(_unit_grid((cells,) * 3, "neumann_box"), seed)
 
 
 def _evaluate_peak(state) -> int:
@@ -180,19 +192,124 @@ def test_negative_zero_flips_only_the_sign_of_a_zero_chemotactic_flux():
             == _state_bits(reference_step.step(state, 1e-3, cfg)))
 
 
+def _workspace_arrays(grid) -> list:
+    ws = _spectral(grid)
+    return [a for a in (ws.pair, ws.rows, *ws.spectra) if a is not None]
+
+
 def test_stepped_state_shares_no_memory_with_the_scratch():
     """Neither on step's own scratch nor on the larger one evaluate leaves
-    behind, which step then borrows."""
-    state = _box_state(cells=8)
-    for scheme in (EXPLICIT_EULER, IMEX):
-        cfg = SolverConfig(chi=5.0, cfl_safety=1.0 / 7, scheme=scheme)
-        for rows, sink in ((6, lambda: None), (_SCRATCH, lambda: evaluate(
-                state, (1.0, 1.0, 1.0), 5.0, 2.0))):
-            sink()
-            new = step(state, choose_dt(state, cfg), cfg)
-            block = state.grid.scratch(rows)
-            for arr in (new.n.values, new.c.values, *new.c_face_gradient):
-                assert not np.shares_memory(arr, block)
+    behind, which step then borrows, nor, under imex, on the implicit
+    solve's spectral workspace (box and torus)."""
+    for topology in TOPOLOGIES:
+        state = _random_state(_unit_grid((8, 8, 8), topology), 3)
+        for scheme in (EXPLICIT_EULER, IMEX):
+            cfg = SolverConfig(chi=5.0, cfl_safety=1.0 / 7, scheme=scheme)
+            for rows, sink in ((6, lambda: None), (_SCRATCH, lambda: evaluate(
+                    state, (1.0, 1.0, 1.0), 5.0, 2.0))):
+                sink()
+                new = step(state, choose_dt(state, cfg), cfg)
+                block = state.grid.scratch(rows)
+                held = [block] + (_workspace_arrays(state.grid) if scheme == IMEX else [])
+                for arr in (new.n.values, new.c.values, *new.c_face_gradient):
+                    assert not any(np.shares_memory(arr, buf) for buf in held)
+
+
+def test_imex_state_keeps_its_bits_through_later_steps():
+    """A state one imex step returned is not overwritten by the next three
+    steps on the same grid, which reuse the workspace."""
+    for topology in TOPOLOGIES:
+        state = _random_state(_unit_grid((8, 8, 8), topology), 3)
+        cfg = SolverConfig(chi=5.0, cfl_safety=1.0 / 7, scheme=IMEX)
+        kept = step(state, choose_dt(state, cfg), cfg)
+        before = _state_bits(kept)
+        later = kept
+        for _ in range(3):
+            later = step(later, choose_dt(later, cfg), cfg)
+        assert _state_bits(later) != before
+        assert _state_bits(kept) == before
+
+
+@pytest.mark.parametrize("cells, topology", [((256, 256), "periodic_torus"),
+                                             ((32, 32, 32), "neumann_box")])
+def test_second_imex_step_allocates_under_three_and_a_half_grid_arrays(cells, topology):
+    """Only the new (n, c) pair and, freed before it, each axis's n_face are
+    fresh; the solve's input pair, spectra and denominator are the
+    workspace's, reused (with a fresh spectrum per call, about 10)."""
+    state = _random_state(_unit_grid(cells, topology), 6)
+    cfg = SolverConfig(chi=5.0, cfl_safety=1.0 / 7, scheme=IMEX)
+    dt = choose_dt(state, cfg)
+    step(state, dt, cfg)
+    tracemalloc.start()
+    try:
+        step(state, dt, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * state.n.values.nbytes
+
+
+def test_imex_steps_on_two_threads_match_the_serial_ones():
+    """Each thread solves in its own workspace, so two threads stepping one
+    grid at once give, bit for bit, the states a serial loop gives."""
+    for topology in TOPOLOGIES:
+        grid = _unit_grid((12, 12, 12), topology)
+        starts = [_random_state(grid, seed) for seed in (7, 8)]
+        cfg = SolverConfig(chi=5.0, cfl_safety=1.0 / 7, scheme=IMEX)
+
+        def trajectory(state):
+            bits = []
+            for _ in range(20):
+                state = step(state, choose_dt(state, cfg), cfg)
+                bits.append(_state_bits(state))
+            return bits
+
+        serial = [trajectory(start) for start in starts]
+        threaded = [None, None]
+
+        def work(k):
+            threaded[k] = trajectory(starts[k])
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threaded == serial
+
+
+@st.composite
+def _solves(draw):
+    """A grid (dims 1-3, odd and even cells, both topologies), a few random
+    pairs and a dt sequence with repeats and changes, so the workspace's
+    cached denominator is both reused and rebuilt."""
+    dim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.integers(4, {1: 33, 2: 12, 3: 7}[dim])) for _ in range(dim))
+    extent = tuple(draw(st.floats(0.5, 2.0)) for _ in range(dim))
+    grid = make_grid(GridSpec(dim, cells, extent, draw(st.sampled_from(TOPOLOGIES))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dts = draw(st.lists(st.sampled_from([1e-4, 3e-3, 0.5]), min_size=3, max_size=6))
+    return grid, [(rng.random((2, *grid.shape)) * 4.0 - 1.0, dt) for dt in dts]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_solves())
+def test_property_implicit_diffusion_is_bit_identical_to_frozen_reference(solves):
+    grid, calls = solves
+    for rhs, dt in calls:
+        kept = rhs.copy()
+        expected = reference_step._implicit_diffusion(rhs, dt, grid)
+        assert np.array_equal(_implicit_diffusion(rhs, dt, grid), expected)
+        assert np.array_equal(rhs, kept)  # the input is only read
+        pair = _spectral(grid).pair  # the workspace's own pair, as step passes it
+        np.copyto(pair, rhs)
+        assert np.array_equal(_implicit_diffusion(pair, dt, grid), expected)
 
 
 def test_second_step_allocates_under_three_grid_arrays():

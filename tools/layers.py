@@ -1,7 +1,9 @@
 """Per-layer sweep: median wall time and minor page faults per call of
 choose_dt, step (explicit, and imex as step_imex), evaluate and the KSF1
 write_snapshot/read_snapshot of n, on one smooth state per grid, at 16^2,
-64^2, 256^2 and 32^3 (Neumann boxes), and of the manufactured pair's
+64^2, 256^2 and 32^3 (Neumann boxes), of step_imex_torus (the imex step
+from the same data on a periodic torus, with that state's own dt, whose
+solve is the rfftn path, not the box's DCTs), and of the manufactured pair's
 source_n and source_c hooks at the same sizes (tori in 2D, the Neumann box
 in 3D).  At 32^3 only, run_sampled is one solver.run of 1,024 steps from
 that state with an evaluate sink every 5 steps, the step-and-sample loop
@@ -146,9 +148,9 @@ def sweep(work: Path) -> dict:
                 "samples": summary["metadata"]["samples"],
                 "classification": summary["blowup"]["classification"]}
 
-    def smooth_state(cells) -> State:
+    def smooth_state(cells, topology="neumann_box") -> State:
         dim = len(cells)
-        grid = make_grid(GridSpec(dim, cells, (1.0,) * dim, "neumann_box"))
+        grid = make_grid(GridSpec(dim, cells, (1.0,) * dim, topology))
         xs = grid.meshes()
         r2 = sum((x - 0.4 - 0.1 * a) ** 2 for a, x in enumerate(xs))
         return State(Field(grid, 1.0 + 8.0 * np.exp(-r2 / 0.02)),
@@ -171,12 +173,15 @@ def sweep(work: Path) -> dict:
         state = smooth_state(cells)
         n, c = state.n, state.c
         dt = choose_dt(state, config)  # caches c's face gradient, as run() does
+        torus = smooth_state(cells, "periodic_torus")
+        dt_torus = choose_dt(torus, imex)  # c jumps at the wrap: a dt of its own
         row = out["x".join(map(str, cells))] = {
             # on a fresh state, so that c's face gradient is built each call
             "choose_dt": _measure(lambda st: choose_dt(st, config),
                                   lambda: State(n, c, 0.0)),
             "step": _measure(lambda _: step(state, dt, config)),
             "step_imex": _measure(lambda _: step(state, dt, imex)),
+            "step_imex_torus": _measure(lambda _: step(torus, dt_torus, imex)),
             "evaluate": _measure(lambda _: evaluate(state, (1.0, 1.0, 1.0),
                                                     config.chi, 2.0)),
             "write_snapshot": _measure(lambda _: write_snapshot(n, 0.0, work / "n.ksf")),
