@@ -33,6 +33,7 @@ TYPE_II = "type_II"
 
 MIN_FIT_POINTS = 8  # the fewest samples a fit window may hold
 _SEARCH_TOL = 1e-12  # the golden-section search's relative bracket width
+_TYPE_I_TOL = 0.05  # the excess of gamma over 1 that classify calls type I
 # the C3 a report accepts: delta0 and C_tilde's delta0^(-1/3) are then normal
 # doubles (delta0 underflows to 0 from about C3 = 3.2e306)
 C3_RANGE = (1e-300, 1e300)
@@ -130,9 +131,9 @@ def fit_rate(series: Sequence[tuple[float, float]], window_fraction: float = 0.2
                    amplitude=math.exp(intercept), residual=rms)
 
 
-def classify(gamma: float, tol: float = 0.05) -> str:
-    """Type I iff gamma <= 1 + tol (at most the self-similar rate)."""
-    return TYPE_I if gamma <= 1.0 + tol else TYPE_II
+def classify(gamma: float) -> str:
+    """Type I iff gamma <= 1 + _TYPE_I_TOL (at most the self-similar rate)."""
+    return TYPE_I if gamma <= 1.0 + _TYPE_I_TOL else TYPE_II
 
 
 def _lower_bound_constants(c0_sup: float, C3: float) -> tuple[float, float, float, float]:

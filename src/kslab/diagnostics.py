@@ -10,9 +10,10 @@ test oracle):
     times the average of its two cells; the box wall face, where w is 0,
     is left out.
   - log/division diagnostics clip n (and c where divided) at a positivity
-    floor, max(floor, 1e-12 * sup), with evaluate's floor argument 0 in a
-    run; the floor never feeds back into the dynamics.  sqrt(c) clamps
-    negative c at zero so signed verification fields remain evaluable.
+    floor, max(1e-12 * sup, 1e-300); the floor never feeds back into the
+    dynamics.  n is not checked again: a State is validated once, by its
+    constructor or by solver.step.  sqrt(c) clamps negative c at zero so
+    signed verification fields remain evaluable.
 
 V is the weighted nonnegative functional
     integral of [ n/2 |grad log n|^2 + k1/(2 chi) n^2 c + k1/chi^2 n^2
@@ -48,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PositivityError
-from .grid import Field, Grid, _check_nonnegative, lp_norm
+from .grid import Field, Grid, lp_norm
 from .operators import (_cuts, _div_term, _face_grad, _face_grads,
                         _hessian_parts, _lower, _upper_face)
 
@@ -90,9 +91,9 @@ class DiagnosticsRecord:
 CSV_FIELDS = [f.name for f in dataclasses.fields(DiagnosticsRecord)]
 
 
-def _clip_level(floor: float, sup: float) -> float:
+def _clip_level(sup: float) -> float:
     """The positivity floor of a diagnostic on a field of sup norm sup."""
-    return max(floor, 1e-12 * sup, 1e-300)
+    return max(1e-12 * sup, 1e-300)
 
 
 def _add_cell_sq(acc, comp: np.ndarray, axis: int, first: bool,
@@ -142,40 +143,33 @@ def pointwise_hessian_check(field: Field) -> float:
     return float(np.max(trace * trace - field.grid.dim * frob))
 
 
-def winkler_ratio(n: Field, floor: Optional[float] = None) -> Optional[float]:
+def winkler_ratio(n: Field) -> Optional[float]:
     """integral |grad n|^4 / n^3 over integral n |hess log n|^2.
 
     For positive fields with zero normal derivative the ratio is bounded by
     (2 + sqrt(dim))^2 <= WINKLER_CONSTANT.  Returns None for constant
-    fields (0/0).  A floor clips n at evaluate's level (_clip_level); with
-    floor=None a nonpositive n is rejected instead.
+    fields (0/0).  A nonpositive n is rejected.
     """
     nv = n.values
-    if floor is None:
-        if float(np.min(nv)) <= 0.0:
-            raise PositivityError("winkler_ratio needs strictly positive n")
-        n_reg = nv
-    else:
-        if float(np.min(nv)) < 0.0:
-            raise PositivityError("winkler_ratio: n has negative cells")
-        n_reg = np.maximum(nv, _clip_level(floor, float(np.max(nv))))
+    if float(np.min(nv)) <= 0.0:
+        raise PositivityError("winkler_ratio needs strictly positive n")
     grid = n.grid
     vol = grid.cell_volume
-    gn_sq = _cell_sq(_face_grads(n_reg, grid))
-    num = float(np.sum(gn_sq * gn_sq / (n_reg**3))) * vol
-    _, hess_log = _hessian_parts(np.log(n_reg), grid)
-    den = float(np.sum(n_reg * hess_log)) * vol
+    gn_sq = _cell_sq(_face_grads(nv, grid))
+    num = float(np.sum(gn_sq * gn_sq / (nv**3))) * vol
+    _, hess_log = _hessian_parts(np.log(nv), grid)
+    den = float(np.sum(nv * hess_log)) * vol
     if den == 0.0:
         return None
     return num / den
 
 
-def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
-             floor: float = 0.0) -> DiagnosticsRecord:
+def evaluate(state, kappas: tuple[float, float, float], chi: float,
+             s: float) -> DiagnosticsRecord:
     """Evaluate every monitored functional on one state.
 
     kappas = (k1, k2, k3) weight the V/G pair; s selects the L^s norm
-    tracked in n_ls_norm; floor is the diagnostics-only positivity clip.
+    tracked in n_ls_norm.
     Every grid-sized intermediate lives in the calling thread's block of
     the grid's scratch (see the module docstring), so evaluate is not
     reentrant on one grid within one thread.
@@ -189,8 +183,8 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
     log_n, gc_sq, glogn_sq, lap_c, grad_sq, face, shift, prod = rows
     hess_bufs = tuple(rows[2:7])  # free once lap c and glogn_sq are read
 
-    n_sup = _check_nonnegative(nv, "n", prod)
-    c_sup = float(np.max(np.abs(cv, out=prod))) if cv.size else 0.0
+    n_sup = float(np.max(np.abs(nv, out=prod)))
+    c_sup = float(np.max(np.abs(cv, out=prod)))
 
     def integ(arr) -> float:
         return float(np.sum(arr)) * vol
@@ -208,7 +202,7 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
                          for axis in range(grid.dim)), out, shift)
 
     # 1. the n side: n_reg, then log n, in one row; |grad n|^2 in gc_sq's
-    n_reg = np.maximum(nv, _clip_level(floor, n_sup), out=log_n)
+    n_reg = np.maximum(nv, _clip_level(n_sup), out=log_n)
     gn_sq = cell_sq(nv, gc_sq)
     fisher = integ(np.divide(gn_sq, n_reg, out=prod))
     gradn_l2_sq = integ(gn_sq)
@@ -247,7 +241,7 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
     # 4. the Hessians; c_reg takes log n's row, then log c in it, and c_pos
     #    takes gc_sq's
     n_hesslog_sq = integ(mul(nv, _hessian_parts(log_n, grid, hess_bufs)[1]))
-    c_reg = np.maximum(cv, _clip_level(floor, c_sup), out=log_n)
+    c_reg = np.maximum(cv, _clip_level(c_sup), out=log_n)
     hessc_gradc = integ(mul(_hessian_parts(cv, grid, hess_bufs)[1], gc_sq))
     n_gradc_sq_over_c = integ(np.divide(mul(nv, gc_sq), c_reg, out=prod))
     log_c = np.log(c_reg, out=c_reg)

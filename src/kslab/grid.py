@@ -28,7 +28,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -155,12 +155,16 @@ def _readonly(values: np.ndarray) -> np.ndarray:
     return view
 
 
-def _check_nonnegative(values: np.ndarray, what: str,
-                       out: Optional[np.ndarray] = None) -> float:
-    """sup |values|; a cell below -1e-12 * max(sup, 1) is a PositivityError.
-    out, when given, receives |values|."""
-    sup = float(np.max(np.abs(values, out=out)))
-    if float(np.min(values)) < -1e-12 * max(sup, 1.0):
+def _negative(low: float, sup: float) -> bool:
+    """The rule for n >= 0 up to rounding: a field of minimum low and sup
+    norm sup is negative when low < -1e-12 * max(sup, 1)."""
+    return low < -1e-12 * max(sup, 1.0)
+
+
+def _check_nonnegative(values: np.ndarray, what: str) -> float:
+    """sup |values|; values negative by _negative's rule are a PositivityError."""
+    sup = float(np.max(np.abs(values)))
+    if _negative(float(np.min(values)), sup):
         raise PositivityError(f"{what} has negative cells")
     return sup
 
@@ -249,14 +253,7 @@ def lp_norm(field: Field, p: float) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     if math.isinf(p):
         return float(np.max(np.abs(field.values)))
-    absv = np.abs(field.values)
-    if p == 1.0:
-        raw = float(np.sum(absv))
-    elif p == 2.0:
-        raw = float(np.sum(absv * absv))
-    else:
-        raw = float(np.sum(absv**p))
-    total = raw * field.grid.cell_volume
+    total = float(np.sum(np.abs(field.values) ** p)) * field.grid.cell_volume
     if not math.isfinite(total):
         raise CorruptionError("norm is non-finite")
     return total ** (1.0 / p)

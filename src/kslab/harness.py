@@ -75,8 +75,8 @@ _GUESS = "config-default (no canonical value; supply your own)"
 # A parser maps the value text to its typed value or raises ValueError with
 # a message that follows the dotted key name.  Non-finite values are errors,
 # except inf as a criterion pair's Lebesgue exponent and as run.t_end when
-# run.max_steps bounds a time-stepped run (a ladder's solves run to t_end,
-# which must be positive and finite).
+# run.max_steps bounds a time-stepped run.  run.t_end must be positive, and
+# finite for a ladder, whose solves run to it.
 
 
 def _number(kind=float, ok: Optional[Callable] = None, need: str = "",
@@ -117,6 +117,7 @@ _int, _real, _exponent = _number(int), _number(), _number(inf=True)
 _nonnegative = _number(ok=lambda v: v >= 0, need="nonnegative")
 _count = _number(int, lambda v: v >= 0, "nonnegative")
 _at_least_1 = _number(int, lambda v: v >= 1, "at least 1")
+_at_least_2 = _number(int, lambda v: v >= 2, "at least 2")
 
 
 def _pairs(text: str) -> list[tuple[float, float]]:
@@ -148,7 +149,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "sample_every": ("100", _at_least_1),
         "snapshot_every": ("0", _count),
         "out_dir": ("out", str.strip),
-        "max_steps": ("", _optional(_count)),
+        "max_steps": ("", _optional(_at_least_1)),
         "n0_snapshot": ("", str.strip),
         "c0_snapshot": ("", str.strip),
     },
@@ -185,8 +186,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "residual_threshold": ("0.25", _real, _GUESS),
     },
     "scaling": {
-        "lam": ("2", _number(int, lambda v: v >= 2, "at least 2")),
-        "refinements": ("3", _number(int, lambda v: v >= 2, "at least 2")),
+        "lam": ("2", _at_least_2),
+        "refinements": ("3", _at_least_2),
     },
 }
 
@@ -281,6 +282,9 @@ def load_config(path, overrides: Optional[Sequence[str]] = None) -> RunConfig:
         if scenario.ladder and not 0.0 < run_sec["t_end"] < math.inf:
             errors.append(f"run.t_end: the {name} ladder needs 0 < t_end < inf, "
                           f"got {run_sec['t_end']!r}")
+        elif not run_sec["t_end"] > 0.0:
+            errors.append(f"run.t_end: the {name} run needs t_end > 0, "
+                          f"got {run_sec['t_end']!r}")
         for key in scenario.requires:
             if not run_sec[key]:
                 errors.append(f"{name} scenario requires run.{key}")
@@ -324,7 +328,7 @@ def _run_fields(cfg: RunConfig, out: Path) -> dict:
         writer.write(rec)
         criteria.write_row([rec.t, rec.gradc_inf, rec.n_ls_norm, *(
             lp_norm(state.n, s) for s, _r in cfg.criterion_pairs[1:])])
-        if float(np.min(state.c.values)) < _clip_level(0.0, rec.c_sup):
+        if float(np.min(state.c.values)) < _clip_level(rec.c_sup):
             floor_engaged += 1
         if spill is not None:
             spill.write(state.n.values)
@@ -625,16 +629,23 @@ def _stress_3d_initial(cfg: RunConfig) -> State:
 def _custom_initial(cfg: RunConfig) -> State:
     """The state the two snapshots hold.  A malformed file raises
     SnapshotError; well-formed files whose data cannot start a run (on a
-    grid other than [grid]'s, non-finite, negative n) raise ConfigError."""
+    grid other than [grid]'s, non-finite, negative n, at two times or at a
+    time not before run.t_end) raise ConfigError."""
     try:
         n0, t0 = read_snapshot(cfg.n0_snapshot)
-        c0, _ = read_snapshot(cfg.c0_snapshot)
+        c0, c0_t = read_snapshot(cfg.c0_snapshot)
         for name, snap in (("n0", n0), ("c0", c0)):
             if snap.grid.spec != cfg.grid:
                 raise ConfigError(f"run.{name}_snapshot is on {snap.grid.spec}, "
                                   f"but [grid] describes {cfg.grid}")
         if not math.isfinite(t0):
             raise CorruptionError(f"snapshot time {t0}")
+        if c0_t != t0:
+            raise ConfigError(f"run.c0_snapshot holds t = {c0_t!r}, but "
+                              f"run.n0_snapshot holds t = {t0!r}")
+        if not t0 < cfg.t_end:
+            raise ConfigError(f"run.t_end: {cfg.t_end!r} is not after the "
+                              f"snapshots' t = {t0!r}")
         return State(n0, c0, t0)
     except (CorruptionError, PositivityError) as exc:
         raise ConfigError(f"custom initial data: {exc}") from None

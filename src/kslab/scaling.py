@@ -8,10 +8,10 @@ The rescaling maps a state (n, c, t) to
 
 sampled on the same grid.  Integer lambda keeps lambda*x on the same torus,
 so a solution rescales to another solution of the same system; Neumann
-boxes break the symmetry at walls and are rejected.  Resampling is
-nearest-cell whenever lambda * (i + 1/2) - 1/2 is an integer (all odd
-lambda) and linear interpolation otherwise; with wrapped resampling the
-mass of n transforms as lambda^2 * integral n.
+boxes break the symmetry at walls and are rejected.  Resampling takes a
+cell for odd lambda, where lambda * (i + 1/2) - 1/2 is an integer, and the
+average of two neighbouring cells for even lambda, where it is a midpoint;
+with wrapped resampling the mass of n transforms as lambda^2 * integral n.
 """
 
 from __future__ import annotations
@@ -30,22 +30,15 @@ from .solver import RunResult, SolverConfig, State, StopRule, run
 
 
 def _resample_wrapped(values: np.ndarray, lam: int, grid: Grid) -> np.ndarray:
-    """Sample values at lambda * center positions with periodic wrap."""
+    """Sample values at lambda * center positions with periodic wrap: along
+    each axis, cell i samples index lam * (i + 1/2) - 1/2, which is cell j0
+    for odd lam and the midpoint of cells j0 and j0 + 1 for even lam."""
     out = values
     for axis in range(grid.dim):
         n = grid.shape[axis]
-        pos = lam * (np.arange(n) + 0.5) - 0.5  # in index units
-        j0 = np.floor(pos).astype(int)
-        frac = pos - j0
-        lo = np.take(out, np.mod(j0, n), axis=axis)
-        if np.all(frac == 0.0):
-            out = lo
-            continue
-        hi = np.take(out, np.mod(j0 + 1, n), axis=axis)
-        shape = [1] * out.ndim
-        shape[axis] = n
-        f = frac.reshape(shape)
-        out = (1.0 - f) * lo + f * hi
+        j0 = lam * np.arange(n) + (lam - 1) // 2
+        lo = np.take(out, j0 % n, axis=axis)
+        out = lo if lam % 2 else 0.5 * lo + 0.5 * np.take(out, (j0 + 1) % n, axis=axis)
     return out
 
 

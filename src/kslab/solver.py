@@ -58,7 +58,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CorruptionError, PositivityError
-from .grid import Field, Grid, _check_nonnegative, _readonly, _trusted
+from .grid import Field, Grid, _check_nonnegative, _negative, _readonly, _trusted
 # chemotactic_flux: fused into step's kernel, bound here for perfbench's tracer
 from .operators import (_chemotactic_faces, _div_term, _face_grads,  # noqa: F401
                         _lower, chemotactic_flux)
@@ -353,7 +353,7 @@ def step(state: State, dt: float, config: SolverConfig,
     if not (math.isfinite(n_min) and math.isfinite(n_max)
             and np.isfinite(c_new).all()):
         raise CorruptionError("step produced non-finite values")
-    if n_min < -1e-12 * max(n_max, -n_min, 1.0):
+    if _negative(n_min, max(n_max, -n_min)):
         raise PositivityError("step drove the bacteria density negative")
     return _trusted(State, t=state.t + dt, n_max=n_max,
                     n=_trusted(Field, grid=grid, values=_readonly(n_new)),

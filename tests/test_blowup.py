@@ -92,16 +92,15 @@ def test_fit_nan_exponent_is_no_blowup(monkeypatch):
 
 
 def test_classify_examples():
-    assert classify(1.0, tol=0.05) == TYPE_I
-    assert classify(1.5, tol=0.05) == TYPE_II
-    assert classify(0.8, tol=0.05) == TYPE_I
+    assert classify(1.0) == TYPE_I
+    assert classify(1.5) == TYPE_II
+    assert classify(0.8) == TYPE_I
 
 
 def test_classify_threshold_is_sharp():
-    tol = 0.05
-    boundary = 1.0 + tol
-    assert classify(boundary, tol) == TYPE_I
-    assert classify(np.nextafter(boundary, 2.0), tol) == TYPE_II
+    boundary = 1.0 + 0.05
+    assert classify(boundary) == TYPE_I
+    assert classify(np.nextafter(boundary, 2.0)) == TYPE_II
 
 
 # --- alpha -----------------------------------------------------------------------

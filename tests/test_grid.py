@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kslab import (CorruptionError, Field, GridSpec, constant_field, fill,
                    integrate, lp_norm, make_grid, read_snapshot,
@@ -138,6 +140,29 @@ def test_lp_norm_monotone_in_p_unit_volume():
     f = Field(g, rng.random(g.shape) + 0.1)
     norms = [lp_norm(f, p) for p in (1.0, 2.0, 3.0, 6.0, math.inf)]
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(4, 12), st.integers(0, 2**32 - 1),
+       st.floats(1e-3, 1e3), st.sampled_from([1.0, 1.6, 2.0, 3.5, math.inf]))
+def test_property_lp_norm_is_bit_identical_to_its_per_p_formulas(dim, cells, seed,
+                                                                 scale, p):
+    """lp_norm's one |v|^p expression gives the bits of the sum of |v| at
+    p = 1 and of |v|*|v| at p = 2."""
+    g = make_grid(GridSpec(dim, (cells,) * dim, (1.0, 0.5, 2.0)[:dim]))
+    v = np.random.default_rng(seed).normal(size=g.shape) * scale
+    absv = np.abs(v)
+    if math.isinf(p):
+        want = float(np.max(absv))
+    else:
+        if p == 1.0:
+            raw = float(np.sum(absv))
+        elif p == 2.0:
+            raw = float(np.sum(absv * absv))
+        else:
+            raw = float(np.sum(absv**p))
+        want = (raw * g.cell_volume) ** (1.0 / p)
+    assert np.float64(lp_norm(Field(g, v), p)).tobytes() == np.float64(want).tobytes()
 
 
 def test_snapshot_roundtrip():

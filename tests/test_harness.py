@@ -590,6 +590,26 @@ def test_cli_custom_grid_must_describe_the_snapshots(tmp_path, capsys, grid):
     assert cli_main(argv) == EXIT_IO
 
 
+@pytest.mark.parametrize("t_n0, t_c0, named", [
+    (5.0, 5.0, "run.t_end: 1.0 is not after the snapshots' t = 5.0"),
+    (0.0, 7.5, "run.c0_snapshot holds t = 7.5, but run.n0_snapshot holds t = 0.0"),
+], ids=["both-past-t_end", "two-times"])
+def test_cli_custom_snapshot_times_exit_code(tmp_path, capsys, t_n0, t_c0, named):
+    """Snapshots at or past t_end leave no step to take, and c0's time
+    would be dropped: either is a config error naming the key."""
+    g = make_grid(GridSpec(2, (8, 8), (1.0, 1.0), "periodic_torus"))
+    for name, t in (("n0", t_n0), ("c0", t_c0)):
+        write_snapshot(constant_field(g, 1.0), t, tmp_path / f"{name}.ksf")
+    cfg = _write(tmp_path, "[run]\nscenario = custom\n"
+                           f"n0_snapshot = {tmp_path / 'n0.ksf'}\n"
+                           f"c0_snapshot = {tmp_path / 'c0.ksf'}\n")
+    argv = ["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+            "--override", "grid.cells=8 8"]
+    assert cli_main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0], err
+
+
 def test_criteria_accumulators_reported(tmp_path):
     out = tmp_path / "run"
     cfg = load_config(
@@ -661,11 +681,16 @@ _DECAY_INI = "[run]\nscenario = constant_decay\n"
     ("[run]\nscenario = mms\n",
      ["scaling.refinements=1", "grid.cells=8 8", "run.t_end=0.005"],
      "scaling.refinements: must be at least 2, got '1'"),
+    # a time-stepped run that cannot take a step: 0 steps, PASS, exit 0
+    (_DECAY_INI, ["run.t_end=0"],
+     "run.t_end: the constant_decay run needs t_end > 0, got 0.0"),
+    (_DECAY_INI, ["run.max_steps=0"], "run.max_steps: must be at least 1, got '0'"),
 ], ids=["unknown-section", "malformed-override", "override-unknown-key",
         "parse-error", "custom-without-n0", "upwind-maybe", "pair-without-slash",
         "no-pairs", "seed-file", "seed-override", "ls_exponent-file",
         "ls_exponent-override", "positivity_floor-file", "positivity_floor-override",
-        "lam-one", "scaling-refinements-one", "mms-refinements-one"])
+        "lam-one", "scaling-refinements-one", "mms-refinements-one",
+        "decay-t_end-zero", "decay-max_steps-zero"])
 def test_cli_run_config_error_exit_code(tmp_path, capsys, text, overrides, named):
     argv = ["run", "--config", str(_write(tmp_path, text)),
             "--out-dir", str(tmp_path / "out")]

@@ -75,6 +75,42 @@ def test_rescale_mass_transforms_by_lambda_squared():
                 lam**2 * integrate(st.n), rel=1e-13)
 
 
+def _resample_by_fraction(values, lam):
+    """Sampling at lam * (i + 1/2) - 1/2 in index units on every axis, with
+    the weight of the upper cell taken from each point's fractional part."""
+    out = values
+    for axis, n in enumerate(values.shape):
+        pos = lam * (np.arange(n) + 0.5) - 0.5
+        j0 = np.floor(pos).astype(int)
+        frac = pos - j0
+        lo = np.take(out, np.mod(j0, n), axis=axis)
+        if np.all(frac == 0.0):
+            out = lo
+            continue
+        hi = np.take(out, np.mod(j0 + 1, n), axis=axis)
+        shape = [1] * out.ndim
+        shape[axis] = n
+        f = frac.reshape(shape)
+        out = (1.0 - f) * lo + f * hi
+    return out
+
+
+@pytest.mark.parametrize("cells", [(12,), (13,), (8, 9), (5, 6, 7)],
+                         ids=["even", "odd", "even-odd", "mixed-3d"])
+@pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
+def test_rescale_is_bit_identical_to_fractional_weights(lam, cells):
+    """A cell for odd lam, the midpoint of two cells for even lam: the
+    bits of general linear interpolation at lam times each center."""
+    g = make_grid(GridSpec(len(cells), cells, (1.0,) * len(cells), "periodic_torus"))
+    rng = np.random.default_rng(lam * 100 + sum(cells))
+    st = State(Field(g, 0.5 + rng.random(g.shape)), Field(g, rng.normal(size=g.shape)),
+               0.3)
+    out = rescale_state(st, lam)
+    assert out.n.values.tobytes() == (
+        (lam * lam) * _resample_by_fraction(st.n.values, lam)).tobytes()
+    assert out.c.values.tobytes() == _resample_by_fraction(st.c.values, lam).tobytes()
+
+
 def test_rescale_rejects_box_topology():
     g = make_grid(GridSpec(1, (16,), (1.0,), "neumann_box"))
     st = State(constant_field(g, 1.0), constant_field(g, 1.0), 0.0)

@@ -9,6 +9,7 @@ import pytest
 from kslab import (Field, GridSpec, SolverConfig, State, StopRule, choose_dt,
                    constant_field, fill, integrate, lp_norm, make_grid, run, step)
 from kslab.errors import CorruptionError, PositivityError
+from kslab.grid import _trusted
 from kslab.solver import _dct, _dt_unclamped, _idct, _implicit_diffusion
 from kslab.operators import _div, _face_grads
 
@@ -367,6 +368,38 @@ def test_step_rejects_an_unstable_update(spike, threshold, error, reason):
         res = run(st, cfg, StopRule(t_end=1.0))
     assert (res.stop_reason, res.steps) == (reason, 0)
     assert res.state is st
+
+
+def _with_low_cell(sup, beyond):
+    """n on an 8-cell torus with sup norm sup and one cell on the rule's
+    bound for n >= 0, -1e-12 * max(sup, 1), or one ulp beyond it."""
+    g = make_grid(GridSpec(1, (8,), (1.0,), "periodic_torus"))
+    low = -1e-12 * max(sup, 1.0)
+    if beyond:
+        low = np.nextafter(low, -math.inf)
+    nv = np.full(g.shape, sup)
+    nv[2] = low
+    return g, nv
+
+
+@pytest.mark.parametrize("sup", [0.25, 1.0, 1e3])
+def test_state_and_step_accept_n_on_the_bound(sup):
+    g, nv = _with_low_cell(sup, beyond=False)
+    st = State(Field(g, nv), constant_field(g, 1.0), 0.0)
+    new = step(st, 0.0, SolverConfig())
+    assert new.n.values.tobytes() == nv.tobytes()
+
+
+@pytest.mark.parametrize("sup", [0.25, 1.0, 1e3])
+def test_state_and_step_reject_n_beyond_the_bound(sup):
+    g, nv = _with_low_cell(sup, beyond=True)
+    with pytest.raises(PositivityError):
+        State(Field(g, nv), constant_field(g, 1.0), 0.0)
+    # a start state that skipped the constructor's check: dt = 0 returns
+    # its own n, which step must reject
+    bare = _trusted(State, n=Field(g, nv), c=constant_field(g, 1.0), t=0.0)
+    with pytest.raises(PositivityError):
+        step(bare, 0.0, SolverConfig())
 
 
 # --- invariants over longer horizons -------------------------------------------

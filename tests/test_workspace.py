@@ -40,7 +40,7 @@ def _grids(draw):
 def _calls(draw):
     """A few grids and a sequence of evaluate calls that alternates among
     them, each on fresh random data: n >= 0 with zero cells or not, c with
-    negative cells or not, the floor on or off."""
+    negative cells or not."""
     grids = draw(st.lists(_grids(), min_size=1, max_size=3))
     calls = []
     for _ in range(draw(st.integers(2, 5))):
@@ -53,17 +53,16 @@ def _calls(draw):
         calls.append((State(Field(grid, nv), Field(grid, cv), draw(st.floats(0.0, 5.0))),
                       tuple(draw(st.floats(0.01, 5.0)) for _ in range(3)),
                       draw(st.floats(0.1, 20.0)),
-                      draw(st.sampled_from([2.0, 3.5, math.inf])),
-                      draw(st.sampled_from([0.0, 1e-6, 0.05]))))
+                      draw(st.sampled_from([2.0, 3.5, math.inf]))))
     return calls
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_calls())
 def test_property_evaluate_is_bit_identical_to_frozen_reference(calls):
-    for state, kappas, chi, s, floor in calls:
-        expected = _bits(ref.evaluate(state, kappas, chi, s, floor))
-        assert _bits(evaluate(state, kappas, chi, s, floor)) == expected
+    for state, kappas, chi, s in calls:
+        expected = _bits(ref.evaluate(state, kappas, chi, s))
+        assert _bits(evaluate(state, kappas, chi, s)) == expected
 
 
 def _random_state(grid, seed) -> State:
@@ -108,7 +107,7 @@ def test_record_holds_no_reference_into_the_scratch():
     assert all(type(getattr(record, name)) is float for name in CSV_FIELDS)
     before = _bits(record)
     other = _box_state(seed=4)
-    assert _bits(evaluate(other, (2.0, 0.5, 1.0), 3.0, 3.0, 0.1)) != before
+    assert _bits(evaluate(other, (2.0, 0.5, 1.0), 3.0, 3.0)) != before
     assert _bits(record) == before
 
 
