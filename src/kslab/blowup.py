@@ -65,6 +65,11 @@ def _loglog_fit(ts: np.ndarray, log_ns: np.ndarray, t_star: float):
     return slope, intercept, rms
 
 
+def window_size(samples: int, window_fraction: float) -> int:
+    """The tail a fit reads: round(window_fraction * samples), at least one."""
+    return max(int(round(window_fraction * samples)), 1)
+
+
 def fit_rate(series: Sequence[tuple[float, float]], window_fraction: float = 0.25,
              residual_threshold: float = 0.25) -> RateFit:
     """Fit (t_star, gamma, A) on the tail window of a (t, n_sup) series.
@@ -90,7 +95,7 @@ def fit_rate(series: Sequence[tuple[float, float]], window_fraction: float = 0.2
     ns_all = arr[:, 1]
     if not np.all(np.diff(ts_all) > 0.0):
         raise ValueError("series times must be strictly increasing")
-    count = max(int(round(window_fraction * len(arr))), 2)
+    count = window_size(len(arr), window_fraction)
     if count < MIN_FIT_POINTS:
         raise ValueError(f"fit window has {count} points, "
                          f"need at least {MIN_FIT_POINTS}")
@@ -164,8 +169,7 @@ def check_lower_bound(series: Sequence[tuple[float, float]], t_star: float,
                       ) -> tuple[float, bool]:
     """Tail max of (t_star - t) * n_sup and whether it reaches alpha."""
     arr = np.asarray(series, dtype=float)
-    count = max(int(round(window_fraction * len(arr))), 1)
-    tail = arr[-count:]
+    tail = arr[-window_size(len(arr), window_fraction):]
     limsup_estimate = float(np.max((t_star - tail[:, 0]) * tail[:, 1]))
     return limsup_estimate, limsup_estimate >= alpha
 

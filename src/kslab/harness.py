@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .blowup import (C3_RANGE, MIN_FIT_POINTS, NO_BLOWUP, RateFit, fit_rate,
-                     nondegeneracy_map, rate_report)
+                     nondegeneracy_map, rate_report, window_size)
 from .diagnostics import (DiagnosticsRecord, DiagnosticsWriter, TableWriter,
                           _clip_level, admissible, criterion_integral,
                           energy_inequality_residual, evaluate,
@@ -75,8 +75,8 @@ _GUESS = "config-default (no canonical value; supply your own)"
 # A parser maps the value text to its typed value or raises ValueError with
 # a message that follows the dotted key name.  Non-finite values are errors,
 # except inf as a criterion pair's Lebesgue exponent and as run.t_end when
-# run.max_steps bounds a time-stepped run.  run.t_end must be positive, and
-# finite for a ladder, whose solves run to it.
+# run.max_steps bounds a time-stepped run.  StopRule must not have reached
+# run.t_end at t = 0, and a ladder, whose solves run to it, needs it finite.
 
 
 def _number(kind=float, ok: Optional[Callable] = None, need: str = "",
@@ -279,12 +279,11 @@ def load_config(path, overrides: Optional[Sequence[str]] = None) -> RunConfig:
             if grid_spec.topology != topology or dim not in (None, grid_spec.dim):
                 errors.append(f"{name} needs a {f'{dim}D ' if dim else ''}"
                               f"{topology} grid")
-        if scenario.ladder and not 0.0 < run_sec["t_end"] < math.inf:
-            errors.append(f"run.t_end: the {name} ladder needs 0 < t_end < inf, "
-                          f"got {run_sec['t_end']!r}")
-        elif not run_sec["t_end"] > 0.0:
-            errors.append(f"run.t_end: the {name} run needs t_end > 0, "
-                          f"got {run_sec['t_end']!r}")
+        t_end = run_sec["t_end"]
+        if StopRule(t_end).reached(0.0) or scenario.ladder and math.isinf(t_end):
+            need = "ladder needs 0 < t_end < inf" if scenario.ladder \
+                else "run needs t_end > 0"
+            errors.append(f"run.t_end: the {name} {need}, got {t_end!r}")
         for key in scenario.requires:
             if not run_sec[key]:
                 errors.append(f"{name} scenario requires run.{key}")
@@ -302,8 +301,8 @@ def load_config(path, overrides: Optional[Sequence[str]] = None) -> RunConfig:
 # --- time-stepped runs --------------------------------------------------------
 
 
-def _run_fields(cfg: RunConfig, out: Path) -> dict:
-    """Step the scenario's initial state, writing the field artifacts.
+def _run_fields(cfg: RunConfig, state0: State, out: Path) -> dict:
+    """Step the scenario's initial state state0, writing the field artifacts.
 
     A fitted run appends each sample's n to an unlinked spill file in out,
     so its memory does not grow with the sample count; the fit reads it
@@ -311,7 +310,6 @@ def _run_fields(cfg: RunConfig, out: Path) -> dict:
     the one part of the summary that no artifact other than summary.json
     records.
     """
-    state0 = SCENARIOS[cfg.scenario].initial(cfg)
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
 
@@ -377,7 +375,7 @@ def _fit_blowup(cfg: RunConfig, series: list[tuple[float, float]], c0_sup: float
     sampled n fields into nondegeneracy.ksf (fit_rate's t_star lies beyond
     the last sample, so every sample is before it)."""
     note = None
-    if int(round(cfg.window_fraction * len(series))) < MIN_FIT_POINTS:
+    if window_size(len(series), cfg.window_fraction) < MIN_FIT_POINTS:
         fit = RateFit(status=NO_BLOWUP)
         note = ("insufficient samples for the fit window "
                 f"(need >= {MIN_FIT_POINTS} points)")
@@ -630,7 +628,7 @@ def _custom_initial(cfg: RunConfig) -> State:
     """The state the two snapshots hold.  A malformed file raises
     SnapshotError; well-formed files whose data cannot start a run (on a
     grid other than [grid]'s, non-finite, negative n, at two times or at a
-    time not before run.t_end) raise ConfigError."""
+    time from which StopRule has reached run.t_end) raise ConfigError."""
     try:
         n0, t0 = read_snapshot(cfg.n0_snapshot)
         c0, c0_t = read_snapshot(cfg.c0_snapshot)
@@ -643,7 +641,7 @@ def _custom_initial(cfg: RunConfig) -> State:
         if c0_t != t0:
             raise ConfigError(f"run.c0_snapshot holds t = {c0_t!r}, but "
                               f"run.n0_snapshot holds t = {t0!r}")
-        if not t0 < cfg.t_end:
+        if StopRule(cfg.t_end).reached(t0):
             raise ConfigError(f"run.t_end: {cfg.t_end!r} is not after the "
                               f"snapshots' t = {t0!r}")
         return State(n0, c0, t0)
@@ -706,7 +704,10 @@ SCENARIOS: dict[str, Scenario] = {
 
 
 def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
-    """Execute a scenario, write artifacts, return (exit_code, summary)."""
+    """Execute a scenario, write artifacts, return (exit_code, summary).
+    Initial data that cannot start a run make no out_dir."""
+    scenario = SCENARIOS[cfg.scenario]
+    state0 = None if scenario.ladder else scenario.initial(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     parser = configparser.ConfigParser()
@@ -716,8 +717,9 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
         for name in cfg.defaulted:
             fh.write(f"# defaulted: {name}\n")
         parser.write(fh)
-    runner = _run_ladder if SCENARIOS[cfg.scenario].ladder else _run_fields
-    return _finish(cfg, out, runner(cfg, out))
+    stats = _run_ladder(cfg, out) if scenario.ladder else _run_fields(cfg, state0, out)
+    del state0  # the summary is built from the artifacts, without the start state
+    return _finish(cfg, out, stats)
 
 
 def regenerate_summary(run_dir) -> tuple[int, dict]:

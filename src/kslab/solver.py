@@ -133,6 +133,12 @@ class StopRule:
     t_end: float
     max_steps: Optional[int] = None
 
+    def reached(self, t: float) -> bool:
+        """t_end - t is at most the end-time slack 1e-12 * max(1, |t_end|),
+        or 0 for t_end = inf, which no t reaches."""
+        slack = 0.0 if math.isinf(self.t_end) else 1e-12 * max(1.0, abs(self.t_end))
+        return not self.t_end - t > slack
+
 
 @dataclass
 class RunResult:
@@ -373,6 +379,8 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
         source_n: Optional[Callable] = None,
         source_c: Optional[Callable] = None) -> RunResult:
     """choose_dt/step loop with cadenced sinks; errors become stop reasons.
+    On the start state and after each step, it stops at the first of: n_max
+    above blowup_sup_threshold, stop.reached(t), stop.max_steps steps taken.
 
     On a grid of at least _SINK_THREAD_CELLS cells, a step's due sink calls
     go to one sink thread as one call, in the order the loop makes them,
@@ -388,8 +396,6 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
     try:
         state = state0
         result = RunResult(state=state, stop_reason="finished", steps=0)
-        t_slack = 0.0 if math.isinf(stop.t_end) \
-            else 1e-12 * max(1.0, abs(stop.t_end))
         last_sample = -1
         last_snapshot = -1
 
@@ -420,6 +426,9 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
             pending = pool.submit(_call_each, sinks, view, result.steps)
 
         def finish() -> RunResult:
+            result.state = state
+            if math.isinf(result.dt_smallest):  # no step was taken
+                result.dt_smallest = 0.0
             hand_off(True, True)
             if pending is not None:
                 pending.result()
@@ -429,12 +438,14 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
         if not (np.isfinite(state.n.values).all() and np.isfinite(state.c.values).all()):
             result.stop_reason = "corrupted"
             return finish()
-        if state.n_max > config.blowup_sup_threshold:
-            result.stop_reason = "blowup_threshold"
-            return finish()
 
         hand_off(True, False)
-        while stop.t_end - state.t > t_slack:
+        while True:
+            if state.n_max > config.blowup_sup_threshold:
+                result.stop_reason = "blowup_threshold"
+                break
+            if stop.reached(state.t):
+                break
             if stop.max_steps is not None and result.steps >= stop.max_steps:
                 result.stop_reason = "max_steps"
                 break
@@ -454,20 +465,11 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
             result.dt_last = dt
             result.dt_smallest = min(result.dt_smallest, dt)
             result.dt_largest = max(result.dt_largest, dt)
-
-            # step has checked finiteness; only the blow-up threshold is left
-            if state.n_max > config.blowup_sup_threshold:
-                result.stop_reason = "blowup_threshold"
-                break
-
             due_sample = sample_every > 0 and result.steps % sample_every == 0
             due_snapshot = snapshot_every > 0 and result.steps % snapshot_every == 0
             if due_sample or due_snapshot:
                 hand_off(due_sample, due_snapshot)
 
-        result.state = state
-        if math.isinf(result.dt_smallest):
-            result.dt_smallest = 0.0
         return finish()
     finally:
         if pool is not None:

@@ -112,14 +112,20 @@ def test_config_ladder_rejects_an_infinite_t_end(tmp_path, scenario):
                     overrides=["run.t_end=inf", "run.max_steps=5"])
 
 
-@pytest.mark.parametrize("scenario", ["mms", "scaling_test"])
-def test_cli_ladder_with_a_zero_t_end_exit_code(tmp_path, capsys, scenario):
+@pytest.mark.parametrize("scenario, overrides, got", [
+    ("mms", ["run.t_end=0"], "0.0"),
+    ("scaling_test", ["run.t_end=0"], "0.0"),
+    # within the end-time slack of t = 0: no solve takes a step either
+    ("mms", ["run.t_end=1e-13", "scaling.refinements=2"], "1e-13"),
+], ids=["mms", "scaling_test", "mms-t_end-within-slack"])
+def test_cli_ladder_with_a_zero_t_end_exit_code(tmp_path, capsys, scenario, overrides,
+                                                 got):
     # every solve would return its initial state: errors 0, orders inf, PASS
     argv = ["run", "--config", str(_write(tmp_path, f"[run]\nscenario = {scenario}\n")),
-            "--out-dir", str(tmp_path / "out"), "--override", "grid.cells=8 8",
-            "--override", "run.t_end=0"]
-    assert cli_main(argv) == EXIT_CONFIG
-    assert (f"run.t_end: the {scenario} ladder needs 0 < t_end < inf, got 0.0"
+            "--out-dir", str(tmp_path / "out"), "--override", "grid.cells=8 8"]
+    assert cli_main(argv + [arg for item in overrides
+                            for arg in ("--override", item)]) == EXIT_CONFIG
+    assert (f"run.t_end: the {scenario} ladder needs 0 < t_end < inf, got {got}"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
@@ -593,10 +599,13 @@ def test_cli_custom_grid_must_describe_the_snapshots(tmp_path, capsys, grid):
 @pytest.mark.parametrize("t_n0, t_c0, named", [
     (5.0, 5.0, "run.t_end: 1.0 is not after the snapshots' t = 5.0"),
     (0.0, 7.5, "run.c0_snapshot holds t = 7.5, but run.n0_snapshot holds t = 0.0"),
-], ids=["both-past-t_end", "two-times"])
+    (1.0 - 1e-13, 1.0 - 1e-13,
+     "run.t_end: 1.0 is not after the snapshots' t = 0.9999999999999"),
+], ids=["both-past-t_end", "two-times", "both-within-slack-of-t_end"])
 def test_cli_custom_snapshot_times_exit_code(tmp_path, capsys, t_n0, t_c0, named):
-    """Snapshots at or past t_end leave no step to take, and c0's time
-    would be dropped: either is a config error naming the key."""
+    """Snapshots at, past or within the end-time slack of t_end leave no
+    step to take, and c0's time would be dropped: either is a config error
+    naming the key."""
     g = make_grid(GridSpec(2, (8, 8), (1.0, 1.0), "periodic_torus"))
     for name, t in (("n0", t_n0), ("c0", t_c0)):
         write_snapshot(constant_field(g, 1.0), t, tmp_path / f"{name}.ksf")
@@ -608,6 +617,7 @@ def test_cli_custom_snapshot_times_exit_code(tmp_path, capsys, t_n0, t_c0, named
     assert cli_main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 def test_criteria_accumulators_reported(tmp_path):
@@ -684,13 +694,16 @@ _DECAY_INI = "[run]\nscenario = constant_decay\n"
     # a time-stepped run that cannot take a step: 0 steps, PASS, exit 0
     (_DECAY_INI, ["run.t_end=0"],
      "run.t_end: the constant_decay run needs t_end > 0, got 0.0"),
+    # within the end-time slack of t = 0: still 0 steps
+    (_DECAY_INI, ["run.t_end=1e-13"],
+     "run.t_end: the constant_decay run needs t_end > 0, got 1e-13"),
     (_DECAY_INI, ["run.max_steps=0"], "run.max_steps: must be at least 1, got '0'"),
 ], ids=["unknown-section", "malformed-override", "override-unknown-key",
         "parse-error", "custom-without-n0", "upwind-maybe", "pair-without-slash",
         "no-pairs", "seed-file", "seed-override", "ls_exponent-file",
         "ls_exponent-override", "positivity_floor-file", "positivity_floor-override",
         "lam-one", "scaling-refinements-one", "mms-refinements-one",
-        "decay-t_end-zero", "decay-max_steps-zero"])
+        "decay-t_end-zero", "decay-t_end-within-slack", "decay-max_steps-zero"])
 def test_cli_run_config_error_exit_code(tmp_path, capsys, text, overrides, named):
     argv = ["run", "--config", str(_write(tmp_path, text)),
             "--out-dir", str(tmp_path / "out")]

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from kslab import (Field, GridSpec, SolverConfig, State, StopRule, choose_dt,
                    constant_field, fill, integrate, lp_norm, make_grid, run, step)
@@ -368,6 +370,59 @@ def test_step_rejects_an_unstable_update(spike, threshold, error, reason):
         res = run(st, cfg, StopRule(t_end=1.0))
     assert (res.stop_reason, res.steps) == (reason, 0)
     assert res.state is st
+
+
+def _growing_run(dt, rate, threshold, stop, snapshot_every):
+    """An 8-cell torus whose uniform n (no flux) grows by dt * rate a step
+    from 1 under a source, with dt forced; every state is sampled."""
+    g = make_grid(GridSpec(1, (8,), (1.0,), "periodic_torus"))
+    cfg = SolverConfig(dt_min=dt, dt_max=dt, blowup_sup_threshold=threshold)
+    samples, snapshots = [], []
+    res = run(_state(g, 1.0, 1.0), cfg, stop,
+              on_sample=lambda s, k: samples.append((k, s)), sample_every=1,
+              on_snapshot=lambda s, k: snapshots.append((k, s)),
+              snapshot_every=snapshot_every, source_n=lambda t: np.full(g.shape, rate))
+    return res, samples, snapshots
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(dt=st.floats(0.01, 0.2), rate=st.floats(0.0, 40.0),
+       threshold=st.floats(0.5, 20.0),
+       t_end=st.one_of(st.floats(0.0, 1.0), st.just(math.inf)),
+       max_steps=st.one_of(st.none(), st.integers(1, 40)),
+       snapshot_every=st.integers(0, 3))
+# the last step lands on t_end (0.2 + 0.05) and takes n from 1.8 to 2.0
+@example(dt=0.1, rate=4.0, threshold=1.9, t_end=0.25, max_steps=None, snapshot_every=2)
+def test_property_run_stops_at_the_first_stop_in_order(dt, rate, threshold, t_end,
+                                                       max_steps, snapshot_every):
+    """The stop block tests each state, the start state included, for the
+    threshold, then the horizon, then the step budget; a step is taken only
+    from a state that none of them stops, and both sinks see the final
+    state once."""
+    assume(max_steps is not None or math.isfinite(t_end))
+    stop = StopRule(t_end, max_steps)
+    res, samples, snapshots = _growing_run(dt, rate, threshold, stop, snapshot_every)
+
+    def stops(k, s):
+        if s.n_max > threshold:
+            return "blowup_threshold"
+        if stop.reached(s.t):
+            return "finished"
+        if max_steps is not None and k >= max_steps:
+            return "max_steps"
+        return None
+
+    assert [k for k, _ in samples] == list(range(res.steps + 1))
+    assert all(stops(k, s) is None for k, s in samples[:-1])
+    assert res.stop_reason == stops(res.steps, res.state)
+    assert (res.stop_reason == "finished") == (
+        stop.reached(res.state.t) and not res.state.n_max > threshold)
+    for seen in (samples, snapshots):
+        assert seen[-1] == (res.steps, res.state)
+        assert sum(s is res.state for _, s in seen) == 1
+    assert (res.dt_smallest == 0.0) == (res.steps == 0)
+    if (dt, rate, threshold, t_end) == (0.1, 4.0, 1.9, 0.25):
+        assert (res.stop_reason, res.steps, res.state.t) == ("blowup_threshold", 3, 0.25)
 
 
 def _with_low_cell(sup, beyond):
