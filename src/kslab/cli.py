@@ -17,8 +17,8 @@ import math
 import sys
 
 from .blowup import C3_RANGE, alpha_lower_bound, fit_rate, rate_report
-from .diagnostics import read_table
-from .errors import ConfigError, SnapshotError
+from .diagnostics import check_time_order, read_table
+from .errors import ConfigError
 from .harness import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK,
                       load_config, regenerate_summary, run_scenario)
 
@@ -42,15 +42,7 @@ def _cmd_run(args) -> int:
         overrides.append(f"run.out_dir={args.out_dir}")
     if args.max_steps is not None:
         overrides.append(f"run.max_steps={args.max_steps}")
-    try:
-        code, summary = run_scenario(load_config(args.config, overrides=overrides))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, SnapshotError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return _print_monitors(code, summary)
+    return _print_monitors(*run_scenario(load_config(args.config, overrides=overrides)))
 
 
 def _read_series(path) -> list[tuple[float, float]]:
@@ -61,15 +53,13 @@ def _read_series(path) -> list[tuple[float, float]]:
     v_idx = header.index("n_sup") if "n_sup" in header else (1 - t_idx if len(header) == 2 else None)
     if v_idx is None:
         raise ValueError(f"{path}: need an n_sup column or a two-column file")
-    return [(float(row[t_idx]), float(row[v_idx])) for row in rows]
+    series = [(float(row[t_idx]), float(row[v_idx])) for row in rows]
+    check_time_order(path, [t for t, _ in series])
+    return series
 
 
 def _cmd_fit(args) -> int:
-    try:
-        series = _read_series(args.series)
-    except (OSError, ValueError) as exc:  # missing or malformed series table
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    series = _read_series(args.series)
     try:
         if not C3_RANGE[0] <= args.c3 <= C3_RANGE[1]:
             raise ValueError(f"--c3 must be in {list(C3_RANGE)}, got {args.c3!r}")
@@ -84,31 +74,18 @@ def _cmd_fit(args) -> int:
         # strict JSON: the NaN fields of a declined fit are null
         text = json.dumps({key: None if isinstance(v, float) and math.isnan(v) else v
                            for key, v in payload.items()}, indent=2, allow_nan=False)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:  # a flag, or a series the fit cannot take
+        raise ConfigError(str(exc)) from None
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     else:
         print(text)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    try:
-        code, summary = regenerate_summary(args.run)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, ValueError, LookupError) as exc:  # missing or malformed artifact
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return _print_monitors(code, summary)
+    return _print_monitors(*regenerate_summary(args.run))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,8 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; an error it raises is one stderr line and an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (OSError, ValueError, LookupError) as exc:  # a missing or malformed file
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -410,6 +410,17 @@ class DiagnosticsWriter(TableWriter):
         self.write_row(_RECORD_CELLS(record))
 
 
+def check_time_order(path, ts: Sequence[float]) -> None:
+    """Raise ValueError naming path and the line of the first row of a
+    table whose t (ts, one per row from line 2) is not after the t above."""
+    for line, (t0, t1) in enumerate(zip(ts, ts[1:]), 3):
+        if not t0 < t1:
+            raise ValueError(f"{path}, line {line}: rows out of time order: {t0!r} !< {t1!r}")
+
+
 def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:
+    """diagnostics.csv's records; a malformed table raises ValueError naming it."""
     _, rows = read_table(path, CSV_FIELDS)
-    return [DiagnosticsRecord(*map(float, row)) for row in rows]
+    records = [DiagnosticsRecord(*map(float, row)) for row in rows]
+    check_time_order(path, [rec.t for rec in records])
+    return records

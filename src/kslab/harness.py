@@ -40,8 +40,8 @@ from . import __version__
 from .blowup import (C3_RANGE, MIN_FIT_POINTS, NO_BLOWUP, RateFit, fit_rate,
                      nondegeneracy_map, rate_report, window_size)
 from .diagnostics import (DiagnosticsRecord, DiagnosticsWriter, TableWriter,
-                          _clip_level, admissible, criterion_integral,
-                          energy_inequality_residual, evaluate,
+                          _clip_level, admissible, check_time_order,
+                          criterion_integral, energy_inequality_residual, evaluate,
                           read_diagnostics_csv, read_table)
 from .errors import ConfigError, CorruptionError, PositivityError, StoppedEarlyError
 from .grid import (Field, GridSpec, fill, lp_norm, make_grid, read_snapshot,
@@ -280,10 +280,13 @@ def load_config(path, overrides: Optional[Sequence[str]] = None) -> RunConfig:
                 errors.append(f"{name} needs a {f'{dim}D ' if dim else ''}"
                               f"{topology} grid")
         t_end = run_sec["t_end"]
-        if StopRule(t_end).reached(0.0) or scenario.ladder and math.isinf(t_end):
-            need = "ladder needs 0 < t_end < inf" if scenario.ladder \
-                else "run needs t_end > 0"
-            errors.append(f"run.t_end: the {name} {need}, got {t_end!r}")
+        shrink = values["scaling"]["lam"] ** 2 if name == "scaling_test" else 1
+        if StopRule(t_end / shrink).reached(0.0) or scenario.ladder and math.isinf(t_end):
+            need = ("ladder needs a finite t_end, and every solve's end"
+                    if scenario.ladder else "run needs t_end")
+            rescaled = f" (its rescaled solves end at t_end / {shrink})" if shrink > 1 else ""
+            errors.append(f"run.t_end: the {name} {need} more than the end-time slack "
+                          f"1e-12 after t = 0, got {t_end!r}{rescaled}")
         for key in scenario.requires:
             if not run_sec[key]:
                 errors.append(f"{name} scenario requires run.{key}")
@@ -400,18 +403,16 @@ def _criteria_header(cfg: RunConfig) -> list[str]:
 def _criteria(cfg: RunConfig, path: Path) -> list[dict]:
     """Per criterion pair, the time integrals over criteria.csv's rows of
     n's L^s norm to the power r and of sup |grad c|^2; rows out of time
-    order raise ValueError naming the file."""
+    order raise ValueError naming the file and line."""
     rows = [[float(v) for v in row]
             for row in read_table(path, _criteria_header(cfg))[1]]
     ts = [row[0] for row in rows]
-    try:
-        value_gc = criterion_integral(ts, [row[1] for row in rows], 2.0)
-        return [{"s": s, "r": r, "admissible": admissible(s, r),
-                 "value_ns": criterion_integral(ts, [row[2 + idx] for row in rows], r),
-                 "value_gc": value_gc}
-                for idx, (s, r) in enumerate(cfg.criterion_pairs)]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    check_time_order(path, ts)
+    value_gc = criterion_integral(ts, [row[1] for row in rows], 2.0)
+    return [{"s": s, "r": r, "admissible": admissible(s, r),
+             "value_ns": criterion_integral(ts, [row[2 + idx] for row in rows], r),
+             "value_gc": value_gc}
+            for idx, (s, r) in enumerate(cfg.criterion_pairs)]
 
 
 # --- monitors -----------------------------------------------------------------
@@ -644,6 +645,9 @@ def _custom_initial(cfg: RunConfig) -> State:
         if StopRule(cfg.t_end).reached(t0):
             raise ConfigError(f"run.t_end: {cfg.t_end!r} is not after the "
                               f"snapshots' t = {t0!r}")
+        if t0 + cfg.solver.dt_min == t0:
+            raise ConfigError(f"solver.dt_min: {cfg.solver.dt_min!r} cannot advance "
+                              f"the snapshots' t = {t0!r}")
         return State(n0, c0, t0)
     except (CorruptionError, PositivityError) as exc:
         raise ConfigError(f"custom initial data: {exc}") from None
@@ -773,12 +777,10 @@ def _summarize(cfg: RunConfig, out: Path, stats: Optional[dict]) -> dict:
     else:
         records = read_diagnostics_csv(out / "diagnostics.csv")
         monitors = scenario.monitors(cfg, records, out) if records else {}
-        residuals = [energy_inequality_residual([prev, nxt], cfg.c_monitor,
-                                                cfg.solver.chi)
-                     for prev, nxt in zip(records, records[1:])
-                     if scenario.energy and nxt.t > prev.t]
-        if residuals:
-            monitors["energy_residual_max"] = _monitor(max(residuals), 0.0)
+        if scenario.energy and len(records) >= 2:
+            monitors["energy_residual_max"] = _monitor(max(
+                energy_inequality_residual(pair, cfg.c_monitor, cfg.solver.chi)
+                for pair in zip(records, records[1:])), 0.0)
         criteria = _criteria(cfg, out / "criteria.csv")
         if cfg.fit and len(records) >= 2:
             with open(out / "blowup_report.json", "r", encoding="utf-8") as fh:

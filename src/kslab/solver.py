@@ -162,8 +162,8 @@ def _dt_unclamped(state: State, config: SolverConfig) -> float:
             bounds.append(grid.h[axis] / speed)
     n_sup = state.n_max
     if n_sup > 0.0:
-        bounds.append(1.0 / n_sup)  # consumption reaction scale
-        bounds.append(config.dt_blowup_factor / n_sup)  # refine near blow-up
+        # the consumption reaction scale, refined near blow-up
+        bounds.append(min(1.0, config.dt_blowup_factor) / n_sup)
     return config.cfl_safety * min(bounds, default=math.inf)
 
 

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+import kslab.cli
 import kslab.solver
 from kslab import (ConfigError, GridSpec, ManufacturedPair, SolverConfig, load_config,
                    make_grid, mms_sources, read_snapshot, regenerate_summary,
@@ -106,8 +107,10 @@ def test_cli_dt_bounds_that_cannot_advance_exit_code(tmp_path, capsys, case):
 def test_config_ladder_rejects_an_infinite_t_end(tmp_path, scenario):
     # max_steps would let a time-stepped run accept inf; a ladder's solves
     # run to t_end and would never end
-    with pytest.raises(ConfigError, match=f"run.t_end: the {scenario} ladder needs "
-                                          "0 < t_end < inf, got inf"):
+    with pytest.raises(ConfigError, match=f"run.t_end: the {scenario} ladder needs a "
+                                          "finite t_end, and every solve's end more "
+                                          "than the end-time slack 1e-12 after t = 0, "
+                                          "got inf"):
         load_config(_write(tmp_path, f"[run]\nscenario = {scenario}\n"),
                     overrides=["run.t_end=inf", "run.max_steps=5"])
 
@@ -117,7 +120,10 @@ def test_config_ladder_rejects_an_infinite_t_end(tmp_path, scenario):
     ("scaling_test", ["run.t_end=0"], "0.0"),
     # within the end-time slack of t = 0: no solve takes a step either
     ("mms", ["run.t_end=1e-13", "scaling.refinements=2"], "1e-13"),
-], ids=["mms", "scaling_test", "mms-t_end-within-slack"])
+    # rescale-then-solve runs to t_end / lam^2 = 5e-13, within the slack
+    ("scaling_test", ["run.t_end=2e-12"], "2e-12"),
+], ids=["mms", "scaling_test", "mms-t_end-within-slack",
+        "scaling_test-rescaled-t_end-within-slack"])
 def test_cli_ladder_with_a_zero_t_end_exit_code(tmp_path, capsys, scenario, overrides,
                                                  got):
     # every solve would return its initial state: errors 0, orders inf, PASS
@@ -125,8 +131,9 @@ def test_cli_ladder_with_a_zero_t_end_exit_code(tmp_path, capsys, scenario, over
             "--out-dir", str(tmp_path / "out"), "--override", "grid.cells=8 8"]
     assert cli_main(argv + [arg for item in overrides
                             for arg in ("--override", item)]) == EXIT_CONFIG
-    assert (f"run.t_end: the {scenario} ladder needs 0 < t_end < inf, got {got}"
-            in capsys.readouterr().err)
+    assert (f"run.t_end: the {scenario} ladder needs a finite t_end, and every "
+            "solve's end more than the end-time slack 1e-12 after t = 0, "
+            f"got {got}" in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -489,6 +496,10 @@ def test_cli_report_malformed_ladder_table_exit_code(tmp_path, capsys, scenario,
     # two criteria rows swapped: records out of time order
     pytest.param("criteria.csv", lambda lines: [*lines[:2], lines[3], lines[2], *lines[4:]],
                  id="criteria.csv-swapped-rows"),
+    # the same in diagnostics.csv, which kslab fit reads as well
+    pytest.param("diagnostics.csv", lambda lines: [*lines[:2], lines[3], lines[2],
+                                                   *lines[4:]],
+                 id="diagnostics.csv-swapped-rows"),
 ])
 def test_cli_report_malformed_table_exit_code(tmp_path, capsys, csv, cut):
     out, _ = _cheap_run(tmp_path, "constant_decay")
@@ -497,6 +508,19 @@ def test_cli_report_malformed_table_exit_code(tmp_path, capsys, csv, cut):
     (out / csv).write_text("\n".join(cut(lines)) + "\n")
     assert cli_main(["report", "--run", str(out)]) == EXIT_IO
     assert f"i/o error: {out / csv}" in capsys.readouterr().err
+
+
+def test_cli_heat_mode_diagnostics_out_of_time_order_exit_code(tmp_path, capsys):
+    """heat_mode has no energy monitor: its reader alone sees the order,
+    under kslab report and kslab fit alike."""
+    out, _ = _cheap_run(tmp_path, "heat_mode")
+    path = out / "diagnostics.csv"
+    header, first, second, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, second, first, *rest]) + "\n")
+    for argv in (["report", "--run", str(out)], ["fit", "--series", str(path)]):
+        assert cli_main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"i/o error: {path}, line 3: rows out of time order: 0.01 !< 0.0\n"
 
 
 @pytest.mark.parametrize("old, new, named", [
@@ -620,6 +644,26 @@ def test_cli_custom_snapshot_times_exit_code(tmp_path, capsys, t_n0, t_c0, named
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_custom_start_that_dt_min_cannot_advance_exit_code(tmp_path, capsys):
+    """From t = 1e6 a dt of 1e-12 is under half the spacing of t: the run
+    would never leave t0, so every sample would share one t."""
+    g = make_grid(GridSpec(2, (8, 8), (1.0, 1.0), "periodic_torus"))
+    for name in ("n0", "c0"):
+        write_snapshot(constant_field(g, 1.0), 1e6, tmp_path / f"{name}.ksf")
+    cfg = _write(tmp_path, "[run]\nscenario = custom\n"
+                           f"n0_snapshot = {tmp_path / 'n0.ksf'}\n"
+                           f"c0_snapshot = {tmp_path / 'c0.ksf'}\n")
+    argv = ["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    for item in ("grid.cells=8 8", "run.t_end=inf", "run.max_steps=5",
+                 "solver.dt_max=1e-12"):
+        argv += ["--override", item]
+    assert cli_main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") \
+        and "solver.dt_min" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
 def test_criteria_accumulators_reported(tmp_path):
     out = tmp_path / "run"
     cfg = load_config(
@@ -666,6 +710,32 @@ def test_cli_missing_config_file(tmp_path):
 _DECAY_INI = "[run]\nscenario = constant_decay\n"
 
 
+@pytest.mark.parametrize("argv, call", [
+    (["run", "--config", "cfg.ini"], "run_scenario"),
+    (["report", "--run", "out"], "regenerate_summary"),
+    (["fit", "--series", "series.csv"], "read_table"),
+], ids=["run", "report", "fit"])
+@pytest.mark.parametrize("error, code, line", [
+    (ConfigError("boom"), EXIT_CONFIG, "config error: boom"),
+    (ValueError("boom"), EXIT_IO, "i/o error: boom"),
+    (LookupError("boom"), EXIT_IO, "i/o error: boom"),
+    (OSError("boom"), EXIT_IO, "i/o error: boom"),
+], ids=["ConfigError", "ValueError", "LookupError", "OSError"])
+def test_cli_maps_an_error_in_any_command_to_one_exit_code(
+        tmp_path, monkeypatch, capsys, argv, call, error, code, line):
+    """Whichever command raises it, an error is one stderr line and the
+    exit code of its kind."""
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, _DECAY_INI)
+    monkeypatch.setattr(kslab.cli, call, fail)
+    assert cli_main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
+
+
 @pytest.mark.parametrize("text, overrides, named", [
     (_DECAY_INI + "[bogus]\nx = 1\n", [], "[bogus]"),
     (_DECAY_INI, ["chi"], "'chi'"),
@@ -693,10 +763,12 @@ _DECAY_INI = "[run]\nscenario = constant_decay\n"
      "scaling.refinements: must be at least 2, got '1'"),
     # a time-stepped run that cannot take a step: 0 steps, PASS, exit 0
     (_DECAY_INI, ["run.t_end=0"],
-     "run.t_end: the constant_decay run needs t_end > 0, got 0.0"),
+     "run.t_end: the constant_decay run needs t_end more than the end-time slack "
+     "1e-12 after t = 0, got 0.0"),
     # within the end-time slack of t = 0: still 0 steps
     (_DECAY_INI, ["run.t_end=1e-13"],
-     "run.t_end: the constant_decay run needs t_end > 0, got 1e-13"),
+     "run.t_end: the constant_decay run needs t_end more than the end-time slack "
+     "1e-12 after t = 0, got 1e-13"),
     (_DECAY_INI, ["run.max_steps=0"], "run.max_steps: must be at least 1, got '0'"),
 ], ids=["unknown-section", "malformed-override", "override-unknown-key",
         "parse-error", "custom-without-n0", "upwind-maybe", "pair-without-slash",
@@ -957,7 +1029,10 @@ def test_cli_fit_non_finite_sample_exit_code(tmp_path, capsys):
     (lambda text: text + "0.995\n", "line 62: 1 cells for 2 columns"),
     (lambda text: text.replace("t,n_sup", "time,n_sup", 1), "no 't' column"),
     (lambda text: text.replace("\n0.5,", "\nhalf,", 1), "could not convert"),
-], ids=["one-cell last row", "no t column", "unparsable cell"])
+    # the first two rows swapped
+    (lambda text: "\n".join([*(lines := text.splitlines())[:1], lines[2], lines[1],
+                             *lines[3:]]) + "\n", "line 3: rows out of time order"),
+], ids=["one-cell last row", "no t column", "unparsable cell", "rows out of time order"])
 def test_cli_fit_malformed_series_exit_code(tmp_path, capsys, cut, message):
     series_path = tmp_path / "series.csv"
     series_path.write_text(cut(_inverse_law(60)))
