@@ -253,7 +253,9 @@ def lp_norm(field: Field, p: float) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     if math.isinf(p):
         return float(np.max(np.abs(field.values)))
-    total = float(np.sum(np.abs(field.values) ** p)) * field.grid.cell_volume
+    powers = np.abs(field.values)
+    powers **= p  # in place: numpy's scalar-power fast path, one temporary
+    total = float(np.sum(powers)) * field.grid.cell_volume
     if not math.isfinite(total):
         raise CorruptionError("norm is non-finite")
     return total ** (1.0 / p)

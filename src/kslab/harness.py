@@ -736,8 +736,14 @@ def regenerate_summary(run_dir) -> tuple[int, dict]:
     cfg.defaulted = defaulted
     with open(run_dir / "summary.json", "r", encoding="utf-8") as fh:
         old = json.load(fh)
-    stats = {"run": old.get("run", {}), "c_floor_engaged_samples": old.get(
-        "metadata", {}).get("c_floor_engaged_samples", 0)}
+    if not isinstance(old, dict):
+        raise ValueError("summary.json: not a JSON object")
+    info, metadata = old.get("run", {}), old.get("metadata", {})
+    for key, value in (("run", info), ("metadata", metadata)):
+        if not isinstance(value, dict):
+            raise ValueError(f"summary.json: {key} is not a JSON object")
+    stats = {"run": info, "c_floor_engaged_samples": metadata.get(
+        "c_floor_engaged_samples", 0)}
     return _finish(cfg, run_dir, stats)
 
 

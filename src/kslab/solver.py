@@ -21,10 +21,10 @@ load it.  The imex step keeps advection and consumption explicit;
 holds under the advection bound alone (cfl_safety <= 1/(2 dim) in the
 worst case).  States are never mutated in place: a step's new n and c
 (under imex, the two rows of the solve's one fresh result), its per-axis
-face density n_face and each state's cached face gradient of c are fresh
-arrays; every other intermediate of the kernel (the lower neighbour, the
-face pair, the divergence accumulator, exp(-dt n)) lives in the grid's
-scratch (Grid.scratch), one block per thread, which diagnostics.evaluate
+face density n_face and c's face gradient are fresh arrays; every other
+intermediate of the kernel (the lower neighbour, the face pair, the
+divergence accumulator, exp(-dt n)) lives in the grid's scratch
+(Grid.scratch), one block per thread, which diagnostics.evaluate
 on the same thread shares, and the implicit solve's input pair, spectra
 and denominator live in the grid's spectral workspace (_spectral), also
 one per thread.  step is therefore not reentrant on one grid within one thread.
@@ -39,10 +39,12 @@ same to the byte.
 
 step is one kernel on the operators module's faces (N per axis, face i the
 lower face of cell i): per axis, n's face flux and c's face gradient are
-stacked as a pair and differenced in one divergence pass.  c's face
-gradient and max n are computed once per state and shared with the dt
-choice and the blow-up test.  A state is validated once, by its
-constructor or, when stepped, by step itself.
+stacked as a pair and differenced in one divergence pass.  run builds
+c's face gradient once per step for the dt choice and step and drops it
+after the step, so no state it reads or hands to a sink holds one (a
+standalone choose_dt or step caches it on the state); max n is computed
+once per state and shared with the dt choice and the blow-up test.  A
+state is validated once, by its constructor or, when stepped, by step.
 
 Source hooks (used by manufactured-solution verification only) are
 callables f(t) -> array of the grid's shape, added to the right-hand side.
@@ -53,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -151,12 +153,14 @@ class RunResult:
     dt_clamp_events: int = 0  # times the constraints asked for less than dt_min
 
 
-def _dt_unclamped(state: State, config: SolverConfig) -> float:
-    """cfl_safety times the minimum of the active stability constraints."""
+def _dt_unclamped(state: State, config: SolverConfig,
+                  c_face_gradient: Optional[Sequence[np.ndarray]] = None) -> float:
+    """cfl_safety times the minimum of the active stability constraints;
+    c_face_gradient defaults to the state's cached one."""
     grid = state.grid
     # explicit diffusion of both equations; under imex diffusion sets no bound
     bounds = [grid.diffusion_dt] if config.scheme == EXPLICIT_EULER else []
-    for axis, gc in enumerate(state.c_face_gradient):
+    for axis, gc in enumerate(c_face_gradient or state.c_face_gradient):
         speed = config.chi * max(float(gc.max()), -float(gc.min()))  # no |gc| array
         if speed > 0.0:
             bounds.append(grid.h[axis] / speed)
@@ -302,10 +306,12 @@ def _implicit_diffusion(rhs: np.ndarray, dt: float, grid: Grid) -> np.ndarray:
 
 def step(state: State, dt: float, config: SolverConfig,
          source_n: Optional[Callable] = None,
-         source_c: Optional[Callable] = None) -> State:
+         source_c: Optional[Callable] = None,
+         c_face_gradient: Optional[Sequence[np.ndarray]] = None) -> State:
     """One first-order splitting step of size dt; the new state is
-    validated here, once (finite, n >= 0).  Not reentrant on one grid
-    within one thread (see the module docstring)."""
+    validated here, once (finite, n >= 0).  c_face_gradient defaults to the
+    state's cached one.  Not reentrant on one grid within one thread (see
+    the module docstring)."""
     grid = state.grid
     nv = state.n.values
     cv = state.c.values
@@ -320,7 +326,7 @@ def step(state: State, dt: float, config: SolverConfig,
     width = 2 if explicit else 1
     lo, flux, grad_c = ws[0], ws[2], ws[3]
     tmp, pair, div = ws[:width], ws[2:2 + width], ws[4:4 + width]
-    for axis, gc in enumerate(state.c_face_gradient):
+    for axis, gc in enumerate(c_face_gradient or state.c_face_gradient):
         _lower(nv, grid, axis, lo)
         if explicit:
             np.subtract(nv, lo, out=flux)
@@ -419,11 +425,7 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
                 pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kslab-sinks")
             if pending is not None:
                 pending.result()
-            # an equal state without c's face gradient, which only stepping
-            # reads, so the call in flight keeps no such arrays alive
-            view = _trusted(State, n=state.n, c=state.c, t=state.t,
-                            n_max=state.n_max)
-            pending = pool.submit(_call_each, sinks, view, result.steps)
+            pending = pool.submit(_call_each, sinks, state, result.steps)
 
         def finish() -> RunResult:
             result.state = state
@@ -449,18 +451,22 @@ def run(state0: State, config: SolverConfig, stop: StopRule, *,
             if stop.max_steps is not None and result.steps >= stop.max_steps:
                 result.stop_reason = "max_steps"
                 break
-            raw = _dt_unclamped(state, config)
+            # c's face gradient lives for this step only, cached on no state
+            grad_c = _face_grads(state.c.values, state.grid)
+            raw = _dt_unclamped(state, config, grad_c)
             if raw < config.dt_min:
                 result.dt_clamp_events += 1
             dt = min(max(raw, config.dt_min), config.dt_max, stop.t_end - state.t)
             try:
-                state = step(state, dt, config, source_n=source_n, source_c=source_c)
+                state = step(state, dt, config, source_n=source_n, source_c=source_c,
+                             c_face_gradient=grad_c)
             except CorruptionError:
                 result.stop_reason = "corrupted"
                 break
             except PositivityError:
                 result.stop_reason = "positivity"
                 break
+            del grad_c
             result.steps += 1
             result.dt_last = dt
             result.dt_smallest = min(result.dt_smallest, dt)

@@ -942,6 +942,33 @@ def test_cli_report_unknown_or_missing_stop_reason_exit_code(tmp_path, capsys,
     assert (out / "summary.json").read_bytes() == recorded
 
 
+@pytest.mark.parametrize("scenario", ["constant_decay", "mms"])
+@pytest.mark.parametrize("shape, what", [
+    ([], "not a JSON object"),
+    ({"run": []}, "run is not a JSON object"),
+    ({"run": {"stop_reason": "finished"}, "metadata": []},
+     "metadata is not a JSON object"),
+], ids=["list", "run-list", "metadata-list"])
+def test_cli_report_summary_of_the_wrong_shape_exit_code(tmp_path, capsys, scenario,
+                                                         shape, what):
+    """A summary.json that is valid JSON but not an object, or whose run
+    record or metadata is not one, is a malformed artifact: the report exits
+    4 with one stderr line and leaves summary.json as it found it."""
+    out = tmp_path / "run"
+    cfg = load_config(_write(tmp_path, f"[run]\nscenario = {scenario}\n"),
+                      overrides=[f"run.out_dir={out}", "run.t_end=0.01"]
+                      + (_LADDER[1:] if scenario == "mms" else []))
+    run_scenario(cfg)
+    (out / "summary.json").write_text(json.dumps(shape))
+    recorded = (out / "summary.json").read_bytes()
+    capsys.readouterr()
+    assert cli_main(["report", "--run", str(out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err == f"i/o error: summary.json: {what}\n"
+    assert "overall=" not in captured.out
+    assert (out / "summary.json").read_bytes() == recorded
+
+
 def test_cli_fit_on_synthetic_series(tmp_path):
     ts = np.linspace(0.5, 0.99, 60)
     series_path = tmp_path / "series.csv"

@@ -2,11 +2,14 @@
 them, in the same order, on the sink thread and on run's own thread; a
 failing sink stops the run with its own exception; only grids of at least
 solver._SINK_THREAD_CELLS cells, and only runs with sinks, start a thread;
-the grid's scratch is one block per thread."""
+the grid's scratch is one block per thread; no state run reads keeps
+c's face gradient."""
 
+import concurrent.futures  # noqa: F401  (imported before the traced run)
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from kslab import (Field, GridSpec, SolverConfig, State, StopRule, make_grid,
                    run, write_snapshot)
 from kslab import solver
 from kslab.diagnostics import CSV_FIELDS, evaluate
+from kslab.grid import lp_norm
 from kslab.solver import choose_dt, step
 
 KAPPAS = (1.0, 1.0, 1.0)
@@ -206,3 +210,32 @@ def test_evaluate_and_step_on_two_threads_match_the_references():
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
     assert results == [wanted] * rounds
+
+
+def test_run_drops_c_face_gradient_after_each_step():
+    """On a fresh 32^3 box, stepped on the caller's thread and sampled on the
+    sink thread, run leaves c's face gradient (3 grid arrays) on neither the
+    start state nor a sampled state.  Held when run returns: step's 6
+    scratch rows and the final n and c, 8 grid arrays, and 11 when the
+    start state keeps its gradient.  The traced peak (about 25.5 grid
+    arrays, 28.5-30.4 with the gradient kept) is not gated."""
+    state = _box_state(cells=32)
+    cfg = SolverConfig(chi=CHI, cfl_safety=0.3)
+    cached = []
+
+    def on_sample(st, _k):
+        evaluate(st, KAPPAS, CHI, 2.0)
+        lp_norm(st.n, 1.6)
+        cached.append("c_face_gradient" in vars(st))
+
+    tracemalloc.start()
+    try:
+        result = run(state, cfg, StopRule(t_end=math.inf, max_steps=40),
+                     on_sample=on_sample, sample_every=5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.steps == 40
+    assert cached == [False] * 9
+    assert "c_face_gradient" not in vars(state)
+    assert held < 9.5 * state.n.values.nbytes

@@ -14,6 +14,12 @@ state, a sample every 5 steps, fit on, post-processing included).  Under
 one read_diagnostics_csv of a 1,000-row diagnostics.csv.  Under
 "evaluate_memory": the tracemalloc peak of the first evaluate on a fresh
 32^3 and a fresh 64^3 box, its scratch included, in MB and in grid arrays.
+Under "run_memory": one stress-like solver.run of 60 steps on a fresh 32^3
+and a fresh 64^3 box, with a sink every 5 steps that calls evaluate and
+lp_norm(n, 1.6) on the sink thread: its tracemalloc peak in MB and in grid
+arrays, traced from after the start state is built, and, from the same
+run untraced in a fresh child process, the minor faults per step and the
+child's peak RSS (vmhwm_mb, imports included).
 
     python tools/layers.py --label NAME --out BENCH.json [--src DIR]
     python tools/layers.py --configs --label NAME --out BENCH.json [--src DIR]
@@ -41,6 +47,7 @@ under "unsupported".
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -62,6 +69,7 @@ CSV_ROWS = 1000
 CONFIG_RUNS = 5
 RUN_STEPS = 1024
 RUN_SAMPLE_EVERY = 5
+MEMORY_STEPS = 60
 FIT_MEMORY_INI = """[run]
 scenario = custom
 t_end = inf
@@ -106,10 +114,60 @@ def _measure(call, setup=lambda: None) -> dict:
             "calls": len(times)}
 
 
-def sweep(work: Path) -> dict:
+def smooth_state(cells, topology="neumann_box"):
+    """A smooth (n, c) on a fresh unit grid: an n bump on 1, c = 5 + cos(pi x)."""
     import numpy as np
 
-    from kslab import Field, GridSpec, State, make_grid, read_snapshot, write_snapshot
+    from kslab import Field, GridSpec, State, make_grid
+
+    dim = len(cells)
+    grid = make_grid(GridSpec(dim, cells, (1.0,) * dim, topology))
+    xs = grid.meshes()
+    r2 = sum((x - 0.4 - 0.1 * a) ** 2 for a, x in enumerate(xs))
+    return State(Field(grid, 1.0 + 8.0 * np.exp(-r2 / 0.02)),
+                 Field(grid, 5.0 + np.cos(np.pi * xs[0])), 0.0)
+
+
+def stress_run(state) -> None:
+    """run_memory's run: MEMORY_STEPS steps, evaluate and lp_norm(n, 1.6)
+    every RUN_SAMPLE_EVERY steps (on the sink thread from 32^3 cells)."""
+    from kslab.diagnostics import evaluate
+    from kslab.grid import lp_norm
+    from kslab.solver import SolverConfig, StopRule, run
+
+    config = SolverConfig(chi=10.0, cfl_safety=0.3)
+
+    def on_sample(st, _k):
+        evaluate(st, (1.0, 1.0, 1.0), config.chi, 2.0)
+        lp_norm(st.n, 1.6)
+
+    result = run(state, config, StopRule(t_end=math.inf, max_steps=MEMORY_STEPS),
+                 on_sample=on_sample, sample_every=RUN_SAMPLE_EVERY)
+    if result.steps != MEMORY_STEPS:
+        raise RuntimeError(f"run_memory stopped after {result.steps} steps: "
+                           f"{result.stop_reason}")
+
+
+# run in a child process: argv is src, this file's directory, cells; prints
+# one JSON line: the minor faults of stress_run on a fresh box, and the
+# child's peak RSS, VmHWM (Linux; ru_maxrss would carry over the forking
+# parent's peak)
+MEMORY_CHILD = """
+import json, resource, sys
+sys.path[:0] = sys.argv[1:3]
+import layers
+state = layers.smooth_state(tuple(map(int, sys.argv[3:])))
+faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+layers.stress_run(state)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
+with open("/proc/self/status", encoding="utf-8") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"faults": faults, "vmhwm_kb": hwm_kb}))
+"""
+
+
+def sweep(work: Path, src: Path) -> dict:
+    from kslab import GridSpec, State, make_grid, read_snapshot, write_snapshot
     from kslab.diagnostics import DiagnosticsWriter, evaluate, read_diagnostics_csv
     from kslab.harness import load_config, run_scenario
     from kslab.manufactured import ManufacturedPair, mms_sources
@@ -148,14 +206,6 @@ def sweep(work: Path) -> dict:
                 "samples": summary["metadata"]["samples"],
                 "classification": summary["blowup"]["classification"]}
 
-    def smooth_state(cells, topology="neumann_box") -> State:
-        dim = len(cells)
-        grid = make_grid(GridSpec(dim, cells, (1.0,) * dim, topology))
-        xs = grid.meshes()
-        r2 = sum((x - 0.4 - 0.1 * a) ** 2 for a, x in enumerate(xs))
-        return State(Field(grid, 1.0 + 8.0 * np.exp(-r2 / 0.02)),
-                     Field(grid, 5.0 + np.cos(np.pi * xs[0])), 0.0)
-
     def evaluate_memory(cells) -> dict:
         state = smooth_state(cells)  # a fresh grid: no scratch yet
         tracemalloc.start()
@@ -166,6 +216,23 @@ def sweep(work: Path) -> dict:
             tracemalloc.stop()
         return {"tracemalloc_peak_mb": round(peak / 2**20, 2),
                 "grid_arrays": round(peak / state.n.values.nbytes, 2)}
+
+    def run_memory(cells) -> dict:
+        state = smooth_state(cells)  # a fresh grid: no scratch yet
+        tracemalloc.start()
+        try:
+            stress_run(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        proc = subprocess.run(
+            [sys.executable, "-c", MEMORY_CHILD, str(src), str(Path(__file__).parent),
+             *map(str, cells)], check=True, capture_output=True, text=True)
+        child = json.loads(proc.stdout.splitlines()[-1])
+        return {"tracemalloc_peak_mb": round(peak / 2**20, 2),
+                "grid_arrays": round(peak / state.n.values.nbytes, 2),
+                "minor_faults_per_step": round(child["faults"] / MEMORY_STEPS, 1),
+                "vmhwm_mb": round(child["vmhwm_kb"] / 1024, 2)}
 
     out = {}
     for cells in GRIDS:
@@ -205,11 +272,13 @@ def sweep(work: Path) -> dict:
     with DiagnosticsWriter(csv) as writer:
         out["csv"] = {"csv_write": _measure(lambda _: writer.write(record))}
     with DiagnosticsWriter(csv) as writer:
-        for _ in range(CSV_ROWS):
-            writer.write(record)
+        for k in range(CSV_ROWS):  # t must increase, or the reader rejects the table
+            writer.write(dataclasses.replace(record, t=record.t + k))
     out["csv"]["csv_read"] = _measure(lambda _: read_diagnostics_csv(csv))
     out["evaluate_memory"] = {"x".join(map(str, cells)): evaluate_memory(cells)
                               for cells in ((32, 32, 32), (64, 64, 64))}
+    out["run_memory"] = {"x".join(map(str, cells)): run_memory(cells)
+                         for cells in ((32, 32, 32), (64, 64, 64))}
     return out
 
 
@@ -274,7 +343,7 @@ def main(argv=None) -> int:
         if args.configs:
             results = {"configs": config_sweep(src, Path(work))}
         else:
-            results = sweep(Path(work))
+            results = sweep(Path(work), src)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["machine"] = _machine()
     doc.setdefault("columns", {}).setdefault(args.label, {}).update(results)
