@@ -17,13 +17,7 @@ test oracle):
 
 V is the weighted nonnegative functional
     integral of [ n/2 |grad log n|^2 + k1/(2 chi) n^2 c + k1/chi^2 n^2
-                  + (k1/2 + k2) n |grad c|^2 + k2 |lap c|^2 + k3 |grad c|^4 ]
-and G is its companion dissipation rate
-    k1/chi^2 |grad n|^2 + k1/(2 chi) c n^3 + k1/chi c|grad n|^2
-    + k2/2 |grad c_t|^2 + k2/2 |grad lap c|^2 + (k1+k2)/4 n |lap c|^2
-    + k3 |grad |grad c|^2|^2 + 4 k3 |hess c|^2 |grad c|^2
-    + 1/16 n |hess log n|^2,
-with c_t evaluated pointwise from the model as lap c - n c.
+                  + (k1/2 + k2) n |grad c|^2 + k2 |lap c|^2 + k3 |grad c|^4 ].
 
 evaluate writes every grid-sized intermediate into the grid's scratch
 (Grid.scratch: 8 grid arrays held on the Grid for the calling thread and
@@ -32,10 +26,10 @@ the face terms one axis at a time, with the same floating-point operations
 in the same order as fresh arrays would take.  It takes the integrals in
 phases, so that a row takes a new role once its last reader is done: the
 n side, the face loop, the integrals of lap c and |grad c|^2, then the
-Hessians and the integrals of c_reg and c_pos.  It is not reentrant within
-one thread; on another thread (solver.run's sink thread) it has a block
-of its own.  winkler_ratio and pointwise_hessian_check, the acceptance
-criteria's pointwise checks, work on fresh arrays.
+Hessian of log c and the integrals of c_reg and c_pos.  It is not
+reentrant within one thread; on another thread (solver.run's sink thread)
+it has a block of its own.  winkler_ratio and pointwise_hessian_check, the
+acceptance criteria's pointwise checks, work on fresh arrays.
 """
 
 from __future__ import annotations
@@ -56,7 +50,7 @@ from .operators import (_cuts, _div_term, _face_grad, _face_grads,
 WINKLER_CONSTANT = (2.0 + math.sqrt(3.0)) ** 2  # 13.9282...
 
 _SCRATCH = 8  # grid arrays evaluate keeps in its grid's scratch: the most
-# it holds at once, in phase 3 and in each Hessian of phase 4
+# it holds at once, in phase 4's Hessian
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,6 @@ class DiagnosticsRecord:
     c_gradn_sq: float           # integral c |grad n|^2
     kinetic_E: float            # 1/2 integral n |w|^2, face quadrature
     V: float                    # weighted functional, see module docstring
-    G: float                    # companion dissipation rate
     gradc_inf: float            # sup |grad c|
     n_ls_norm: float            # L^s norm of n, s the first criterion pair's s
     c_mass: float               # integral c
@@ -168,8 +161,8 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float,
              s: float) -> DiagnosticsRecord:
     """Evaluate every monitored functional on one state.
 
-    kappas = (k1, k2, k3) weight the V/G pair; s selects the L^s norm
-    tracked in n_ls_norm.
+    kappas = (k1, k2, k3) weight V; s selects the L^s norm tracked in
+    n_ls_norm.
     Every grid-sized intermediate lives in the calling thread's block of
     the grid's scratch (see the module docstring), so evaluate is not
     reentrant on one grid within one thread.
@@ -205,7 +198,6 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float,
     n_reg = np.maximum(nv, _clip_level(n_sup), out=log_n)
     gn_sq = cell_sq(nv, gc_sq)
     fisher = integ(np.divide(gn_sq, n_reg, out=prod))
-    gradn_l2_sq = integ(gn_sq)
     c_gradn_sq = integ(mul(cv, gn_sq))
     np.log(n_reg, out=log_n)
     entropy = integ(mul(nv, log_n))
@@ -231,18 +223,11 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float,
     n_gradc_sq = integ(mul(nv, gc_sq))
     lap_c_l2_sq = integ(mul(lap_c, lap_c))
     gradc_l4_4 = integ(mul(gc_sq, gc_sq))
-    c_t = np.subtract(lap_c, mul(nv, cv), out=prod)
-    grad_ct_sq = integ(cell_sq(c_t))
-    grad_lapc_sq = integ(cell_sq(lap_c))
-    n_lapc_sq = integ(mul(nv, lap_c, lap_c))
-    grad_gcsq_sq = integ(cell_sq(gc_sq))
     gradc_inf = math.sqrt(float(np.max(gc_sq)))
 
-    # 4. the Hessians; c_reg takes log n's row, then log c in it, and c_pos
-    #    takes gc_sq's
-    n_hesslog_sq = integ(mul(nv, _hessian_parts(log_n, grid, hess_bufs)[1]))
+    # 4. the Hessian of log c; c_reg takes log n's row, then log c in it, and
+    #    c_pos takes gc_sq's
     c_reg = np.maximum(cv, _clip_level(c_sup), out=log_n)
-    hessc_gradc = integ(mul(_hessian_parts(cv, grid, hess_bufs)[1], gc_sq))
     n_gradc_sq_over_c = integ(np.divide(mul(nv, gc_sq), c_reg, out=prod))
     log_c = np.log(c_reg, out=c_reg)
     c_pos = np.maximum(cv, 0.0, out=gc_sq)
@@ -256,29 +241,21 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float,
     c_mass = integ(cv)
     n_ls_norm = lp_norm(state.n, s)
 
+    with np.errstate(all="ignore"):  # chi^2 past the float range: 0 or inf
+        k1_chi_sq = float(k1 / np.float64(chi) ** 2)  # libm pow, as chi**2
     V = (0.5 * n_gradlog_sq
          + (k1 / (2.0 * chi)) * cross_n2c
-         + (k1 / chi**2) * n_l2_sq
+         + k1_chi_sq * n_l2_sq
          + (0.5 * k1 + k2) * n_gradc_sq
          + k2 * lap_c_l2_sq
          + k3 * gradc_l4_4)
-
-    G = ((k1 / chi**2) * gradn_l2_sq
-         + (k1 / (2.0 * chi)) * cn3
-         + (k1 / chi) * c_gradn_sq
-         + 0.5 * k2 * grad_ct_sq
-         + 0.5 * k2 * grad_lapc_sq
-         + 0.25 * (k1 + k2) * n_lapc_sq
-         + k3 * grad_gcsq_sq
-         + 4.0 * k3 * hessc_gradc
-         + (1.0 / 16.0) * n_hesslog_sq)
 
     return DiagnosticsRecord(
         t=float(state.t), mass=mass, n_sup=n_sup, c_sup=c_sup,
         entropy=entropy, dirichlet_sqrt_c=dirichlet_sqrt_c, fisher=fisher,
         n_gradlog_sq=n_gradlog_sq, n_gradc_sq=n_gradc_sq, n_l2_sq=n_l2_sq,
         cross_n2c=cross_n2c, lap_c_l2_sq=lap_c_l2_sq, gradc_l4_4=gradc_l4_4,
-        cn3=cn3, c_gradn_sq=c_gradn_sq, kinetic_E=kinetic, V=V, G=G,
+        cn3=cn3, c_gradn_sq=c_gradn_sq, kinetic_E=kinetic, V=V,
         gradc_inf=gradc_inf, n_ls_norm=n_ls_norm, c_mass=c_mass,
         n_gradc_sq_over_c=n_gradc_sq_over_c, c_hesslog_c_sq=c_hesslog_c_sq,
     )
@@ -293,8 +270,15 @@ def admissible(s: float, r: float) -> bool:
 def criterion_integral(ts: Sequence[float], values: Sequence[float],
                        r: float) -> float:
     """The trapezoid rule for the integral of values^r over the times ts,
-    or the running max of values (from 0) when r is infinite; raises
-    ValueError at the first pair of times out of order."""
+    or the running max of values (from 0) when r is infinite; a power past
+    the float range makes it inf.  Raises ValueError at the first pair of
+    times out of order."""
+    def power(v: float) -> float:
+        try:
+            return v**r
+        except OverflowError:
+            return math.inf
+
     total = 0.0
     for t0, t1, v0, v1 in zip(ts, ts[1:], values, values[1:]):
         if not t0 < t1:
@@ -302,7 +286,7 @@ def criterion_integral(ts: Sequence[float], values: Sequence[float],
         if math.isinf(r):
             total = max(total, v0, v1)
         else:
-            total = total + 0.5 * (t1 - t0) * (v0**r + v1**r)
+            total = total + 0.5 * (t1 - t0) * (power(v0) + power(v1))
     return total
 
 

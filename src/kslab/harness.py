@@ -378,7 +378,8 @@ def _fit_blowup(cfg: RunConfig, series: list[tuple[float, float]], c0_sup: float
     sampled n fields into nondegeneracy.ksf (fit_rate's t_star lies beyond
     the last sample, so every sample is before it)."""
     note = None
-    if window_size(len(series), cfg.window_fraction) < MIN_FIT_POINTS:
+    window = window_size(len(series), cfg.window_fraction)
+    if window < MIN_FIT_POINTS:
         fit = RateFit(status=NO_BLOWUP)
         note = ("insufficient samples for the fit window "
                 f"(need >= {MIN_FIT_POINTS} points)")
@@ -389,7 +390,7 @@ def _fit_blowup(cfg: RunConfig, series: list[tuple[float, float]], c0_sup: float
     if fit.status != NO_BLOWUP:
         write_snapshot(nondegeneracy_map(samples, fit.t_star), fit.t_star,
                        out / "nondegeneracy.ksf")
-    payload["tail_series"] = [[t, v] for t, v in series[-max(2, len(series) // 4):]]
+    payload["tail_series"] = [[t, v] for t, v in series[-window:]]
     payload["config"] = cfg.echo
     with open(out / "blowup_report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -397,7 +398,7 @@ def _fit_blowup(cfg: RunConfig, series: list[tuple[float, float]], c0_sup: float
 
 def _criteria_header(cfg: RunConfig) -> list[str]:
     """criteria.csv's columns: t, sup |grad c| and n's L^s norm per pair."""
-    return ["t", "gradc_inf"] + [f"ns[s={s:g},r={r:g}]" for s, r in cfg.criterion_pairs]
+    return ["t", "gradc_inf"] + [f"ns[s={s:g};r={r:g}]" for s, r in cfg.criterion_pairs]
 
 
 def _criteria(cfg: RunConfig, path: Path) -> list[dict]:

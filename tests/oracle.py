@@ -195,8 +195,6 @@ def evaluate_record(n_values, c_values, g: OracleGrid, kappas, chi, s,
     glogn_sq = {idx: grad_sq(log_n, idx) for idx in cells}
 
     lap_c = _build(g, lambda idx: laplacian_cell(c_values, g, idx))
-    c_t = _build(g, lambda idx: g.value(lap_c, idx) - n_at(idx) * c_at(idx))
-    gc_sq_field = _build(g, lambda idx: gc_sq[idx])
 
     def integ(fn):
         return math.fsum(fn(idx) for idx in cells) * g.vol
@@ -224,20 +222,6 @@ def evaluate_record(n_values, c_values, g: OracleGrid, kappas, chi, s,
          + (k1 / chi**2) * n_l2_sq + (0.5 * k1 + k2) * n_gradc_sq
          + k2 * lap_c_l2_sq + k3 * gradc_l4_4)
 
-    gradn_l2_sq = integ(lambda idx: gn_sq[idx])
-    grad_ct_sq = integ(lambda idx: grad_sq(c_t, idx))
-    grad_lapc_sq = integ(lambda idx: grad_sq(lap_c, idx))
-    grad_gcsq_sq = integ(lambda idx: grad_sq(gc_sq_field, idx))
-    hessc_gradc = integ(lambda idx: hessian_entries(c_values, g, idx)[1] * gc_sq[idx])
-    n_lapc_sq = integ(lambda idx: n_at(idx) * g.value(lap_c, idx) ** 2)
-    n_hesslog_sq = integ(lambda idx: n_at(idx) * hessian_entries(log_n, g, idx)[1])
-
-    G = ((k1 / chi**2) * gradn_l2_sq + (k1 / (2.0 * chi)) * cn3
-         + (k1 / chi) * c_gradn_sq + 0.5 * k2 * grad_ct_sq
-         + 0.5 * k2 * grad_lapc_sq + 0.25 * (k1 + k2) * n_lapc_sq
-         + k3 * grad_gcsq_sq + 4.0 * k3 * hessc_gradc
-         + (1.0 / 16.0) * n_hesslog_sq)
-
     gradc_inf = math.sqrt(max(gc_sq[idx] for idx in cells))
     n_ls_norm = lp_norm(n_values, g, s)
     c_mass = integ(lambda idx: c_at(idx))
@@ -251,7 +235,7 @@ def evaluate_record(n_values, c_values, g: OracleGrid, kappas, chi, s,
         "n_gradlog_sq": n_gradlog_sq, "n_gradc_sq": n_gradc_sq,
         "n_l2_sq": n_l2_sq, "cross_n2c": cross_n2c,
         "lap_c_l2_sq": lap_c_l2_sq, "gradc_l4_4": gradc_l4_4, "cn3": cn3,
-        "c_gradn_sq": c_gradn_sq, "kinetic_E": kinetic, "V": V, "G": G,
+        "c_gradn_sq": c_gradn_sq, "kinetic_E": kinetic, "V": V,
         "gradc_inf": gradc_inf, "n_ls_norm": n_ls_norm, "c_mass": c_mass,
         "n_gradc_sq_over_c": n_gradc_sq_over_c,
         "c_hesslog_c_sq": c_hesslog_c_sq,

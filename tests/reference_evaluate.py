@@ -146,7 +146,6 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
     glogn_sq = _cell_sq(glogn_faces)
 
     lap_c = _div(gc_faces, grid)
-    c_t = lap_c - nv * cv
 
     mass = integ(nv)
     entropy = integ(nv * log_n)
@@ -171,26 +170,6 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
          + k2 * lap_c_l2_sq
          + k3 * gradc_l4_4)
 
-    gradn_l2_sq = integ(gn_sq)
-    grad_ct_sq = integ(_cell_sq(_face_grads(c_t, grid)))
-    grad_lapc_sq = integ(_cell_sq(_face_grads(lap_c, grid)))
-    grad_gcsq_sq = integ(_cell_sq(_face_grads(gc_sq, grid)))
-    _, hess_c = _hessian_parts(cv, grid)
-    hessc_gradc = integ(hess_c * gc_sq)
-    n_lapc_sq = integ(nv * lap_c * lap_c)
-    _, hess_logn = _hessian_parts(log_n, grid)
-    n_hesslog_sq = integ(nv * hess_logn)
-
-    G = ((k1 / chi**2) * gradn_l2_sq
-         + (k1 / (2.0 * chi)) * cn3
-         + (k1 / chi) * c_gradn_sq
-         + 0.5 * k2 * grad_ct_sq
-         + 0.5 * k2 * grad_lapc_sq
-         + 0.25 * (k1 + k2) * n_lapc_sq
-         + k3 * grad_gcsq_sq
-         + 4.0 * k3 * hessc_gradc
-         + (1.0 / 16.0) * n_hesslog_sq)
-
     gradc_inf = math.sqrt(float(np.max(gc_sq)))
     n_ls_norm = lp_norm(state.n, s)
     c_mass = integ(cv)
@@ -203,7 +182,7 @@ def evaluate(state, kappas: tuple[float, float, float], chi: float, s: float,
         entropy=entropy, dirichlet_sqrt_c=dirichlet_sqrt_c, fisher=fisher,
         n_gradlog_sq=n_gradlog_sq, n_gradc_sq=n_gradc_sq, n_l2_sq=n_l2_sq,
         cross_n2c=cross_n2c, lap_c_l2_sq=lap_c_l2_sq, gradc_l4_4=gradc_l4_4,
-        cn3=cn3, c_gradn_sq=c_gradn_sq, kinetic_E=kinetic, V=V, G=G,
+        cn3=cn3, c_gradn_sq=c_gradn_sq, kinetic_E=kinetic, V=V,
         gradc_inf=gradc_inf, n_ls_norm=n_ls_norm, c_mass=c_mass,
         n_gradc_sq_over_c=n_gradc_sq_over_c, c_hesslog_c_sq=c_hesslog_c_sq,
     )

@@ -35,7 +35,15 @@ def test_evaluate_unit_constants():
     assert rec.gradc_l4_4 == 0.0
     assert rec.kinetic_E == 0.0
     assert rec.V == pytest.approx(1.5, rel=1e-13)
-    assert rec.G == pytest.approx(0.5, rel=1e-13)
+
+
+def test_evaluate_V_weight_past_the_float_range():
+    """k1 / chi^2 reads 0 once chi^2 overflows and inf once it underflows,
+    instead of raising."""
+    g = _torus(8, dim=2)
+    st = State(constant_field(g, 1.0), constant_field(g, 1.0), 0.0)
+    assert evaluate(st, KAPPAS, chi=1e300, s=2.0).V == 0.5 * (1.0 / 1e300)
+    assert evaluate(st, KAPPAS, chi=1e-300, s=2.0).V == math.inf
 
 
 def test_evaluate_exponential_density():
@@ -57,19 +65,14 @@ def _closed_form_record(chi, kappas, s, quad_points=20000):
 
     n = 2 + np.cos(w * x)
     dn = -w * np.sin(w * x)
-    d2n = -w * w * np.cos(w * x)
     c = 1 + 0.5 * np.cos(w * x)
     dc = -0.5 * w * np.sin(w * x)
     d2c = -0.5 * w * w * np.cos(w * x)
-    d3c = 0.5 * w**3 * np.sin(w * x)
 
     def integ(values):
         return float(np.mean(values))
 
-    loglap_n = (d2n * n - dn * dn) / (n * n)      # (log n)''
     loglap_c = (d2c * c - dc * dc) / (c * c)
-    c_t = d2c - n * c
-    dct = d3c - (dn * c + n * dc)
 
     out = {
         "mass": integ(n),
@@ -95,13 +98,6 @@ def _closed_form_record(chi, kappas, s, quad_points=20000):
                 + k1 / chi**2 * out["n_l2_sq"]
                 + (k1 / 2 + k2) * out["n_gradc_sq"]
                 + k2 * out["lap_c_l2_sq"] + k3 * out["gradc_l4_4"])
-    out["G"] = (k1 / chi**2 * integ(dn * dn) + k1 / (2 * chi) * out["cn3"]
-                + k1 / chi * out["c_gradn_sq"] + 0.5 * k2 * integ(dct * dct)
-                + 0.5 * k2 * integ(d3c * d3c)
-                + 0.25 * (k1 + k2) * integ(n * d2c * d2c)
-                + k3 * integ((2 * dc * d2c) ** 2)
-                + 4 * k3 * integ(d2c * d2c * dc * dc)
-                + (1.0 / 16.0) * integ(n * loglap_n**2))
     return out
 
 

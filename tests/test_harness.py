@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -13,7 +14,7 @@ from kslab import (ConfigError, GridSpec, ManufacturedPair, SolverConfig, load_c
                    make_grid, mms_sources, read_snapshot, regenerate_summary,
                    run_scenario, write_snapshot, constant_field)
 from kslab.cli import main as cli_main
-from kslab.diagnostics import admissible
+from kslab.diagnostics import admissible, read_diagnostics_csv
 from kslab.errors import CorruptionError, PositivityError
 from kslab.harness import _SCHEMA, EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK
 
@@ -707,6 +708,46 @@ def test_cli_missing_config_file(tmp_path):
     assert cli_main(["run", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("scenario", ["heat_mode", "equilibrium_2d"])
+@pytest.mark.parametrize("chi", ["1e300", "1e-300"])
+def test_cli_run_at_an_extreme_chi_ends_with_an_exit_code(tmp_path, capsys,
+                                                          scenario, chi):
+    """V's weight k1 / chi^2 past the float range is 0 or inf, not an
+    OverflowError or ZeroDivisionError."""
+    cfg_path = _write(tmp_path, f"[run]\nscenario = {scenario}\n")
+    code = cli_main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
+                     "--override", f"solver.chi={chi}", "--max-steps", "30"])
+    assert code in (EXIT_OK, 1, EXIT_DIVERGENCE)
+    assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_run_with_a_huge_finite_exponent_reports_an_infinite_integral(
+        tmp_path, capsys):
+    """||n||_{L^s}^r past the float range makes the criterion integral inf,
+    a monitor value, instead of an OverflowError."""
+    cfg_path = _write(tmp_path, "[run]\nscenario = equilibrium_2d\n")
+    out = tmp_path / "out"
+    code = cli_main(["run", "--config", str(cfg_path), "--out-dir", str(out),
+                     "--override", "diagnostics.criterion_pairs=1.5000001/1e300",
+                     "--max-steps", "30"])
+    assert code in (EXIT_OK, 1)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["criteria"][0]["value_ns"] == math.inf
+
+
+def test_criteria_csv_reads_right_with_a_generic_csv_reader(tmp_path):
+    """No column name holds a comma, so every row has a cell per name."""
+    cfg_path = _write(tmp_path, "[run]\nscenario = constant_decay\n"
+                                "[diagnostics]\ncriterion_pairs = 2/4 1.6/inf\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out-dir", str(out),
+                     "--max-steps", "5"]) == EXIT_OK
+    with open(out / "criteria.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["t", "gradc_inf", "ns[s=2;r=4]", "ns[s=1.6;r=inf]"]
+    assert rows and all(len(row) == len(header) for row in rows)
+
+
 _DECAY_INI = "[run]\nscenario = constant_decay\n"
 
 
@@ -1114,6 +1155,16 @@ def test_cli_fit_reports_what_the_run_reports(tmp_path, capsys):
     expected = {key: None if isinstance(v, float) and math.isnan(v) else v
                 for key, v in report.items()}
     assert list(fitted.items()) == list(expected.items())
+
+
+def test_blowup_report_tail_series_is_the_fit_window(tmp_path):
+    """tail_series holds the (t, sup n) samples the fit reads; the cheap
+    stress_3d run's window_fraction of 1 takes every sample."""
+    out, _code = _cheap_run(tmp_path, "stress_3d")
+    report = json.loads((out / "blowup_report.json").read_text())
+    records = read_diagnostics_csv(out / "diagnostics.csv")
+    assert len(records) > 4
+    assert report["tail_series"] == [[rec.t, rec.n_sup] for rec in records]
 
 
 def test_run_scenario_stress_3d_artifacts(tmp_path):

@@ -89,16 +89,16 @@ def _evaluate_peak(state) -> int:
 
 
 def test_first_evaluate_peaks_under_eleven_grid_arrays():
-    """The scratch's 8 rows and lp_norm's two temporaries."""
+    """The scratch's 8 rows and lp_norm's one temporary."""
     state = _box_state()
-    assert _evaluate_peak(state) < 11 * state.n.values.nbytes
+    assert _evaluate_peak(state) < 10 * state.n.values.nbytes
 
 
 def test_second_evaluate_allocates_under_three_grid_arrays():
-    """Only lp_norm's two temporaries are fresh."""
+    """Only lp_norm's one temporary is fresh."""
     state = _box_state()
     evaluate(state, (1.0, 1.0, 1.0), 5.0, 2.0)
-    assert _evaluate_peak(state) < 3 * state.n.values.nbytes
+    assert _evaluate_peak(state) < 2 * state.n.values.nbytes
 
 
 def test_record_holds_no_reference_into_the_scratch():
